@@ -3,8 +3,7 @@ continuous-variable protocols under collective Gaussian attacks."""
 
 from .attacks import (AttackParams, CorrelatedAttackParams,
                       correlated_two_mode_channels, excess_noise, w_from_excess)
-from .gaussian import (CovarianceMatrix, epr_cm, g_entropy, log_units,
-                       set_log_units, symplectic_eigenvalues,
+from .gaussian import (CovarianceMatrix, epr_cm, g_entropy, symplectic_eigenvalues,
                        von_neumann_entropy)
 from .key_rates import (DIVERGENT_RR, NumericalFailure, Protocol, RATE_DIVERGENT,
                         RateResult, Reconciliation, asymptotic_rate, exact_rate)
@@ -24,8 +23,7 @@ __all__ = [
     "SimConfig", "SimRun", "SuperadditivityReport", "ThresholdCurve",
     "TomographyDataset", "asymptotic_rate", "check_reducibility", "compose",
     "correlated_two_mode_channels", "crossover", "empirical_mi", "epr_cm",
-    "estimate_channel", "exact_rate", "excess_noise", "g_entropy",
-    "log_units", "set_log_units", "simulate", "simulate_probe_dataset",
-    "solve_threshold", "superadditivity_report", "sweep_curve",
-    "symplectic_eigenvalues", "von_neumann_entropy", "w_from_excess",
+    "estimate_channel", "exact_rate", "excess_noise", "g_entropy", "simulate",
+    "simulate_probe_dataset", "solve_threshold", "superadditivity_report",
+    "sweep_curve", "symplectic_eigenvalues", "von_neumann_entropy", "w_from_excess",
 ]

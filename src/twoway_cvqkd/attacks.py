@@ -38,8 +38,8 @@ class AttackParams:
     def __post_init__(self):
         if not 0.0 <= self.T <= 1.0:
             raise ValueError(f"transmission must be in [0, 1], got {self.T}")
-        if self.W < 1.0:
-            raise ValueError(f"EPR variance must be >= 1, got {self.W}")
+        if not 1.0 <= self.W < math.inf:
+            raise ValueError(f"EPR variance must be finite and >= 1, got {self.W}")
 
     @classmethod
     def from_excess(cls, T: float, N: float) -> "AttackParams":
@@ -61,8 +61,8 @@ def w_from_excess(T: float, N: float) -> float:
     """EPR variance W = 1 + N T/(1 - T); inverse of excess_noise."""
     if not 0.0 < T < 1.0:
         raise ValueError(f"transmission must be in (0, 1), got {T}")
-    if N < 0.0:
-        raise ValueError(f"excess noise must be >= 0, got {N}")
+    if not 0.0 <= N < math.inf:
+        raise ValueError(f"excess noise must be finite and >= 0, got {N}")
     return 1.0 + N * T / (1.0 - T)
 
 

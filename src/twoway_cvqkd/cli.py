@@ -10,11 +10,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from . import gaussian
 from .attacks import AttackParams, CorrelatedAttackParams, correlated_two_mode_channels
 from .key_rates import (DIVERGENT_RR, DIVERGENT_RR_REASON, NumericalFailure,
                         Protocol, Reconciliation, asymptotic_rate, exact_rate)
@@ -79,6 +79,22 @@ def _check_pair(protocol: Protocol, recon: Reconciliation) -> None:
                         f"{DIVERGENT_RR_REASON}")
 
 
+def _sweep_status(curves) -> int:
+    """Exit code of a command that has written its threshold curves.
+
+    A failed grid point is a NaN in the output and a numeric failure: the
+    first one is reported on stderr and the exit code is 3.
+    """
+    for curve in curves:
+        if curve.errors:
+            i, message = next(iter(curve.errors.items()))
+            print(f"error: numeric failure during sweep: {curve.protocol.value} "
+                  f"{curve.reconciliation.value} at T={_fmt(curve.T[i])}: {message}",
+                  file=sys.stderr)
+            return EXIT_NUMERIC
+    return EXIT_OK
+
+
 def cmd_rate(args) -> int:
     protocol = Protocol(args.protocol)
     recon = Reconciliation(args.recon)
@@ -88,11 +104,15 @@ def cmd_rate(args) -> int:
         result = exact_rate(protocol, recon, args.V, params)
     else:
         result = asymptotic_rate(protocol, recon, params)
+    # the library computes in bits; nats are converted here, at the output
+    rate, unit = result.rate, "bits"
+    if args.log_base == "e":
+        rate, unit = rate * math.log(2.0), "nats"
     sink = _open_sink(args)
-    sink.write("protocol,recon,T,W,N,rate_bits,method\n")
+    sink.write(f"protocol,recon,T,W,N,rate_{unit},method\n")
     sink.write(",".join([
         protocol.value, recon.value, _fmt(params.T), _fmt(params.W),
-        _fmt(params.N), _fmt(result.rate), result.method.value,
+        _fmt(params.N), _fmt(rate), result.method.value,
     ]) + "\n")
     if sink is not sys.stdout:
         sink.close()
@@ -136,11 +156,7 @@ def cmd_sweep(args) -> int:
         sink.write(f"{_fmt(t)},{_fmt(n)}\n")
     if sink is not sys.stdout:
         sink.close()
-    if curve.errors:
-        first = next(iter(curve.errors.values()))
-        print(f"error: numeric failure during sweep: {first}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _sweep_status([curve])
 
 
 def cmd_figure_bundle(args) -> int:
@@ -155,7 +171,7 @@ def cmd_figure_bundle(args) -> int:
         sink.write(",".join(row) + "\n")
     if sink is not sys.stdout:
         sink.close()
-    return EXIT_OK
+    return _sweep_status(curves.values())
 
 
 def cmd_simulate(args) -> int:
@@ -269,7 +285,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_FLAG if exc.code not in (0, None) else EXIT_OK
-    gaussian.set_log_units("bits" if args.log_base == "2" else "nats")
     try:
         return args.func(args)
     except FlagError as exc:
@@ -284,8 +299,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        gaussian.set_log_units("bits")
 
 
 def console_main() -> None:

@@ -2,8 +2,8 @@
 
 Shot-noise units throughout: the vacuum has quadrature variance 1 and the
 quadrature commutator is [Y_l, Y_m] = 2i Omega_lm. Quadratures are ordered
-(Q1, P1, ..., Qn, Pn). Entropic quantities are reported in bits by default;
-call :func:`set_log_units` to switch the whole library to nats.
+(Q1, P1, ..., Qn, Pn). Entropic quantities are in bits (base-2 logarithms);
+callers that want nats convert once, at the output.
 
 Displacements play no role in any entropic quantity, so covariance matrices
 are handled on their own and displacement vectors are tracked separately by
@@ -24,27 +24,6 @@ PAIRING_TOL = 1e-8
 # Entries of Z / I used in two-mode blocks.
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])
-
-_LOG_UNITS = "bits"
-
-
-def set_log_units(units: str) -> None:
-    """Select the information unit, "bits" (log2) or "nats" (ln)."""
-    global _LOG_UNITS
-    if units not in ("bits", "nats"):
-        raise ValueError(f"unknown log units {units!r}, expected 'bits' or 'nats'")
-    _LOG_UNITS = units
-
-
-def log_units() -> str:
-    return _LOG_UNITS
-
-
-def log_(x: float) -> float:
-    """Logarithm in the currently selected information unit."""
-    if _LOG_UNITS == "bits":
-        return math.log2(x)
-    return math.log(x)
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -145,9 +124,9 @@ def epr_cm(V: float) -> CovarianceMatrix:
 def g_entropy(nu: float) -> float:
     """Bosonic entropy g(nu) of a single symplectic eigenvalue.
 
-    g(nu) = ((nu+1)/2) log((nu+1)/2) - ((nu-1)/2) log((nu-1)/2), in the
-    current log units. g(1) = 0 (pure-state limit), with a guard band just
-    above 1 to avoid evaluating log(0).
+    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), in bits.
+    g(1) = 0 (pure-state limit), with a guard band just above 1 to avoid
+    evaluating log(0).
     """
     if nu < 1.0 - PHYSICALITY_TOL:
         raise ValueError(f"symplectic eigenvalue must be >= 1, got {nu}")
@@ -155,7 +134,7 @@ def g_entropy(nu: float) -> float:
         return 0.0
     a = (nu + 1.0) / 2.0
     b = (nu - 1.0) / 2.0
-    return a * log_(a) - b * log_(b)
+    return a * math.log2(a) - b * math.log2(b)
 
 
 def von_neumann_entropy(cm) -> float:
@@ -175,7 +154,7 @@ def log_negativity_epr(V: float) -> float:
     """
     if V < 1:
         raise ValueError(f"EPR variance must be >= 1, got {V}")
-    return max(0.0, log_(V + math.sqrt(V * V - 1.0)))
+    return max(0.0, math.log2(V + math.sqrt(V * V - 1.0)))
 
 
 def beam_splitter(T: float) -> np.ndarray:

@@ -23,7 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .attacks import AttackParams
-from .gaussian import conditional_cov, g_entropy, log_, symplectic_eigenvalues
+from .gaussian import (conditional_cov, g_entropy, symplectic_eigenvalues,
+                       von_neumann_entropy)
 
 
 class NumericalFailure(RuntimeError):
@@ -65,7 +66,6 @@ class Reconciliation(str, Enum):
 class Method(str, Enum):
     ASYMPTOTIC = "asymptotic"
     EXACT_FINITE_V = "exact"
-    MONTE_CARLO = "monte_carlo"
 
 
 RATE_DIVERGENT = float("-inf")
@@ -178,7 +178,7 @@ def rate_dr_coll_het(params: AttackParams) -> RateResult:
     """DR rate of the collective heterodyne protocol: log T/(1-T) - g(W)."""
     _require_rate_params(params)
     T, W = params.T, params.W
-    rate = log_(T / (1 - T)) - g_entropy(W)
+    rate = math.log2(T / (1 - T)) - g_entropy(W)
     return _result(Protocol.COLL_HET, Reconciliation.DR, rate, params)
 
 
@@ -187,7 +187,7 @@ def rate_dr_hom(params: AttackParams) -> RateResult:
     _require_rate_params(params)
     T, W = params.T, params.W
     c = OneWayCoefficients.evaluate(1.0, params)
-    rate = (0.5 * log_(T * c.e1 / ((1 - T) * c.b1))
+    rate = (0.5 * math.log2(T * c.e1 / ((1 - T) * c.b1))
             + g_entropy(math.sqrt(W * c.b1 / c.e1)) - g_entropy(W))
     return _result(Protocol.HOM, Reconciliation.DR, rate, params)
 
@@ -196,7 +196,7 @@ def rate_dr_het(params: AttackParams) -> RateResult:
     _require_rate_params(params)
     T, W = params.T, params.W
     b1 = OneWayCoefficients.evaluate(1.0, params).b1
-    rate = (log_(2 * T / (math.e * (1 - T) * (1 + b1)))
+    rate = (math.log2(2 * T / (math.e * (1 - T) * (1 + b1)))
             + g_entropy(b1) - g_entropy(W))
     return _result(Protocol.HET, Reconciliation.DR, rate, params)
 
@@ -205,7 +205,7 @@ def rate_rr_coll_het(params: AttackParams) -> RateResult:
     _require_rate_params(params)
     T, W = params.T, params.W
     b1 = OneWayCoefficients.evaluate(1.0, params).b1
-    rate = log_(1 / (1 - T)) - g_entropy(W) - g_entropy(b1)
+    rate = math.log2(1 / (1 - T)) - g_entropy(W) - g_entropy(b1)
     return _result(Protocol.COLL_HET, Reconciliation.RR, rate, params)
 
 
@@ -213,7 +213,7 @@ def rate_rr_hom(params: AttackParams) -> RateResult:
     _require_rate_params(params)
     T, W = params.T, params.W
     b1 = OneWayCoefficients.evaluate(1.0, params).b1
-    rate = 0.5 * log_(W / ((1 - T) * b1)) - g_entropy(W)
+    rate = 0.5 * math.log2(W / ((1 - T) * b1)) - g_entropy(W)
     return _result(Protocol.HOM, Reconciliation.RR, rate, params)
 
 
@@ -221,7 +221,7 @@ def rate_rr_het(params: AttackParams) -> RateResult:
     _require_rate_params(params)
     T, W = params.T, params.W
     b1 = OneWayCoefficients.evaluate(1.0, params).b1
-    rate = (log_(2 * T / (math.e * (1 - T) * (1 + b1)))
+    rate = (math.log2(2 * T / (math.e * (1 - T) * (1 + b1)))
             + g_entropy((1 - T + b1) / T) - g_entropy(W))
     return _result(Protocol.HET, Reconciliation.RR, rate, params)
 
@@ -230,7 +230,7 @@ def rate_dr_coll_hom2(params: AttackParams) -> RateResult:
     """Two-way DR homodyne rate; collective and individual forms coincide."""
     _require_rate_params(params)
     T, W = params.T, params.W
-    rate = 0.5 * log_(T / (1 - T) ** 2) - g_entropy(W)
+    rate = 0.5 * math.log2(T / (1 - T) ** 2) - g_entropy(W)
     return _result(Protocol.COLL_HOM2, Reconciliation.DR, rate, params)
 
 
@@ -243,7 +243,8 @@ def rate_dr_coll_het2(params: AttackParams) -> RateResult:
 def rate_dr_het2(params: AttackParams) -> RateResult:
     _require_rate_params(params)
     T, W = params.T, params.W
-    rate = (log_(2 * T * (1 + T) / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
+    rate = (math.log2(2 * T * (1 + T)
+                      / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
             - g_entropy(W))
     return _result(Protocol.HET2, Reconciliation.DR, rate, params)
 
@@ -251,7 +252,7 @@ def rate_dr_het2(params: AttackParams) -> RateResult:
 def rate_rr_hom2(params: AttackParams) -> RateResult:
     _require_rate_params(params)
     T, W = params.T, params.W
-    rate = 0.5 * log_((1 - T + T * T) / (1 - T) ** 2) - g_entropy(W)
+    rate = 0.5 * math.log2((1 - T + T * T) / (1 - T) ** 2) - g_entropy(W)
     return _result(Protocol.HOM2, Reconciliation.RR, rate, params)
 
 
@@ -266,7 +267,8 @@ def rate_rr_het2(params: AttackParams) -> RateResult:
     _require_rate_params(params)
     T, W = params.T, params.W
     finite = het2_rr_finite_eigenvalues(params)
-    rate = (log_(2 * T * (1 + T) / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
+    rate = (math.log2(2 * T * (1 + T)
+                      / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
             + sum(g_entropy(n) for n in finite) - 2 * g_entropy(W))
     return _result(Protocol.HET2, Reconciliation.RR, rate, params)
 
@@ -372,8 +374,8 @@ def one_way_joint(V: float, params: AttackParams) -> JointMoments:
     propagating (encoding + signal vacuum) and Eve's EPR(W) pair through the
     cloner beam splitter.
     """
-    if V <= 1:
-        raise ValueError(f"modulation variance must exceed 1, got V={V}")
+    if not 1.0 < V < math.inf:
+        raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     T, W = params.T, params.W
     vbar = V - 1.0
     t, r = math.sqrt(T), math.sqrt(1.0 - T)
@@ -408,8 +410,8 @@ def two_way_joint(V: float, params: AttackParams,
     second identical cloner. Variable order:
     [Q_A, P_A, B1, B2, E1', E1'', E2', E2''] with (Q, P) per mode.
     """
-    if V <= 1:
-        raise ValueError(f"modulation variance must exceed 1, got V={V}")
+    if not 1.0 < V < math.inf:
+        raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     if vbar is None:
         vbar = V - 1.0
     if vbar <= 0:
@@ -496,17 +498,6 @@ def _encoding_rows(protocol: Protocol, joint: JointMoments) -> np.ndarray:
     return rows
 
 
-def _block_entropy(sigma: np.ndarray, idx) -> float:
-    """Von Neumann entropy of a quadrature block of the joint moments."""
-    block = sigma[np.ix_(idx, idx)]
-    return float(sum(g_entropy(max(nu, 1.0)) for nu in symplectic_eigenvalues(block)))
-
-
-def _conditional_entropy(sigma: np.ndarray, idx, rows, noise=None) -> float:
-    cond = conditional_cov(sigma, idx, rows, noise)
-    return float(sum(g_entropy(max(nu, 1.0)) for nu in symplectic_eigenvalues(cond)))
-
-
 def shannon_terms(protocol, V: float, params: AttackParams,
                   vbar: float | None = None) -> list[tuple[str, float, float]]:
     """Per-dimension (label, total variance, conditional variance) of Bob's
@@ -528,7 +519,7 @@ def shannon_terms(protocol, V: float, params: AttackParams,
 def shannon_mi(protocol, V: float, params: AttackParams,
                vbar: float | None = None) -> float:
     """Mutual information I(X_A:X_B) of the individual protocols."""
-    return sum(0.5 * log_(v / c) for _, v, c in shannon_terms(protocol, V, params, vbar))
+    return sum(0.5 * math.log2(v / c) for _, v, c in shannon_terms(protocol, V, params, vbar))
 
 
 def exact_rate(protocol, reconciliation, V: float, params: AttackParams,
@@ -551,25 +542,30 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams,
     sigma, ix = joint.sigma, joint.ix
     enc = _encoding_rows(protocol, joint)
 
+    def block(name: str) -> np.ndarray:
+        return sigma[np.ix_(ix[name], ix[name])]
+
     if protocol.collective:
-        i_ab = _block_entropy(sigma, ix["B"]) - _conditional_entropy(sigma, ix["B"], enc)
+        i_ab = (von_neumann_entropy(block("B"))
+                - von_neumann_entropy(conditional_cov(sigma, ix["B"], enc)))
         if recon is Reconciliation.DR:
-            i_ae = _block_entropy(sigma, ix["E"]) - _conditional_entropy(sigma, ix["E"], enc)
+            i_ae = (von_neumann_entropy(block("E"))
+                    - von_neumann_entropy(conditional_cov(sigma, ix["E"], enc)))
             rate = i_ab - i_ae
         else:  # only COLL_HET reaches this branch
-            i_be = (_block_entropy(sigma, ix["B"]) + _block_entropy(sigma, ix["E"])
-                    - _block_entropy(sigma, ix["BE"]))
+            i_be = (von_neumann_entropy(block("B")) + von_neumann_entropy(block("E"))
+                    - von_neumann_entropy(block("BE")))
             rate = i_ab - i_be
     else:
         i_ab = shannon_mi(protocol, V, params, vbar)
+        # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
         if recon is Reconciliation.DR:
-            i_ae = _block_entropy(sigma, ix["E"]) - _conditional_entropy(sigma, ix["E"], enc)
-            rate = i_ab - i_ae
+            rows, noise = enc, None
         else:
             rows, noise, _ = _bob_measurement(protocol, joint, params)
-            i_be = (_block_entropy(sigma, ix["E"])
-                    - _conditional_entropy(sigma, ix["E"], rows, noise))
-            rate = i_ab - i_be
+        i_e = (von_neumann_entropy(block("E"))
+               - von_neumann_entropy(conditional_cov(sigma, ix["E"], rows, noise)))
+        rate = i_ab - i_e
     return RateResult(protocol, recon, float(rate), Method.EXACT_FINITE_V, params, V)
 
 
@@ -605,7 +601,7 @@ def rr_conditional_entropy_estimator(protocol, V: float, params: AttackParams,
     cross = joint.sigma[e_idx, :] @ rows.T
     s_x = rows @ joint.sigma @ rows.T + noise
     resid = s_e - cross @ k.T - k @ cross.T + k @ s_x @ k.T
-    return float(sum(g_entropy(max(nu, 1.0)) for nu in symplectic_eigenvalues(resid)))
+    return von_neumann_entropy(resid)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ class SimConfig:
         if self.protocol not in _INDIVIDUAL:
             raise ValueError(f"simulation covers individual protocols only, "
                              f"got {self.protocol.value}")
-        if self.V <= 1:
-            raise ValueError(f"modulation variance must exceed 1, got V={self.V}")
+        if not 1.0 < self.V < math.inf:
+            raise ValueError(f"modulation variance must be finite and exceed 1, "
+                             f"got V={self.V}")
         if self.n_samples < MIN_SAMPLES:
             raise ValueError(f"need at least {MIN_SAMPLES} samples for MI "
                              f"estimation, got {self.n_samples}")
@@ -54,8 +55,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MiEstimate:
+    """MI estimate in bits and, per dimension of X_B, the sample variance
+    and the residual variance given X_A that it was computed from."""
+
     bits: float
     capped: bool = False
+    var: tuple = ()
+    cond_var: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,8 @@ def empirical_mi(x_a: np.ndarray, x_b: np.ndarray) -> MiEstimate:
     Per scalar dimension of X_B: half the log-ratio of the sample variance
     to the residual variance of a least-squares fit on X_A, summed over
     dimensions. A vanishing residual is capped at MI_CAP_BITS per dimension
-    and flagged.
+    and flagged. Both variances are returned with the estimate, so callers
+    that report them need no second regression.
     """
     x_a = np.atleast_2d(np.asarray(x_a, dtype=float))
     x_b = np.atleast_2d(np.asarray(x_b, dtype=float))
@@ -144,7 +151,9 @@ def empirical_mi(x_a: np.ndarray, x_b: np.ndarray) -> MiEstimate:
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     design = np.column_stack([x_a, np.ones(n)])
+    dof = n - design.shape[1]
     bits, capped = 0.0, False
+    var, cond_var = [], []
     for j in range(x_b.shape[1]):
         y = x_b[:, j]
         total = float(np.var(y, ddof=1))
@@ -152,7 +161,6 @@ def empirical_mi(x_a: np.ndarray, x_b: np.ndarray) -> MiEstimate:
             raise ValueError("degenerate sample variance in X_B")
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
-        dof = n - design.shape[1]
         cond = float(resid @ resid) / dof
         if cond <= 0.0:
             term = MI_CAP_BITS
@@ -161,7 +169,9 @@ def empirical_mi(x_a: np.ndarray, x_b: np.ndarray) -> MiEstimate:
         if term > MI_CAP_BITS:
             term, capped = MI_CAP_BITS, True
         bits += term
-    return MiEstimate(bits, capped)
+        var.append(total)
+        cond_var.append(cond)
+    return MiEstimate(bits, capped, tuple(var), tuple(cond_var))
 
 
 def simulate(config: SimConfig) -> SimRun:
@@ -175,24 +185,17 @@ def simulate(config: SimConfig) -> SimRun:
     analytic_var = np.array([v for _, v, _ in terms])
     analytic_cond = np.array([c for _, _, c in terms])
 
-    n = config.n_samples
-    design = np.column_stack([x_a, np.ones(n)])
-    emp_var = np.var(x_b, axis=0, ddof=1)
-    emp_cond = np.empty(x_b.shape[1])
-    for j in range(x_b.shape[1]):
-        coef, *_ = np.linalg.lstsq(design, x_b[:, j], rcond=None)
-        resid = x_b[:, j] - design @ coef
-        emp_cond[j] = float(resid @ resid) / (n - design.shape[1])
+    mi = empirical_mi(x_a, x_b)
     return SimRun(
         config=config,
         labels=labels,
         x_a=x_a,
         x_b=x_b,
-        empirical_var=emp_var,
-        empirical_cond_var=emp_cond,
+        empirical_var=np.array(mi.var),
+        empirical_cond_var=np.array(mi.cond_var),
         analytic_var=analytic_var,
         analytic_cond_var=analytic_cond,
-        mi_empirical=empirical_mi(x_a, x_b),
+        mi_empirical=mi,
         mi_analytic_bits=float(sum(0.5 * math.log2(v / c) for _, v, c in terms)),
     )
 

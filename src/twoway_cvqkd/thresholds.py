@@ -12,8 +12,6 @@ and the one-way versus two-way dominance report are built on top.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +28,8 @@ MONOTONE_SLACK = 1e-9
 
 
 def default_threads() -> int:
-    env = os.environ.get("CVQKD_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    """Number of workers a sweep uses: always 1, sweeps run serially."""
+    return 1
 
 
 def solve_threshold(protocol, reconciliation, T: float,
@@ -113,9 +109,8 @@ class ThresholdCurve:
     errors: dict = field(default_factory=dict)
 
 
-def sweep_curve(protocol, reconciliation, grid: Grid | None = None,
-                threads: int | None = None) -> ThresholdCurve:
-    """Solve the threshold at every grid point; points run in parallel.
+def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> ThresholdCurve:
+    """Solve the threshold at every grid point, in grid order.
 
     Per-point solver failures are recorded in `errors` (index -> message)
     and surface as NaN in the curve rather than aborting the sweep.
@@ -127,20 +122,11 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None,
     points = grid.points()
     n_vals = np.full(points.shape, np.nan)
     errors: dict[int, str] = {}
-
-    def solve_one(i: int):
+    for i, T in enumerate(points):
         try:
-            n_vals[i] = solve_threshold(protocol, recon, points[i])
+            n_vals[i] = solve_threshold(protocol, recon, T)
         except NumericalFailure as exc:
             errors[i] = str(exc)
-
-    workers = threads if threads is not None else default_threads()
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve_one, range(len(points))))
-    else:
-        for i in range(len(points)):
-            solve_one(i)
     return ThresholdCurve(protocol, recon, grid, points, n_vals, errors)
 
 

@@ -1,6 +1,13 @@
 import math
+from pathlib import Path
 
+import pytest
+
+from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import (EXIT_FLAG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
+from twoway_cvqkd.key_rates import asymptotic_rate
+
+REFERENCE = Path(__file__).resolve().parent.parent / "benchmark" / "reference"
 
 
 def run(capsys, *argv):
@@ -123,10 +130,75 @@ def test_output_io_failure(capsys):
 
 
 def test_log_base_switch(capsys):
-    _, out_bits, _ = run(capsys, "rate", "--protocol", "coll_het",
-                         "--recon", "dr", "--T", "0.75")
-    _, out_nats, _ = run(capsys, "--log-base", "e", "rate", "--protocol",
-                         "coll_het", "--recon", "dr", "--T", "0.75")
-    bits = float(out_bits.strip().splitlines()[1].split(",")[5])
-    nats = float(out_nats.strip().splitlines()[1].split(",")[5])
-    assert abs(nats - bits * math.log(2.0)) < 1e-9
+    # the library computes in bits; --log-base e converts the printed rate
+    args = ["rate", "--protocol", "coll_het", "--recon", "dr", "--T", "0.7",
+            "--W", "1.5"]
+    _, out_bits, _ = run(capsys, *args)
+    code, out_nats, _ = run(capsys, "--log-base", "e", *args)
+    assert code == EXIT_OK
+    header_bits, row_bits = out_bits.strip().splitlines()
+    header_nats, row_nats = out_nats.strip().splitlines()
+    assert header_bits == "protocol,recon,T,W,N,rate_bits,method"
+    assert header_nats == "protocol,recon,T,W,N,rate_nats,method"
+    bits = asymptotic_rate("coll_het", "dr", AttackParams(0.7, 1.5)).rate
+    assert row_bits.split(",")[5] == f"{bits:.12g}"
+    assert row_nats.split(",")[5] == f"{bits * math.log(2.0):.12g}"
+    # coll_het DR at T = 3/4 is ln 3 - g(W) nats, and g(3) = 2 ln 2 nats
+    for W, expect in ((1.0, math.log(3.0)), (3.0, math.log(3.0) - 2.0 * math.log(2.0))):
+        _, out, _ = run(capsys, "--log-base", "e", "rate", "--protocol", "coll_het",
+                        "--recon", "dr", "--T", "0.75", "--W", str(W))
+        assert float(out.strip().splitlines()[1].split(",")[5]) == pytest.approx(
+            expect, abs=1e-11)
+    code, _, _ = run(capsys, "--log-base", "10", *args)
+    assert code == EXIT_FLAG
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "nan"], "transmission"),
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.5", "--W", "nan"],
+     "EPR variance must be finite"),
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.5", "--W", "inf"],
+     "EPR variance must be finite"),
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.5", "--N", "nan"],
+     "excess noise must be finite"),
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.5", "--N", "inf"],
+     "excess noise must be finite"),
+    (["rate", "--protocol", "hom", "--recon", "rr", "--T", "0.5", "--V", "nan"],
+     "modulation variance must be finite"),
+    (["rate", "--protocol", "het2", "--recon", "dr", "--T", "0.5", "--V", "inf"],
+     "modulation variance must be finite"),
+    (["simulate", "--protocol", "het2", "--T", "0.7", "--N", "0.1", "--V", "nan",
+      "--n", "2000", "--seed", "3"], "modulation variance must be finite"),
+    (["tomo-check", "--T", "0.7", "--W", "nan", "--n", "2000", "--seed", "7"],
+     "EPR variance must be finite"),
+])
+def test_non_finite_inputs_are_flag_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_FLAG
+    assert out == ""
+    assert message in err
+
+
+def test_figure_bundle_failed_point_exits_numeric(capsys):
+    # het2 RR fails at T = 0.999 (the numeric spectrum misses its product
+    # check); the CSV is still written in full, with NaN at that point
+    code, out, err = run(capsys, "figure-bundle", "--recon", "rr",
+                         "--grid", "0.95:0.999:3")
+    assert code == EXIT_NUMERIC
+    lines = out.strip().splitlines()
+    assert lines[0] == "T,hom,het,hom2,het2"
+    assert len(lines) == 4
+    assert lines[3].startswith("0.999,") and lines[3].endswith(",nan")
+    assert "nan" not in ",".join(lines[1:3])
+    assert err.count("error:") == 1
+    assert "numeric failure during sweep: het2 rr at T=0.999" in err
+
+
+@pytest.mark.parametrize("argv, reference", [
+    (["figure-bundle", "--recon", "dr"], "figure_bundle_dr.csv"),
+    (["sweep", "--protocol", "hom2", "--recon", "dr"], "sweep_hom2_dr.csv"),
+])
+def test_output_matches_reference_csv(capsys, argv, reference):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == (REFERENCE / reference).read_text()

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from twoway_cvqkd import gaussian
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.gaussian import (CovarianceMatrix, apply_transform,
                                    beam_splitter, cm_from_csv, cm_to_csv,
@@ -166,16 +165,6 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.eye(3))  # odd dimension
     cm = CovarianceMatrix(np.eye(4))
     assert cm.n_modes == 2
-
-
-def test_log_units_switch():
-    try:
-        gaussian.set_log_units("nats")
-        assert g_entropy(3.0) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
-    finally:
-        gaussian.set_log_units("bits")
-    with pytest.raises(ValueError):
-        gaussian.set_log_units("dits")
 
 
 def test_cm_csv_roundtrip(tmp_path):

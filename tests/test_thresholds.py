@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twoway_cvqkd import gaussian
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.gaussian import g_entropy
 from twoway_cvqkd.key_rates import asymptotic_rate
@@ -39,16 +38,6 @@ def test_rate_vanishes_at_threshold():
         assert abs(asymptotic_rate(proto, recon, params).rate) <= 1e-8
 
 
-def test_threshold_log_base_invariant():
-    ref = solve_threshold("het", "dr", 0.8)
-    try:
-        gaussian.set_log_units("nats")
-        in_nats = solve_threshold("het", "dr", 0.8)
-    finally:
-        gaussian.set_log_units("bits")
-    assert in_nats == pytest.approx(ref, abs=1e-9)
-
-
 def test_threshold_solver_stability():
     a = solve_threshold("coll_het", "dr", 0.75, w_tol=1e-10)
     b = solve_threshold("coll_het", "dr", 0.75, w_tol=2e-10)
@@ -74,13 +63,6 @@ def test_rr_curves_strictly_positive():
         curve = sweep_curve(proto, "rr", grid)
         assert not curve.errors
         assert np.all(curve.N > 0), proto
-
-
-def test_sweep_deterministic_across_thread_counts():
-    grid = Grid(0.2, 0.8, 13)
-    serial = sweep_curve("het", "dr", grid, threads=1)
-    parallel = sweep_curve("het", "dr", grid, threads=8)
-    assert np.array_equal(serial.N, parallel.N)
 
 
 def test_crossover_hom2_vs_hom_dr():
