@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twoway_cvqkd.attacks import AttackParams
+from twoway_cvqkd.cli import EXIT_FLAG, EXIT_OK, main
 from twoway_cvqkd.gaussian import (CovarianceMatrix, apply_transform,
                                    beam_splitter, cm_from_csv, cm_to_csv,
                                    condition_on_heterodyne,
@@ -165,6 +166,22 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.eye(3))  # odd dimension
     cm = CovarianceMatrix(np.eye(4))
     assert cm.n_modes == 2
+
+
+def test_log_units_switch(capsys):
+    # entropies are computed in bits; `cvqkd --log-base e` prints nats.
+    # coll_het DR at T = 3/4 is ln 3 - g(W) nats, so W = 3 gives g(3) = 2 ln 2
+    assert g_entropy(3.0) == pytest.approx(2.0, abs=1e-12)
+    rates = {}
+    for W in (1.0, 3.0):
+        code = main(["--log-base", "e", "rate", "--protocol", "coll_het",
+                     "--recon", "dr", "--T", "0.75", "--W", str(W)])
+        assert code == EXIT_OK
+        rates[W] = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[5])
+    assert rates[1.0] == pytest.approx(math.log(3.0), abs=1e-11)
+    assert rates[1.0] - rates[3.0] == pytest.approx(2.0 * math.log(2.0), abs=1e-11)
+    assert main(["--log-base", "dits", "rate", "--protocol", "coll_het",
+                 "--recon", "dr", "--T", "0.75"]) == EXIT_FLAG
 
 
 def test_cm_csv_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twoway_cvqkd.attacks import AttackParams
+from twoway_cvqkd.cli import EXIT_OK, main
 from twoway_cvqkd.gaussian import (conditional_cov, symplectic_eigenvalues,
                                    von_neumann_entropy)
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
@@ -253,6 +254,18 @@ def test_nonidentical_two_way_resources():
     assert default == pytest.approx(explicit, abs=1e-14)
     other = exact_rate("hom2", "rr", 50.0, params, vbar=10.0).rate
     assert other != pytest.approx(default, abs=1e-6)
+
+
+def test_log_base_switch_scales_rates(capsys):
+    # the library computes in bits; `cvqkd --log-base e` prints bits * ln 2
+    bits = asymptotic_rate("coll_het", "dr", P(0.7, 1.5)).rate
+    code = main(["--log-base", "e", "rate", "--protocol", "coll_het",
+                 "--recon", "dr", "--T", "0.7", "--W", "1.5"])
+    assert code == EXIT_OK
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header.split(",")[5] == "rate_nats"
+    assert row.split(",")[5] == f"{bits * math.log(2.0):.12g}"
+    assert float(row.split(",")[5]) == pytest.approx(bits * math.log(2.0), abs=1e-12)
 
 
 # --- spectra ----------------------------------------------------------------
