@@ -3,8 +3,7 @@ continuous-variable protocols under collective Gaussian attacks."""
 
 from .attacks import (AttackParams, CorrelatedAttackParams,
                       correlated_two_mode_channels, excess_noise, w_from_excess)
-from .gaussian import (CovarianceMatrix, epr_cm, g_entropy, symplectic_eigenvalues,
-                       von_neumann_entropy)
+from .gaussian import g_entropy, symplectic_eigenvalues, von_neumann_entropy
 from .key_rates import (DIVERGENT_RR, NumericalFailure, Protocol, RATE_DIVERGENT,
                         RateResult, Reconciliation, asymptotic_rate, exact_rate)
 from .simulator import SimConfig, SimRun, empirical_mi, simulate
@@ -17,12 +16,12 @@ from .tomography import (GaussianChannel, ReducibilityVerdict, TomographyDataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackParams", "CorrelatedAttackParams", "CovarianceMatrix",
+    "AttackParams", "CorrelatedAttackParams",
     "DIVERGENT_RR", "GaussianChannel", "Grid", "NumericalFailure", "Protocol",
     "RATE_DIVERGENT", "RateResult", "Reconciliation", "ReducibilityVerdict",
     "SimConfig", "SimRun", "SuperadditivityReport", "ThresholdCurve",
     "TomographyDataset", "asymptotic_rate", "check_reducibility", "compose",
-    "correlated_two_mode_channels", "crossover", "empirical_mi", "epr_cm",
+    "correlated_two_mode_channels", "crossover", "empirical_mi",
     "estimate_channel", "exact_rate", "excess_noise", "g_entropy", "simulate",
     "simulate_probe_dataset", "solve_threshold", "superadditivity_report",
     "sweep_curve", "symplectic_eigenvalues", "von_neumann_entropy", "w_from_excess",

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (I2, Z2, CovarianceMatrix, beam_splitter, direct_sum,
-                       epr_cm, symplectic_eigenvalues, PHYSICALITY_TOL)
+from .gaussian import I2, Z2, symplectic_eigenvalues
 from .tomography import GaussianChannel
 
 
@@ -64,26 +63,6 @@ def w_from_excess(T: float, N: float) -> float:
     if not 0.0 <= N < math.inf:
         raise ValueError(f"excess noise must be finite and >= 0, got {N}")
     return 1.0 + N * T / (1.0 - T)
-
-
-def cloner_transform(params: AttackParams) -> np.ndarray:
-    """Symplectic of the entangling cloner on (signal, E, E'') quadratures.
-
-    The beam splitter acts on the signal and Eve's injected mode E; the
-    spectator E'' (the other half of her EPR pair) is untouched.
-    """
-    return direct_sum(beam_splitter(params.T), I2)
-
-
-def cloner_output_cm(params: AttackParams, signal_variance: float) -> CovarianceMatrix:
-    """Output CM over (B, E', E'') for an uncorrelated signal of given variance.
-
-    Convenience wrapper used by tests to check the textbook variances
-    (1-T)W + TV on Bob's side and (1-T)V + TW on Eve's.
-    """
-    s = cloner_transform(params)
-    v_in = direct_sum(signal_variance * I2, epr_cm(params.W).mat)
-    return CovarianceMatrix(s @ v_in @ s.T, validate=False)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,402 @@
+"""Reference implementations that the tests compare the package against.
+
+None of this is used by the package itself:
+
+- the textbook Gaussian building blocks (EPR state, beam splitter, direct
+  sum, random symplectics) and the entangling-cloner symplectic;
+- the one-way and two-way output CMs in substitution form, V_K(x, y), whose
+  modulation slots are substituted to condition on Alice's encoding, with
+  the variance and correlation coefficients they are written in;
+- the large-modulation spectrum oracle: per CM and conditioning, the
+  symplectic eigenvalues known in closed form, or the product of those
+  known only through it;
+- Eve's conditional entropy through the fixed large-modulation linear
+  estimators, an independent check of general Gaussian conditioning.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import expm
+
+from twoway_cvqkd.attacks import AttackParams
+from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
+                                   symplectic_eigenvalues, von_neumann_entropy)
+from twoway_cvqkd.key_rates import (Protocol, _bob_measurement, _encoding_rows,
+                                    _joint_for)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian building blocks
+# ---------------------------------------------------------------------------
+
+def direct_sum(*mats: np.ndarray) -> np.ndarray:
+    """Block-diagonal direct sum of square matrices."""
+    dims = [m.shape[0] for m in mats]
+    out = np.zeros((sum(dims), sum(dims)))
+    pos = 0
+    for m, d in zip(mats, dims):
+        out[pos : pos + d, pos : pos + d] = m
+        pos += d
+    return out
+
+
+def epr_cm(V: float) -> np.ndarray:
+    """Two-mode squeezed vacuum (EPR) covariance matrix of variance V.
+
+    Diagonal blocks V*I, off-diagonal sqrt(V^2-1)*Z; V = 1 is two vacua.
+    """
+    if V < 1:
+        raise ValueError(f"EPR variance must be >= 1, got {V}")
+    c = math.sqrt(V * V - 1.0)
+    return np.block([[V * I2, c * Z2], [c * Z2, V * I2]])
+
+
+def beam_splitter(T: float) -> np.ndarray:
+    """Two-mode beam-splitter symplectic of transmission T.
+
+    Quadrature map: out1 = sqrt(T) in1 + sqrt(1-T) in2,
+    out2 = -sqrt(1-T) in1 + sqrt(T) in2.
+    """
+    if not 0.0 <= T <= 1.0:
+        raise ValueError(f"transmission must be in [0, 1], got {T}")
+    t, r = math.sqrt(T), math.sqrt(1.0 - T)
+    return np.block([[t * I2, r * I2], [-r * I2, t * I2]])
+
+
+def is_symplectic(S: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
+    n = S.shape[0] // 2
+    om = omega(n)
+    return np.allclose(S.T @ om @ S, om, atol=tol * 100)
+
+
+def random_symplectic(n_modes: int, rng: np.random.Generator,
+                      scale: float = 0.3) -> np.ndarray:
+    """Random symplectic matrix exp(Omega H) with H random symmetric."""
+    d = 2 * n_modes
+    h = rng.normal(size=(d, d)) * scale
+    h = 0.5 * (h + h.T)
+    return expm(omega(n_modes) @ h)
+
+
+def cloner_transform(params: AttackParams) -> np.ndarray:
+    """Symplectic of the entangling cloner on (signal, E, E'') quadratures.
+
+    The beam splitter acts on the signal and Eve's injected mode E; the
+    spectator E'' (the other half of her EPR pair) is untouched.
+    """
+    return direct_sum(beam_splitter(params.T), I2)
+
+
+def cloner_output_cm(params: AttackParams, signal_variance: float) -> np.ndarray:
+    """Output CM over (B, E', E'') for an uncorrelated signal of given variance.
+
+    Used to check the textbook variances (1-T)W + TV on Bob's side and
+    (1-T)V + TW on Eve's.
+    """
+    s = cloner_transform(params)
+    v_in = direct_sum(signal_variance * I2, epr_cm(params.W))
+    return s @ v_in @ s.T
+
+
+# ---------------------------------------------------------------------------
+# Output-state coefficients
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OneWayCoefficients:
+    """Variances and correlations of the one-way output state.
+
+    b_V and e_V are Bob's and Eve's total output variances, b1 and e1 the
+    same conditioned on Alice's encoding; mu and theta are the
+    cross-correlations appearing in the joint output CM.
+    """
+
+    b_V: float
+    e_V: float
+    b1: float
+    e1: float
+    mu: float
+    theta: float
+
+    @classmethod
+    def evaluate(cls, V: float, params: AttackParams) -> "OneWayCoefficients":
+        T, W = params.T, params.W
+        return cls(
+            b_V=(1 - T) * W + T * V,
+            e_V=(1 - T) * V + T * W,
+            b1=(1 - T) * W + T,
+            e1=(1 - T) + T * W,
+            mu=(W - V) * math.sqrt((1 - T) * T),
+            theta=math.sqrt((1 - T) * (W * W - 1)),
+        )
+
+
+@dataclass(frozen=True)
+class TwoWayCoefficients:
+    """Constants of the two-way output CMs and their spectra.
+
+    The large-modulation spectra contain eigenvalue pairs known only through
+    their products: f1 f2 = T and h1 h2 = (1-T)^2 for the unconditional Bob
+    and Eve spectra, m1 m2 for Eve conditioned on Bob's homodyne estimator,
+    and n1 n2 n3 for the finite eigenvalues of Eve conditioned on Bob's
+    heterodyne estimators.
+    """
+
+    mu_prime: float
+    theta_prime: float
+    gamma: float
+    varsigma: float
+    upsilon: float
+    f_product: float
+    h_product: float
+    m_product: float
+    n_product: float
+
+    @classmethod
+    def evaluate(cls, V: float, params: AttackParams) -> "TwoWayCoefficients":
+        T, W = params.T, params.W
+        one_way = OneWayCoefficients.evaluate(V, params)
+        return cls(
+            mu_prime=-math.sqrt(1 - T) * one_way.mu,
+            theta_prime=-math.sqrt(1 - T) * one_way.theta,
+            gamma=T * (1 - T) * V + (1 - T) ** 2 * W + T * W,
+            varsigma=math.sqrt(1 + T * T * (T * T + T - 2)),
+            upsilon=math.sqrt(1 + 3 * T + T * T),
+            f_product=T,
+            h_product=(1 - T) ** 2,
+            m_product=math.sqrt((1 - T) ** 3 * (1 + T ** 3) * W / T),
+            n_product=(1 + T ** 3 + (1 - T) * (1 + T * T) * W) * W / (T * (1 + T)),
+        )
+
+
+# Fixed asymptotically-optimal linear-estimator coefficients for RR, used as
+# an independent cross-check of the general Gaussian conditioning.
+def rr_conditional_entropy_estimator(protocol, V: float, params: AttackParams,
+                                     vbar: float | None = None) -> float:
+    """Eve's conditional entropy H(E|X_B) via the fixed optimal estimators.
+
+    Bob's variable X_B is turned into a linear estimate K X_B of Eve's
+    quadratures and the entropy of the residual covariance is returned.
+    The coefficients are the large-modulation optima (-sqrt((1-T)/T) on the
+    relevant backward Q/P quadratures, times sqrt(2) for heterodyne), so
+    this agrees with general Gaussian conditioning only asymptotically.
+    """
+    protocol = Protocol(protocol)
+    if protocol.collective:
+        raise ValueError("estimator conditioning applies to individual protocols")
+    T = params.T
+    joint = _joint_for(protocol, V, params, vbar)
+    rows, noise, _ = _bob_measurement(protocol, joint, params)
+    e_idx = joint.ix["E"]
+    k = np.zeros((len(e_idx), rows.shape[0]))
+    if protocol is Protocol.HOM:
+        k[0, 0] = -math.sqrt((1 - T) / T)          # Q_E'
+    elif protocol is Protocol.HET:
+        k[0, 0] = k[1, 1] = -math.sqrt(2 * (1 - T) / T)   # Q_E', P_E'
+    elif protocol is Protocol.HOM2:
+        k[4, 0] = -math.sqrt((1 - T) / T)          # Q_E2'
+    elif protocol is Protocol.HET2:
+        k[4, 0] = k[5, 1] = -math.sqrt(2 * (1 - T) / T)   # Q_E2', P_E2'
+    s_e = joint.sigma[np.ix_(e_idx, e_idx)]
+    cross = joint.sigma[e_idx, :] @ rows.T
+    s_x = rows @ joint.sigma @ rows.T + noise
+    resid = s_e - cross @ k.T - k @ cross.T + k @ s_x @ k.T
+    return von_neumann_entropy(resid)
+
+
+# ---------------------------------------------------------------------------
+# Substitution-form covariance matrices (closed-form conditionals)
+# ---------------------------------------------------------------------------
+
+def one_way_cm(kind: str, x: float, y: float, params: AttackParams) -> np.ndarray:
+    """One-way output CMs V_K(x, y) with modulation slots substituted.
+
+    The full state is V_K(V, V); conditioning on Q_A substitutes the first
+    slot with 1, conditioning on both encodings gives V_K(1, 1). kind is
+    "B" (1 mode), "E" (2 modes) or "EB" (3 modes, full modulation only).
+    """
+    T, W = params.T, params.W
+    phi = math.sqrt(T * (W * W - 1))
+
+    def b(v):
+        return (1 - T) * W + T * v
+
+    def e(v):
+        return (1 - T) * v + T * W
+
+    if kind == "B":
+        return np.diag([b(x), b(y)])
+    v_e = np.zeros((4, 4))
+    v_e[:2, :2] = np.diag([e(x), e(y)])
+    v_e[2:, 2:] = W * np.eye(2)
+    v_e[0, 2] = v_e[2, 0] = phi
+    v_e[1, 3] = v_e[3, 1] = -phi
+    if kind == "E":
+        return v_e
+    if kind == "EB":
+        c = OneWayCoefficients.evaluate(x, params)
+        f = np.zeros((4, 2))
+        f[0, 0], f[1, 1] = c.mu, c.mu
+        f[2, 0], f[3, 1] = c.theta, -c.theta
+        out = np.zeros((6, 6))
+        out[:4, :4] = v_e
+        out[4:, 4:] = np.diag([b(x), b(y)])
+        out[:4, 4:] = f
+        out[4:, :4] = f.T
+        return out
+    raise ValueError(f"unknown CM kind {kind!r}")
+
+
+def two_way_cm(kind: str, x: float, y: float, V: float,
+               params: AttackParams) -> np.ndarray:
+    """Two-way output CMs V_K(x, y) with encoding-variance slots substituted.
+
+    The full state is V_K(vbar, vbar); conditioning on Q_A gives
+    V_K(0, vbar) and on both encodings V_K(0, 0). kind is "B" (2 modes) or
+    "E" (4 modes).
+    """
+    T, W = params.T, params.W
+    c = TwoWayCoefficients.evaluate(V, params)
+    phi = math.sqrt(T * (W * W - 1))
+    z = np.diag([1.0, -1.0])
+    if kind == "B":
+        lam = (T * T * V + (1 - T * T) * W) * np.eye(2) + T * np.diag([x, y])
+        out = np.zeros((4, 4))
+        out[:2, :2] = V * np.eye(2)
+        out[2:, 2:] = lam
+        out[:2, 2:] = out[2:, :2] = T * math.sqrt(V * V - 1) * z
+        return out
+    if kind == "E":
+        e_v = (1 - T) * V + T * W
+        lam = c.gamma * np.eye(2) + (1 - T) * np.diag([x, y])
+        out = np.zeros((8, 8))
+        out[0:2, 0:2] = e_v * np.eye(2)
+        out[2:4, 2:4] = W * np.eye(2)
+        out[4:6, 4:6] = lam
+        out[6:8, 6:8] = W * np.eye(2)
+        out[0:2, 2:4] = out[2:4, 0:2] = phi * z
+        out[0:2, 4:6] = out[4:6, 0:2] = c.mu_prime * np.eye(2)
+        out[2:4, 4:6] = out[4:6, 2:4] = c.theta_prime * z
+        out[4:6, 6:8] = out[6:8, 4:6] = phi * z
+        return out
+    raise ValueError(f"unknown CM kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Large-modulation spectrum oracle
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpectrumPrediction:
+    """Large-modulation spectrum: individually known eigenvalues plus, where
+    the closed forms fix only a product, the expected product of the
+    remaining eigenvalues."""
+
+    known: tuple
+    residual_product: float | None = None
+    residual_count: int = 0
+
+
+def asymptotic_spectra(way: int, target: str, conditioning: str,
+                       params: AttackParams, V: float) -> SpectrumPrediction:
+    """Large-V symplectic spectra of the output CMs, as a test oracle.
+
+    way: 1 or 2 channel uses. target: "B", "E" or "BE". conditioning:
+    "none", "qa", "qa_pa" (on Alice's encoding), "hom_b" or "het_b" (on
+    Bob's measured variables).
+    """
+    T, W = params.T, params.W
+    c1 = OneWayCoefficients.evaluate(1.0, params)
+    b1, e1 = c1.b1, c1.e1
+    if way == 1:
+        table = {
+            ("B", "none"): SpectrumPrediction((T * V,)),
+            ("B", "qa"): SpectrumPrediction((math.sqrt(b1 * T * V),)),
+            ("B", "qa_pa"): SpectrumPrediction((b1,)),
+            ("E", "none"): SpectrumPrediction(((1 - T) * V, W)),
+            ("E", "qa"): SpectrumPrediction(
+                (math.sqrt(e1 * (1 - T) * V), math.sqrt(W * b1 / e1))),
+            ("E", "qa_pa"): SpectrumPrediction((b1, 1.0)),
+            ("BE", "none"): SpectrumPrediction((V, 1.0, 1.0)),
+            ("E", "hom_b"): SpectrumPrediction(
+                (math.sqrt(V * W * (1 - T) / T), 1.0)),
+            ("E", "het_b"): SpectrumPrediction(((1 - T + b1) / T, 1.0)),
+        }
+    elif way == 2:
+        c2 = TwoWayCoefficients.evaluate(V, params)
+        table = {
+            ("B", "none"): SpectrumPrediction(
+                (), residual_product=c2.f_product * V * V, residual_count=2),
+            ("B", "qa"): SpectrumPrediction(
+                (c2.varsigma * V,
+                 math.sqrt(T * (1 - T * T) * W * V) / c2.varsigma)),
+            ("B", "qa_pa"): SpectrumPrediction(((1 - T * T) * V, W)),
+            ("E", "none"): SpectrumPrediction(
+                (W, W), residual_product=c2.h_product * V * V, residual_count=2),
+            ("E", "qa"): SpectrumPrediction(
+                (c2.upsilon * (1 - T) * V,
+                 math.sqrt((1 - T * T) * W * V) / c2.upsilon, W, 1.0)),
+            ("E", "qa_pa"): SpectrumPrediction(((1 - T * T) * V, W, 1.0, 1.0)),
+            ("E", "hom_b"): SpectrumPrediction(
+                (W, 1.0), residual_product=c2.m_product * V ** 1.5,
+                residual_count=2),
+            ("E", "het_b"): SpectrumPrediction(
+                ((1 - T * T) * V,), residual_product=c2.n_product,
+                residual_count=3),
+        }
+    else:
+        raise ValueError(f"way must be 1 or 2, got {way}")
+    try:
+        return table[(target, conditioning)]
+    except KeyError:
+        raise ValueError(f"no asymptotic spectrum for target={target!r}, "
+                         f"conditioning={conditioning!r}") from None
+
+
+def exact_spectrum(way: int, target: str, conditioning: str,
+                   params: AttackParams, V: float) -> np.ndarray:
+    """Numeric symplectic spectrum of the same CM the oracle predicts."""
+    protocol_hom = Protocol.HOM if way == 1 else Protocol.HOM2
+    protocol_het = Protocol.HET if way == 1 else Protocol.HET2
+    joint = _joint_for(protocol_hom, V, params)
+    idx = joint.ix[target]
+    if conditioning == "none":
+        block = joint.sigma[np.ix_(idx, idx)]
+        return symplectic_eigenvalues(block)
+    if conditioning in ("qa", "qa_pa"):
+        proto = protocol_hom if conditioning == "qa" else protocol_het
+        rows = _encoding_rows(proto, joint)
+        return symplectic_eigenvalues(conditional_cov(joint.sigma, idx, rows))
+    if conditioning in ("hom_b", "het_b"):
+        proto = protocol_hom if conditioning == "hom_b" else protocol_het
+        rows, noise, _ = _bob_measurement(proto, joint, params)
+        return symplectic_eigenvalues(conditional_cov(joint.sigma, idx, rows, noise))
+    raise ValueError(f"unknown conditioning {conditioning!r}")
+
+
+def spectrum_matches(numeric: np.ndarray, prediction: SpectrumPrediction,
+                     rtol: float) -> bool:
+    """Check a numeric spectrum against an asymptotic prediction.
+
+    Each individually known eigenvalue must have a numeric partner within
+    `rtol` relative error (greedy nearest matching); the product of the
+    leftover eigenvalues must match the residual product.
+    """
+    remaining = sorted(float(nu) for nu in numeric)
+    for expect in sorted(prediction.known, reverse=True):
+        best = min(remaining, key=lambda nu: abs(nu - expect))
+        if abs(best - expect) > rtol * max(abs(expect), 1.0):
+            return False
+        remaining.remove(best)
+    if len(remaining) != prediction.residual_count:
+        return False
+    if prediction.residual_count:
+        product = math.prod(remaining)
+        expect = prediction.residual_product
+        if abs(product - expect) > prediction.residual_count * rtol * abs(expect):
+            return False
+    return True

@@ -12,17 +12,17 @@ import numpy as np
 from twoway_cvqkd.attacks import AttackParams, CorrelatedAttackParams, \
     correlated_two_mode_channels
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, Protocol, Reconciliation,
-                                    TwoWayCoefficients, asymptotic_rate,
-                                    asymptotic_spectra, exact_rate,
-                                    exact_spectrum, het2_rr_finite_eigenvalues,
-                                    rate_dr_coll_het2, rate_dr_coll_hom2,
-                                    rate_dr_hom, spectrum_matches)
+                                    asymptotic_rate, exact_rate,
+                                    het2_rr_finite_eigenvalues)
 from twoway_cvqkd.simulator import SimConfig, mi_sigma_bits, simulate, \
     summary_text
 from twoway_cvqkd.thresholds import Grid, crossover, solve_threshold, \
     superadditivity_report, sweep_curve
 from twoway_cvqkd.tomography import check_reducibility, estimate_channel, \
     simulate_probe_dataset
+
+from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
+                     spectrum_matches)
 
 
 def _report(ok: bool, label: str, detail: str) -> None:
@@ -74,13 +74,13 @@ def test_criterion_3_closed_form_identities():
     worst = 0.0
     for _ in range(1000):
         params = AttackParams(rng.uniform(0.02, 0.98), rng.uniform(1.0, 6.0))
-        gap = abs(rate_dr_coll_het2(params).rate
-                  - 2.0 * rate_dr_coll_hom2(params).rate)
+        gap = abs(asymptotic_rate("coll_het2", "dr", params).rate
+                  - 2.0 * asymptotic_rate("coll_hom2", "dr", params).rate)
         worst = max(worst, gap)
         assert (asymptotic_rate("hom", "dr", params).rate
                 == asymptotic_rate("coll_hom", "dr", params).rate)
     params = AttackParams(0.7, 1.5)
-    closed = rate_dr_hom(params).rate
+    closed = asymptotic_rate("hom", "dr", params).rate
     gap_ind = abs(exact_rate("hom", "dr", 1e6, params).rate - closed)
     gap_coll = abs(exact_rate("coll_hom", "dr", 1e6, params).rate - closed)
     ok = worst < 1e-12 and gap_ind < 1e-3 and gap_coll < 1e-3

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from twoway_cvqkd.attacks import (AttackParams, CorrelatedAttackParams,
-                                  cloner_output_cm, cloner_transform,
                                   correlated_two_mode_channels, excess_noise,
                                   w_from_excess)
-from twoway_cvqkd.gaussian import conditional_cov, is_symplectic
-from twoway_cvqkd.key_rates import OneWayCoefficients, one_way_joint
+from twoway_cvqkd.gaussian import conditional_cov
+from twoway_cvqkd.key_rates import one_way_joint
 from twoway_cvqkd.tomography import channel_distance, compose, GaussianChannel
+
+from oracles import (OneWayCoefficients, cloner_output_cm, cloner_transform,
+                     is_symplectic)
 
 
 def test_excess_noise_values():
@@ -50,7 +52,7 @@ def test_cloner_transform_trivial_limit():
 def test_cloner_output_variances():
     params = AttackParams(0.7, 2.0)
     V = 4.0
-    cm = cloner_output_cm(params, V).mat
+    cm = cloner_output_cm(params, V)
     assert cm[0, 0] == pytest.approx((1 - 0.7) * 2.0 + 0.7 * V)   # Bob
     assert cm[2, 2] == pytest.approx((1 - 0.7) * V + 0.7 * 2.0)   # Eve
 

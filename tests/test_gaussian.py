@@ -5,15 +5,11 @@ import pytest
 
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_FLAG, EXIT_OK, main
-from twoway_cvqkd.gaussian import (CovarianceMatrix, apply_transform,
-                                   beam_splitter, cm_from_csv, cm_to_csv,
-                                   condition_on_heterodyne,
-                                   condition_on_homodyne, direct_sum, epr_cm,
-                                   g_entropy, is_symplectic,
-                                   log_negativity_epr, omega,
-                                   random_symplectic, symplectic_eigenvalues,
-                                   von_neumann_entropy)
-from twoway_cvqkd.key_rates import one_way_cm
+from twoway_cvqkd.gaussian import (I2, conditional_cov, g_entropy, omega,
+                                   symplectic_eigenvalues, von_neumann_entropy)
+
+from oracles import (beam_splitter, direct_sum, epr_cm, is_symplectic,
+                     one_way_cm, random_symplectic)
 
 
 def test_omega_one_mode():
@@ -30,18 +26,18 @@ def test_omega_squares_to_minus_identity():
 
 
 def test_epr_cm_vacuum_limit():
-    assert np.allclose(epr_cm(1.0).mat, np.eye(4))
+    assert np.allclose(epr_cm(1.0), np.eye(4))
 
 
 def test_epr_cm_off_diagonal():
-    mat = epr_cm(2.0).mat
+    mat = epr_cm(2.0)
     assert mat[0, 2] == pytest.approx(math.sqrt(3.0))
     assert mat[1, 3] == pytest.approx(-math.sqrt(3.0))
 
 
 def test_epr_cm_is_pure():
     for V in (1.0, 2.0, 10.0, 1e4):
-        assert np.allclose(epr_cm(V).spectrum(), [1.0, 1.0], atol=1e-8)
+        assert np.allclose(symplectic_eigenvalues(epr_cm(V)), [1.0, 1.0], atol=1e-8)
 
 
 def test_epr_cm_rejects_small_variance():
@@ -91,15 +87,6 @@ def test_von_neumann_entropy():
     assert von_neumann_entropy(epr_cm(7.0)) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_log_negativity():
-    assert log_negativity_epr(1.0) == 0.0
-    V = 1e4
-    assert log_negativity_epr(V) == pytest.approx(math.log2(2 * V), rel=1e-6)
-    grid = np.linspace(1.0, 20.0, 50)
-    vals = [log_negativity_epr(v) for v in grid]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
 def test_beam_splitter_limits():
     assert np.allclose(beam_splitter(1.0), np.eye(4))
     swap = beam_splitter(0.0)
@@ -115,57 +102,52 @@ def test_beam_splitter_symplectic():
 
 def test_apply_transform():
     cm = epr_cm(3.0)
-    assert np.allclose(apply_transform(cm, np.eye(4)).mat, cm.mat)
+    s = np.eye(4)
+    assert np.allclose(s @ cm @ s.T, cm)
     # beam splitter leaves two vacua invariant
-    out = apply_transform(np.eye(4), beam_splitter(0.37))
-    assert np.allclose(out.mat, np.eye(4))
+    s = beam_splitter(0.37)
+    assert np.allclose(s @ np.eye(4) @ s.T, np.eye(4))
 
 
 def test_spectrum_invariant_under_symplectics():
     rng = np.random.default_rng(3)
-    cm = direct_sum(1.5 * np.eye(2), epr_cm(4.0).mat)
+    cm = direct_sum(1.5 * np.eye(2), epr_cm(4.0))
     ref = symplectic_eigenvalues(cm)
     for _ in range(5):
         s = random_symplectic(3, rng)
         assert np.allclose(symplectic_eigenvalues(s @ cm @ s.T), ref, atol=1e-8)
 
 
+# Measuring a mode conditions the others by a Schur complement: homodyne
+# observes one quadrature row, heterodyne both rows plus vacuum noise I.
+
 def test_condition_on_homodyne_epr():
     V = 5.0
-    out = condition_on_homodyne(epr_cm(V), 1, "Q")
-    assert np.allclose(out.mat, np.diag([1.0 / V, V]), atol=1e-12)
+    out = conditional_cov(epr_cm(V), [0, 1], np.eye(4)[[2]])  # Q of mode 1
+    assert np.allclose(out, np.diag([1.0 / V, V]), atol=1e-12)
 
 
 def test_condition_on_homodyne_product_state():
     cm = direct_sum(2.0 * np.eye(2), 3.0 * np.eye(2))
-    out = condition_on_homodyne(cm, 1, "P")
-    assert np.allclose(out.mat, 2.0 * np.eye(2))
+    out = conditional_cov(cm, [0, 1], np.eye(4)[[3]])  # P of mode 1
+    assert np.allclose(out, 2.0 * np.eye(2))
 
 
 def test_condition_on_heterodyne_epr_gives_coherent_state():
     for V in (1.0, 2.0, 10.0, 1e3):
-        out = condition_on_heterodyne(epr_cm(V), 0)
-        assert np.allclose(out.mat, np.eye(2), atol=1e-9)
+        out = conditional_cov(epr_cm(V), [2, 3], np.eye(4)[:2], I2)  # mode 0
+        assert np.allclose(out, np.eye(2), atol=1e-9)
 
 
 def test_conditioning_preserves_physicality():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        base = direct_sum(epr_cm(3.0).mat, 2.5 * np.eye(2))
+        base = direct_sum(epr_cm(3.0), 2.5 * np.eye(2))
         s = random_symplectic(3, rng)
-        cm = CovarianceMatrix(s @ base @ s.T, validate=False)
-        for reduced in (condition_on_homodyne(cm, 2, "Q"),
-                        condition_on_heterodyne(cm, 2)):
-            assert symplectic_eigenvalues(reduced.mat).min() >= 1.0 - 1e-8
-
-
-def test_covariance_matrix_validation():
-    with pytest.raises(ValueError):
-        CovarianceMatrix(0.5 * np.eye(2))  # below vacuum
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.eye(3))  # odd dimension
-    cm = CovarianceMatrix(np.eye(4))
-    assert cm.n_modes == 2
+        cm = s @ base @ s.T
+        for reduced in (conditional_cov(cm, range(4), np.eye(6)[[4]]),
+                        conditional_cov(cm, range(4), np.eye(6)[4:], I2)):
+            assert symplectic_eigenvalues(reduced).min() >= 1.0 - 1e-8
 
 
 def test_log_units_switch(capsys):
@@ -184,9 +166,3 @@ def test_log_units_switch(capsys):
                  "--recon", "dr", "--T", "0.75"]) == EXIT_FLAG
 
 
-def test_cm_csv_roundtrip(tmp_path):
-    cm = epr_cm(2.5)
-    path = tmp_path / "cm.csv"
-    cm_to_csv(cm, path)
-    back = cm_from_csv(path)
-    assert np.allclose(back.mat, cm.mat, atol=1e-15)

@@ -9,60 +9,60 @@ from twoway_cvqkd.gaussian import (conditional_cov, symplectic_eigenvalues,
                                    von_neumann_entropy)
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
                                     RATE_DIVERGENT, Reconciliation,
-                                    TwoWayCoefficients, asymptotic_rate,
-                                    asymptotic_spectra, exact_rate,
-                                    exact_spectrum, het2_rr_finite_eigenvalues,
-                                    one_way_cm, one_way_joint, rate_dr_coll_het,
-                                    rate_dr_coll_het2, rate_dr_coll_hom2,
-                                    rate_dr_het, rate_dr_het2, rate_dr_hom,
-                                    rate_rr_coll_het, rate_rr_het,
-                                    rate_rr_het2, rate_rr_hom, rate_rr_hom2,
-                                    rr_conditional_entropy_estimator,
-                                    shannon_mi, spectrum_matches, two_way_cm,
-                                    two_way_joint)
+                                    asymptotic_rate, exact_rate,
+                                    het2_rr_finite_eigenvalues, one_way_joint,
+                                    shannon_mi, two_way_joint)
+
+from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
+                     one_way_cm, rr_conditional_entropy_estimator,
+                     spectrum_matches, two_way_cm)
 
 P = AttackParams
+
+
+def rate(protocol, recon, params) -> float:
+    return asymptotic_rate(protocol, recon, params).rate
 
 
 # --- closed-form values -----------------------------------------------------
 
 def test_dr_coll_het_values():
-    assert rate_dr_coll_het(P(0.5, 1.0)).rate == pytest.approx(0.0, abs=1e-12)
-    assert rate_dr_coll_het(P(0.75, 1.0)).rate == pytest.approx(math.log2(3), abs=1e-12)
-    assert rate_dr_coll_het(P(0.5, 3.0)).rate == pytest.approx(-2.0, abs=1e-12)
+    assert rate("coll_het", "dr", P(0.5, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert rate("coll_het", "dr", P(0.75, 1.0)) == pytest.approx(math.log2(3), abs=1e-12)
+    assert rate("coll_het", "dr", P(0.5, 3.0)) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_dr_hom_pure_loss():
     for T in (0.3, 0.5, 0.7, 0.9):
-        assert rate_dr_hom(P(T, 1.0)).rate == pytest.approx(
+        assert rate("hom", "dr", P(T, 1.0)) == pytest.approx(
             0.5 * math.log2(T / (1 - T)), abs=1e-12)
-    assert rate_dr_hom(P(0.9, 1.0)).rate == pytest.approx(0.5 * math.log2(9), abs=1e-12)
+    assert rate("hom", "dr", P(0.9, 1.0)) == pytest.approx(0.5 * math.log2(9), abs=1e-12)
 
 
 def test_dr_het_values():
-    assert rate_dr_het(P(0.5, 1.0)).rate == pytest.approx(-math.log2(math.e), abs=1e-12)
+    assert rate("het", "dr", P(0.5, 1.0)) == pytest.approx(-math.log2(math.e), abs=1e-12)
     root = math.e / (1 + math.e)
-    assert abs(rate_dr_het(P(root, 1.0)).rate) < 1e-12
+    assert abs(rate("het", "dr", P(root, 1.0))) < 1e-12
 
 
 def test_rr_coll_het_values():
-    assert rate_rr_coll_het(P(0.5, 1.0)).rate == pytest.approx(1.0, abs=1e-12)
+    assert rate("coll_het", "rr", P(0.5, 1.0)) == pytest.approx(1.0, abs=1e-12)
     for T in (0.2, 0.6, 0.9):
-        assert rate_rr_coll_het(P(T, 1.0)).rate == pytest.approx(
+        assert rate("coll_het", "rr", P(T, 1.0)) == pytest.approx(
             -math.log2(1 - T), abs=1e-12)
     from twoway_cvqkd.gaussian import g_entropy
-    assert rate_rr_coll_het(P(0.5, 3.0)).rate == pytest.approx(
+    assert rate("coll_het", "rr", P(0.5, 3.0)) == pytest.approx(
         1.0 - 2.0 - g_entropy(2.0), abs=1e-12)
 
 
 def test_rr_hom_values():
     from twoway_cvqkd.gaussian import g_entropy
     for T in (0.1, 0.5, 0.9):
-        assert rate_rr_hom(P(T, 1.0)).rate == pytest.approx(
+        assert rate("hom", "rr", P(T, 1.0)) == pytest.approx(
             0.5 * math.log2(1 / (1 - T)), abs=1e-12)
-        assert rate_rr_hom(P(T, 1.0)).rate > 0
+        assert rate("hom", "rr", P(T, 1.0)) > 0
     b1 = 0.5 * 2.0 + 0.5
-    assert rate_rr_hom(P(0.5, 2.0)).rate == pytest.approx(
+    assert rate("hom", "rr", P(0.5, 2.0)) == pytest.approx(
         0.5 * math.log2(2.0 / (0.5 * b1)) - g_entropy(2.0), abs=1e-12)
 
 
@@ -70,34 +70,34 @@ def test_rr_het_values():
     from twoway_cvqkd.gaussian import g_entropy
     T = 0.6
     expect = math.log2(2 * T / (2 * math.e * (1 - T))) + g_entropy((2 - T) / T)
-    assert rate_rr_het(P(T, 1.0)).rate == pytest.approx(expect, abs=1e-12)
-    assert rate_rr_het(P(0.9, 1.0)).rate > 0
+    assert rate("het", "rr", P(T, 1.0)) == pytest.approx(expect, abs=1e-12)
+    assert rate("het", "rr", P(0.9, 1.0)) > 0
 
 
 def test_dr_coll_hom2_values():
     root = (3 - math.sqrt(5)) / 2
-    assert abs(rate_dr_coll_hom2(P(root, 1.0)).rate) < 1e-12
-    assert rate_dr_coll_hom2(P(0.5, 1.0)).rate == pytest.approx(0.5, abs=1e-12)
-    assert rate_dr_coll_hom2(P(0.5, 3.0)).rate == pytest.approx(-1.5, abs=1e-12)
+    assert abs(rate("coll_hom2", "dr", P(root, 1.0))) < 1e-12
+    assert rate("coll_hom2", "dr", P(0.5, 1.0)) == pytest.approx(0.5, abs=1e-12)
+    assert rate("coll_hom2", "dr", P(0.5, 3.0)) == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_dr_coll_het2_doubles_hom2():
     rng = np.random.default_rng(1)
     for _ in range(200):
         params = P(rng.uniform(0.05, 0.95), rng.uniform(1.0, 5.0))
-        assert rate_dr_coll_het2(params).rate == pytest.approx(
-            2.0 * rate_dr_coll_hom2(params).rate, abs=1e-14)
-    assert rate_dr_coll_het2(P(0.5, 1.0)).rate == pytest.approx(1.0, abs=1e-12)
+        assert rate("coll_het2", "dr", params) == pytest.approx(
+            2.0 * rate("coll_hom2", "dr", params), abs=1e-14)
+    assert rate("coll_het2", "dr", P(0.5, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dr_het2_values():
-    assert rate_dr_het2(P(0.5, 1.0)).rate == pytest.approx(
+    assert rate("het2", "dr", P(0.5, 1.0)) == pytest.approx(
         math.log2(1.5 / math.e), abs=1e-12)
     # pure-loss zero crossing: T(1+T) = e(1-T)
     lo, hi = 0.3, 0.9
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if rate_dr_het2(P(mid, 1.0)).rate < 0:
+        if rate("het2", "dr", P(mid, 1.0)) < 0:
             lo = mid
         else:
             hi = mid
@@ -108,9 +108,9 @@ def test_dr_het2_values():
 
 def test_rr_hom2_values():
     for T in np.linspace(0.05, 0.95, 19):
-        assert rate_rr_hom2(P(T, 1.0)).rate > 0
-        assert rate_rr_hom2(P(T, 1.0)).rate > rate_rr_hom(P(T, 1.0)).rate
-    assert rate_rr_hom2(P(0.5, 1.0)).rate == pytest.approx(
+        assert rate("hom2", "rr", P(T, 1.0)) > 0
+        assert rate("hom2", "rr", P(T, 1.0)) > rate("hom", "rr", P(T, 1.0))
+    assert rate("hom2", "rr", P(0.5, 1.0)) == pytest.approx(
         0.5 * math.log2(3), abs=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_rr_het2_values():
     # pure loss at T=0.5: n1 n2 n3 = [1+T^3+(1-T)(1+T^2)]/(T(1+T)) = 7/3
     finite = het2_rr_finite_eigenvalues(P(0.5, 1.0))
     assert np.prod(finite) == pytest.approx(7.0 / 3.0, rel=1e-6)
-    assert rate_rr_het2(P(0.5, 1.2)).rate > rate_rr_het(P(0.5, 1.2)).rate
+    assert rate("het2", "rr", P(0.5, 1.2)) > rate("het", "rr", P(0.5, 1.2))
 
 
 def test_het2_eigenvalue_extraction_guard():
@@ -139,7 +139,7 @@ def test_divergent_rr_sentinel():
 
 def test_rates_reject_boundary_transmission():
     with pytest.raises(ValueError):
-        rate_dr_hom(P(1.0, 1.0))
+        rate("hom", "dr", P(1.0, 1.0))
     with pytest.raises(ValueError):
         asymptotic_rate("het", "dr", P(0.0, 1.0))
 
