@@ -64,7 +64,10 @@ def symplectic_eigenvalues(cm, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
 def g_entropy(nu: float) -> float:
     """Bosonic entropy g(nu) of a single symplectic eigenvalue.
 
-    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), in bits.
+    g(nu) = a log2 a - b log2 b with a = (nu+1)/2, b = (nu-1)/2, in bits.
+    It is evaluated as log2(a) + b log1p(1/b) / ln 2, which is the same
+    since a = b + 1, but keeps full precision at large nu, where the
+    difference form cancels two terms of size nu log2 nu.
     g(1) = 0 (pure-state limit), with a guard band just above 1 to avoid
     evaluating log(0).
     """
@@ -74,7 +77,7 @@ def g_entropy(nu: float) -> float:
         return 0.0
     a = (nu + 1.0) / 2.0
     b = (nu - 1.0) / 2.0
-    return a * math.log2(a) - b * math.log2(b)
+    return math.log2(a) + b * math.log1p(1.0 / b) / math.log(2.0)
 
 
 def von_neumann_entropy(cm) -> float:

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +71,9 @@ def test_g_entropy_values():
     assert g_entropy(3.0) == pytest.approx(2.0, abs=1e-12)
     nu = 1e6
     assert g_entropy(nu) == pytest.approx(math.log2(math.e * nu / 2), rel=1e-5)
+    # g(nu) = log2(e nu / 2) + O(1/nu^2): no precision lost at large nu
+    for nu in (1e8, 1e12, 1e16, 1e200):
+        assert g_entropy(nu) == pytest.approx(math.log2(math.e * nu / 2), abs=1e-12)
 
 
 def test_g_entropy_rejects_unphysical():
@@ -166,3 +172,13 @@ def test_log_units_switch(capsys):
                  "--recon", "dr", "--T", "0.75"]) == EXIT_FLAG
 
 
+
+
+def test_package_import_loads_no_scipy():
+    import twoway_cvqkd
+    src = str(Path(twoway_cvqkd.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import twoway_cvqkd; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
