@@ -187,12 +187,17 @@ _RATES = {
 def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResult:
     """Closed-form asymptotic rate for any (protocol, reconciliation) pair.
 
-    Divergent collective RR combinations return the -inf sentinel.
+    Divergent collective RR combinations return the -inf sentinel. A NaN
+    rate (W so large that the formula overflows) raises NumericalFailure.
     """
     protocol = Protocol(protocol)
     recon = Reconciliation(reconciliation)
     _require_rate_params(params)
     rate = _RATES[protocol, recon](params.T, params.W)
+    if math.isnan(rate):
+        raise NumericalFailure(f"{protocol.value} {recon.value} rate is NaN at "
+                               f"T={params.T}, W={params.W}: the closed form "
+                               f"overflows")
     return RateResult(protocol, recon, rate, Method.ASYMPTOTIC, params)
 
 
@@ -404,10 +409,27 @@ def shannon_terms(protocol, V: float, params: AttackParams,
             for i, lab in enumerate(labels)]
 
 
+def mi_from_terms(terms) -> float:
+    """Gaussian mutual information in bits, sum of (1/2) log2(v/c) over the
+    (label, total variance, conditional variance) terms.
+
+    A conditional variance that is not positive and finite means the
+    variances cancelled beyond double precision (very large V), and raises
+    NumericalFailure.
+    """
+    bits = 0.0
+    for label, v, c in terms:
+        if not 0.0 < c < math.inf:
+            raise NumericalFailure(f"conditional variance of {label} is {c}: "
+                                   f"lost to cancellation at this modulation")
+        bits += 0.5 * math.log2(v / c)
+    return bits
+
+
 def shannon_mi(protocol, V: float, params: AttackParams,
                vbar: float | None = None) -> float:
     """Mutual information I(X_A:X_B) of the individual protocols."""
-    return sum(0.5 * math.log2(v / c) for _, v, c in shannon_terms(protocol, V, params, vbar))
+    return mi_from_terms(shannon_terms(protocol, V, params, vbar))
 
 
 def exact_rate(protocol, reconciliation, V: float, params: AttackParams,

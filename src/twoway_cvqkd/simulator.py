@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackParams
-from .key_rates import Protocol, shannon_terms
+from .key_rates import Protocol, mi_from_terms, shannon_terms
 from .rng import normal_matrix
 
 MIN_SAMPLES = 1000
@@ -86,7 +86,8 @@ def _epr_pair(z1: np.ndarray, z2: np.ndarray, V: float, sign: float):
     """Correlated pair with covariance [[V, s v],[s v, V]], v = sqrt(V^2-1)."""
     v = math.sqrt(V * V - 1.0)
     a = math.sqrt(V) * z1
-    b = (sign * v / math.sqrt(V)) * z1 + math.sqrt(V - v * v / V) * z2
+    # the conditional standard deviation sqrt(V - v^2/V) is exactly 1/sqrt(V)
+    b = (sign * v / math.sqrt(V)) * z1 + (1.0 / math.sqrt(V)) * z2
     return a, b
 
 
@@ -175,28 +176,29 @@ def empirical_mi(x_a: np.ndarray, x_b: np.ndarray) -> MiEstimate:
 
 
 def simulate(config: SimConfig) -> SimRun:
-    """Run the protocol and compare empirical moments and MI to analytics."""
+    """Run the protocol and compare empirical moments and MI to analytics.
+
+    The analytic terms come first, so a modulation at which they fail
+    raises NumericalFailure before any sample is drawn.
+    """
+    terms = shannon_terms(config.protocol, config.V, config.params)
+    mi_analytic = mi_from_terms(terms)
     if config.protocol in (Protocol.HOM, Protocol.HET):
         x_a, x_b = _one_way_trajectories(config)
     else:
         x_a, x_b = _two_way_trajectories(config)
-    terms = shannon_terms(config.protocol, config.V, config.params)
-    labels = tuple(lab for lab, _, _ in terms)
-    analytic_var = np.array([v for _, v, _ in terms])
-    analytic_cond = np.array([c for _, _, c in terms])
-
     mi = empirical_mi(x_a, x_b)
     return SimRun(
         config=config,
-        labels=labels,
+        labels=tuple(lab for lab, _, _ in terms),
         x_a=x_a,
         x_b=x_b,
         empirical_var=np.array(mi.var),
         empirical_cond_var=np.array(mi.cond_var),
-        analytic_var=analytic_var,
-        analytic_cond_var=analytic_cond,
+        analytic_var=np.array([v for _, v, _ in terms]),
+        analytic_cond_var=np.array([c for _, _, c in terms]),
         mi_empirical=mi,
-        mi_analytic_bits=float(sum(0.5 * math.log2(v / c) for _, v, c in terms)),
+        mi_analytic_bits=mi_analytic,
     )
 
 

@@ -195,3 +195,27 @@ def test_output_matches_reference_csv(capsys, argv, reference):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert out == (REFERENCE / reference).read_text()
+
+
+def test_rate_keeps_its_sign_at_huge_w(capsys):
+    code, out, _ = run(capsys, "rate", "--protocol", "coll_het", "--recon", "rr",
+                       "--T", "0.7", "--W", "1e200")
+    assert code == EXIT_OK
+    assert float(out.strip().splitlines()[1].split(",")[5]) < -1000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1e300"],
+     "rate is NaN"),
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--V", "1e17"],
+     "conditional variance"),
+    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.7", "--V", "1e17"],
+     "conditional variance"),
+    (["simulate", "--protocol", "hom", "--T", "0.7", "--V", "1e300", "--n", "1000",
+      "--seed", "1"], "conditional variance"),
+])
+def test_numeric_edges_exit_numeric(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert message in err

@@ -76,6 +76,15 @@ def test_hom2_conditional_variance_value():
     assert abs(run.empirical_cond_var[0] - run.analytic_cond_var[0]) < tol
 
 
+def test_large_modulation_epr_pair():
+    # the EPR pair's conditional coefficient sqrt(V - v^2/V), v^2 = V^2 - 1,
+    # is 1/sqrt(V); evaluated as written it cancels to a negative radicand
+    # for about 2 % of V >= 1e8, this one included
+    run = simulate(SimConfig("het2", 95754019.12279658,
+                             AttackParams.from_excess(0.7, 0.1), 100000, 3))
+    assert abs(run.mi_empirical.bits - run.mi_analytic_bits) < 3 * mi_sigma_bits(run)
+
+
 def test_two_way_signal_gain():
     # Q_B -> sqrt(T) Q_A at large modulation: regression slope approaches
     # sqrt(T)
