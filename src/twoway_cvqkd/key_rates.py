@@ -8,6 +8,9 @@ finite-modulation engine that rebuilds the full output covariance matrices
 from the channel model and computes the same rate from Shannon and Holevo
 terms, with no asymptotic shortcuts.
 
+The closed forms are one table, (protocol, reconciliation) -> f(T, W),
+read by `asymptotic_rate`.
+
 The exact engine works on one joint second-moment matrix over Alice's
 classical encoding variables and all output quadratures; marginals,
 measurement conditioning and classical conditioning are all Schur
@@ -161,10 +164,6 @@ def _rr_het2(T: float, W: float) -> float:
             + sum(g_entropy(n) for n in finite) - 2 * g_entropy(W))
 
 
-def _divergent(T: float, W: float) -> float:
-    return RATE_DIVERGENT
-
-
 _P, _DR, _RR = Protocol, Reconciliation.DR, Reconciliation.RR
 _RATES = {
     (_P.HOM, _DR): _dr_hom,
@@ -180,7 +179,7 @@ _RATES = {
     (_P.COLL_HET, _RR): _rr_coll_het,
     (_P.HOM2, _RR): _rr_hom2,
     (_P.HET2, _RR): _rr_het2,
-    **{(p, _RR): _divergent for p in DIVERGENT_RR},
+    **{(p, _RR): (lambda T, W: RATE_DIVERGENT) for p in DIVERGENT_RR},
 }
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_OK, main
-from twoway_cvqkd.gaussian import (conditional_cov, symplectic_eigenvalues,
-                                   von_neumann_entropy)
+from twoway_cvqkd.gaussian import conditional_cov, g_entropy, von_neumann_entropy
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
                                     RATE_DIVERGENT, Reconciliation,
                                     asymptotic_rate, exact_rate,
@@ -50,13 +49,11 @@ def test_rr_coll_het_values():
     for T in (0.2, 0.6, 0.9):
         assert rate("coll_het", "rr", P(T, 1.0)) == pytest.approx(
             -math.log2(1 - T), abs=1e-12)
-    from twoway_cvqkd.gaussian import g_entropy
     assert rate("coll_het", "rr", P(0.5, 3.0)) == pytest.approx(
         1.0 - 2.0 - g_entropy(2.0), abs=1e-12)
 
 
 def test_rr_hom_values():
-    from twoway_cvqkd.gaussian import g_entropy
     for T in (0.1, 0.5, 0.9):
         assert rate("hom", "rr", P(T, 1.0)) == pytest.approx(
             0.5 * math.log2(1 / (1 - T)), abs=1e-12)
@@ -67,7 +64,6 @@ def test_rr_hom_values():
 
 
 def test_rr_het_values():
-    from twoway_cvqkd.gaussian import g_entropy
     T = 0.6
     expect = math.log2(2 * T / (2 * math.e * (1 - T))) + g_entropy((2 - T) / T)
     assert rate("het", "rr", P(T, 1.0)) == pytest.approx(expect, abs=1e-12)
