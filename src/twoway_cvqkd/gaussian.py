@@ -20,6 +20,7 @@ import numpy as np
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 PAIRING_TOL = 1e-8
+_LN2 = math.log(2.0)
 
 # Entries of Z / I used in two-mode blocks.
 I2 = np.eye(2)
@@ -77,7 +78,7 @@ def g_entropy(nu: float) -> float:
         return 0.0
     a = (nu + 1.0) / 2.0
     b = (nu - 1.0) / 2.0
-    return math.log2(a) + b * math.log1p(1.0 / b) / math.log(2.0)
+    return math.log2(a) + b * math.log1p(1.0 / b) / _LN2
 
 
 def von_neumann_entropy(cm) -> float:
