@@ -13,8 +13,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .attacks import AttackParams, CorrelatedAttackParams, correlated_two_mode_channels
 from .key_rates import (DIVERGENT_RR, DIVERGENT_RR_REASON, NumericalFailure,
                         Protocol, Reconciliation, asymptotic_rate, exact_rate)
@@ -183,7 +181,7 @@ def cmd_simulate(args) -> int:
     if sink is not sys.stdout:
         sink.close()
     if args.dump_samples:
-        dump_samples(run, args.dump_samples)
+        dump_samples(config, args.dump_samples)
     return EXIT_OK
 
 

@@ -3,10 +3,13 @@
 All stochastic code in the library draws from counter-based Philox
 generators keyed by (seed, stream_index). Bulk sampling is chunked with a
 fixed chunk size and one stream per chunk, so serial generation and any
-parallel dispatch of chunks produce bit-identical results.
+parallel dispatch of chunks produce bit-identical results, and a consumer
+can process one chunk at a time in constant memory.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -19,10 +22,18 @@ def generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal_matrix(seed: int, n: int, cols: int) -> np.ndarray:
-    """(n, cols) standard normals, chunked deterministically by row blocks."""
-    out = np.empty((n, cols))
+def normal_chunks(seed: int, n: int, cols: int) -> Iterator[np.ndarray]:
+    """Row blocks of (n, cols) standard normals: CHUNK rows each (the last
+    one shorter), block k drawn from the stream (seed, k)."""
     for chunk_index, start in enumerate(range(0, n, CHUNK)):
-        stop = min(start + CHUNK, n)
-        out[start:stop] = generator(seed, chunk_index).standard_normal((stop - start, cols))
+        yield generator(seed, chunk_index).standard_normal((min(CHUNK, n - start), cols))
+
+
+def normal_matrix(seed: int, n: int, cols: int) -> np.ndarray:
+    """(n, cols) standard normals: the blocks of `normal_chunks` stacked."""
+    out = np.empty((n, cols))
+    start = 0
+    for block in normal_chunks(seed, n, cols):
+        out[start:start + len(block)] = block
+        start += len(block)
     return out

@@ -6,23 +6,29 @@ phase-space trajectories: Alice's modulation, the vacuum and EPR inputs and
 Eve's injected thermal ancillas are drawn as correlated normals and pushed
 through the beam-splitter relations. No Hilbert-space machinery is needed.
 
-The output of a run is the per-sample pair (X_A, X_B) of encoding and
-decoding variables, their empirical (co)variances and a Gaussian
+A run streams: `trajectories` yields the per-sample pairs (X_A, X_B) of
+encoding and decoding variables one RNG chunk at a time, and
+`empirical_mi` folds each block into a small triangular factor and drops
+it, so memory stays constant in the number of samples. The output is the
+empirical variances and residual variances of X_B and a Gaussian
 mutual-information estimate in bits, next to the analytic values from the
-exact covariance engine. Everything is keyed by a single 64-bit seed and is
+exact covariance engine. The samples themselves are not kept; callers that
+want them iterate `trajectories(config)` again, which regenerates them
+bit for bit. Everything is keyed by a single 64-bit seed and is
 bit-identical across repeated or parallel invocations.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attacks import AttackParams
 from .key_rates import Protocol, mi_from_terms, shannon_terms
-from .rng import normal_matrix
+from .rng import normal_chunks
 
 MIN_SAMPLES = 1000
 # Per-dimension ceiling for the MI estimate when the residual variance
@@ -66,10 +72,12 @@ class MiEstimate:
 
 @dataclass(frozen=True)
 class SimRun:
+    """Moments and MI of one run, per dimension of X_B, empirical next to
+    analytic. The samples were streamed through the estimator and are not
+    kept: `trajectories(run.config)` yields them again."""
+
     config: SimConfig
     labels: tuple
-    x_a: np.ndarray
-    x_b: np.ndarray
     empirical_var: np.ndarray
     empirical_cond_var: np.ndarray
     analytic_var: np.ndarray
@@ -91,11 +99,10 @@ def _epr_pair(z1: np.ndarray, z2: np.ndarray, V: float, sign: float):
     return a, b
 
 
-def _one_way_trajectories(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def _one_way_block(config: SimConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T, W = config.params.T, config.params.W
     vbar = config.V - 1.0
     t, r = math.sqrt(T), math.sqrt(1.0 - T)
-    z = normal_matrix(config.seed, config.n_samples, 8)
     qa, pa = math.sqrt(vbar) * z[:, 0], math.sqrt(vbar) * z[:, 1]
     q0, p0 = z[:, 2], z[:, 3]
     qe, pe = math.sqrt(W) * z[:, 4], math.sqrt(W) * z[:, 5]
@@ -109,11 +116,10 @@ def _one_way_trajectories(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([qa, pa]), np.column_stack([xq, xp])
 
 
-def _two_way_trajectories(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def _two_way_block(config: SimConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T, W = config.params.T, config.params.W
     vbar = config.V - 1.0
     t, r = math.sqrt(T), math.sqrt(1.0 - T)
-    z = normal_matrix(config.seed, config.n_samples, 14)
     qa, pa = math.sqrt(vbar) * z[:, 0], math.sqrt(vbar) * z[:, 1]
     qb1, qc1 = _epr_pair(z[:, 2], z[:, 3], config.V, +1.0)
     pb1, pc1 = _epr_pair(z[:, 4], z[:, 5], config.V, -1.0)
@@ -135,38 +141,51 @@ def _two_way_trajectories(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([qa, pa]), np.column_stack([xq, xp])
 
 
-def empirical_mi(x_a: np.ndarray, x_b: np.ndarray) -> MiEstimate:
-    """Gaussian MI estimate in bits from samples of (X_A, X_B).
+def trajectories(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(X_A, X_B) sample blocks of a run, one per chunk of
+    `rng.normal_chunks`, as (rows, dims) arrays. Concatenated, they are the
+    run's n_samples samples; every call yields the same blocks."""
+    if config.protocol in (Protocol.HOM, Protocol.HET):
+        block, cols = _one_way_block, 8
+    else:
+        block, cols = _two_way_block, 14
+    for z in normal_chunks(config.seed, config.n_samples, cols):
+        yield block(config, z)
+
+
+def empirical_mi(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> MiEstimate:
+    """Gaussian MI estimate in bits from (X_A, X_B) sample blocks.
 
     Per scalar dimension of X_B: half the log-ratio of the sample variance
-    to the residual variance of a least-squares fit on X_A, summed over
-    dimensions. A vanishing residual is capped at MI_CAP_BITS per dimension
-    and flagged. Both variances are returned with the estimate, so callers
-    that report them need no second regression.
+    to the residual variance of a least-squares fit on [1, X_A], summed over
+    dimensions. Each block, a (rows,) or (rows, dims) array per side, is
+    folded in order into the triangular factor R of the design
+    Z = [1, X_A, X_B] and then dropped (streaming TSQR), so memory does not
+    grow with the number of samples. In column j of R, the entries below
+    row 0 hold X_B's centred sum of squares and those below [1, X_A] its
+    residual one. R keeps the residual accurate where the moment matrix
+    Z^T Z would lose it to cancellation against a much larger Var(X_A).
+
+    A vanishing residual is capped at MI_CAP_BITS per dimension and
+    flagged. Both variances are returned with the estimate, so callers
+    that report them need no second pass.
     """
-    x_a = np.atleast_2d(np.asarray(x_a, dtype=float))
-    x_b = np.atleast_2d(np.asarray(x_b, dtype=float))
-    if x_a.shape[0] == 1:
-        x_a, x_b = x_a.T, x_b.T
-    n = x_a.shape[0]
+    R, n, d_a = None, 0, 0
+    for x_a, x_b in blocks:
+        d_a = 1 if np.ndim(x_a) == 1 else np.shape(x_a)[1]
+        z = np.column_stack([np.ones(len(x_a)), x_a, x_b])
+        R = np.linalg.qr(z if R is None else np.vstack([R, z]), mode="r")
+        n += len(z)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    design = np.column_stack([x_a, np.ones(n)])
-    dof = n - design.shape[1]
     bits, capped = 0.0, False
     var, cond_var = [], []
-    for j in range(x_b.shape[1]):
-        y = x_b[:, j]
-        total = float(np.var(y, ddof=1))
+    for j in range(1 + d_a, R.shape[1]):
+        total = float(R[1:, j] @ R[1:, j]) / (n - 1)
         if total <= 0.0:
             raise ValueError("degenerate sample variance in X_B")
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = y - design @ coef
-        cond = float(resid @ resid) / dof
-        if cond <= 0.0:
-            term = MI_CAP_BITS
-        else:
-            term = 0.5 * math.log2(total / cond)
+        cond = float(R[1 + d_a:, j] @ R[1 + d_a:, j]) / (n - d_a - 1)
+        term = 0.5 * math.log2(total / cond) if cond > 0.0 else math.inf
         if term > MI_CAP_BITS:
             term, capped = MI_CAP_BITS, True
         bits += term
@@ -183,16 +202,10 @@ def simulate(config: SimConfig) -> SimRun:
     """
     terms = shannon_terms(config.protocol, config.V, config.params)
     mi_analytic = mi_from_terms(terms)
-    if config.protocol in (Protocol.HOM, Protocol.HET):
-        x_a, x_b = _one_way_trajectories(config)
-    else:
-        x_a, x_b = _two_way_trajectories(config)
-    mi = empirical_mi(x_a, x_b)
+    mi = empirical_mi(trajectories(config))
     return SimRun(
         config=config,
         labels=tuple(lab for lab, _, _ in terms),
-        x_a=x_a,
-        x_b=x_b,
         empirical_var=np.array(mi.var),
         empirical_cond_var=np.array(mi.cond_var),
         analytic_var=np.array([v for _, v, _ in terms]),
@@ -243,12 +256,13 @@ def summary_text(run: SimRun) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_samples(run: SimRun, path) -> None:
-    """Raw per-sample CSV with one column per X_A / X_B dimension."""
-    header = ",".join([f"x_a_{lab}" for lab in run.labels]
-                      + [f"x_b_{lab}" for lab in run.labels])
-    data = np.column_stack([run.x_a, run.x_b])
+def dump_samples(config: SimConfig, path) -> None:
+    """Raw per-sample CSV with one column per X_A / X_B dimension, written
+    block by block from regenerated trajectories."""
+    labels = [lab for lab, _, _ in shannon_terms(config.protocol, config.V, config.params)]
+    header = ",".join([f"x_a_{lab}" for lab in labels]
+                      + [f"x_b_{lab}" for lab in labels])
     with open(path, "w", newline="") as f:
         f.write(header + "\n")
-        for row in data:
-            f.write(",".join(f"{x:.12g}" for x in row) + "\n")
+        for x_a, x_b in trajectories(config):
+            np.savetxt(f, np.column_stack([x_a, x_b]), fmt="%.12g", delimiter=",")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackParams, excess_noise
-from .key_rates import (DIVERGENT_RR, NumericalFailure, Protocol, RATE_DIVERGENT,
+from .key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
                         Reconciliation, asymptotic_rate)
 
 W_TOL = 1e-10

@@ -11,7 +11,6 @@ legs; failure of either condition flags a correlated two-path attack.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -217,42 +216,3 @@ def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int
         ))
     return TomographyDataset(probes)
 
-
-DATASET_FIELDS = ["probe_id", "in_q", "in_p", "out_mean_q", "out_mean_p",
-                  "out_cov_qq", "out_cov_qp", "out_cov_pp", "n"]
-
-
-def dataset_to_csv(data: TomographyDataset, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(DATASET_FIELDS)
-        for k, p in enumerate(data.probes):
-            writer.writerow([
-                k, f"{p.displacement[0]:.12g}", f"{p.displacement[1]:.12g}",
-                f"{p.output_mean[0]:.12g}", f"{p.output_mean[1]:.12g}",
-                f"{p.output_cm[0, 0]:.12g}", f"{p.output_cm[0, 1]:.12g}",
-                f"{p.output_cm[1, 1]:.12g}", p.n_samples,
-            ])
-
-
-def dataset_from_csv(path) -> TomographyDataset:
-    """Read the probe CSV schema; probes are assumed to be coherent states."""
-    probes = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = set(DATASET_FIELDS) - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"dataset CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            cov = np.array([
-                [float(row["out_cov_qq"]), float(row["out_cov_qp"])],
-                [float(row["out_cov_qp"]), float(row["out_cov_pp"])],
-            ])
-            probes.append(ProbeRecord(
-                displacement=np.array([float(row["in_q"]), float(row["in_p"])]),
-                input_cm=I2.copy(),
-                output_mean=np.array([float(row["out_mean_q"]), float(row["out_mean_p"])]),
-                output_cm=cov,
-                n_samples=int(row["n"]),
-            ))
-    return TomographyDataset(probes)

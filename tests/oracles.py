@@ -11,7 +11,9 @@ None of this is used by the package itself:
   symplectic eigenvalues known in closed form, or the product of those
   known only through it;
 - Eve's conditional entropy through the fixed large-modulation linear
-  estimators, an independent check of general Gaussian conditioning.
+  estimators, an independent check of general Gaussian conditioning;
+- the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
+  reference for the streamed estimator.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
                                    symplectic_eigenvalues, von_neumann_entropy)
 from twoway_cvqkd.key_rates import (Protocol, _bob_measurement, _encoding_rows,
                                     _joint_for)
+from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
+                                    SimConfig, trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +404,42 @@ def spectrum_matches(numeric: np.ndarray, prediction: SpectrumPrediction,
         if abs(product - expect) > prediction.residual_count * rtol * abs(expect):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo estimator on whole sample arrays
+# ---------------------------------------------------------------------------
+
+def sample_arrays(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """All (X_A, X_B) samples of a run: its trajectory blocks concatenated."""
+    blocks = list(trajectories(config))
+    return (np.concatenate([x_a for x_a, _ in blocks]),
+            np.concatenate([x_b for _, x_b in blocks]))
+
+
+def lstsq_mi(x_a: np.ndarray, x_b: np.ndarray) -> MiEstimate:
+    """Gaussian MI estimate in bits from (n, d) sample arrays of X_A and X_B:
+    per dimension of X_B, half the log-ratio of `np.var` to the residual
+    variance of an `lstsq` fit on [X_A, 1]."""
+    n = x_a.shape[0]
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    design = np.column_stack([x_a, np.ones(n)])
+    dof = n - design.shape[1]
+    bits, capped = 0.0, False
+    var, cond_var = [], []
+    for j in range(x_b.shape[1]):
+        y = x_b[:, j]
+        total = float(np.var(y, ddof=1))
+        if total <= 0.0:
+            raise ValueError("degenerate sample variance in X_B")
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coef
+        cond = float(resid @ resid) / dof
+        term = 0.5 * math.log2(total / cond) if cond > 0.0 else math.inf
+        if term > MI_CAP_BITS:
+            term, capped = MI_CAP_BITS, True
+        bits += term
+        var.append(total)
+        cond_var.append(cond)
+    return MiEstimate(bits, capped, tuple(var), tuple(cond_var))

@@ -1,9 +1,15 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import (EXIT_FLAG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
+from twoway_cvqkd.rng import CHUNK
+from twoway_cvqkd.simulator import SimConfig
+
+from oracles import sample_arrays
 
 REFERENCE = Path(__file__).resolve().parent.parent / "benchmark" / "reference"
 
@@ -98,6 +104,26 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert main(args + ["--out", str(out_b)]) == EXIT_OK
     assert out_a.read_bytes() == out_b.read_bytes()
     assert b"mi_empirical_bits=" in out_a.read_bytes()
+
+
+def test_simulate_dump_samples(tmp_path, capsys):
+    n = CHUNK + 5
+    args = ["simulate", "--protocol", "het2", "--T", "0.7", "--N", "0.1",
+            "--V", "1000", "--n", str(n), "--seed", "42"]
+    path = tmp_path / "samples.csv"
+    code, out, _ = run(capsys, *args, "--dump-samples", str(path))
+    assert code == EXIT_OK
+    assert "mi_empirical_bits=" in out
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x_a_Q,x_a_P,x_b_Q,x_b_P"
+    assert len(lines) == 1 + n
+    x_a, x_b = sample_arrays(SimConfig("het2", 1000.0, AttackParams.from_excess(0.7, 0.1),
+                                       n, 42))
+    assert lines[1:] == [",".join(f"{x:.12g}" for x in row)
+                         for row in np.column_stack([x_a, x_b])]
+    code, _, err = run(capsys, *args, "--dump-samples", str(tmp_path / "missing" / "s.csv"))
+    assert code == EXIT_IO
+    assert "i/o failure" in err
 
 
 def test_simulate_requires_seed(capsys):

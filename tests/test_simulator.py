@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from twoway_cvqkd.attacks import AttackParams
-from twoway_cvqkd.rng import CHUNK, generator, normal_matrix
-from twoway_cvqkd.simulator import (MIN_SAMPLES, SimConfig, dump_samples,
-                                    empirical_mi, mi_sigma_bits, simulate,
-                                    summary_text)
+from twoway_cvqkd.rng import CHUNK, generator, normal_chunks, normal_matrix
+from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, SimConfig,
+                                    dump_samples, empirical_mi, mi_sigma_bits,
+                                    simulate, summary_text, trajectories)
+
+from oracles import lstsq_mi, sample_arrays
 
 
 def test_rng_chunking_is_deterministic():
@@ -17,6 +19,16 @@ def test_rng_chunking_is_deterministic():
     # a prefix of a longer draw equals the shorter draw
     c = normal_matrix(123, CHUNK + 5, 4)
     assert np.array_equal(a[: CHUNK + 5], c)
+
+
+def test_normal_chunks_stack_to_normal_matrix():
+    blocks = list(normal_chunks(123, 3 * CHUNK + 17, 4))
+    assert [len(b) for b in blocks] == [CHUNK, CHUNK, CHUNK, 17]
+    assert np.array_equal(np.concatenate(blocks), normal_matrix(123, 3 * CHUNK + 17, 4))
+    # the blocks of a shorter draw are a prefix of the longer one's
+    short = list(normal_chunks(123, CHUNK + 5, 4))
+    assert np.array_equal(short[0], blocks[0])
+    assert np.array_equal(short[1], blocks[1][:5])
 
 
 def test_rng_streams_independent():
@@ -89,21 +101,45 @@ def test_two_way_signal_gain():
     # Q_B -> sqrt(T) Q_A at large modulation: regression slope approaches
     # sqrt(T)
     T = 0.7
-    run = simulate(SimConfig("hom2", 1e4, AttackParams(T, 1.5), 100000, 21))
-    slope = np.polyfit(run.x_a[:, 0], run.x_b[:, 0], 1)[0]
+    x_a, x_b = sample_arrays(SimConfig("hom2", 1e4, AttackParams(T, 1.5), 100000, 21))
+    slope = np.polyfit(x_a[:, 0], x_b[:, 0], 1)[0]
     assert slope == pytest.approx(math.sqrt(T), rel=0.01)
 
 
 def test_empirical_mi_capped_on_deterministic_data():
     x = np.linspace(-1, 1, 2000)[:, None]
-    est = empirical_mi(x, 2.0 * x)
+    est = empirical_mi([(x, 2.0 * x)])
     assert est.capped
+
+
+def test_empirical_mi_flags_zero_residual():
+    # at this scale the fit's rounding residue squares to an exact 0.0,
+    # while the sample variance is still a normal number
+    x = 1e-150 * np.linspace(-1, 1, 2000)
+    est = empirical_mi([(x, 2.0 * x)])
+    assert est.cond_var == (0.0,)
+    assert est.var[0] > 0.0
+    assert est.capped
+    assert est.bits == MI_CAP_BITS
+
+
+@pytest.mark.parametrize("n", [1000, 3 * CHUNK + 17])
+@pytest.mark.parametrize("V", [2.5, 1e3, 1e6, 1e10])
+@pytest.mark.parametrize("proto", ["hom", "het", "hom2", "het2"])
+def test_streamed_estimator_matches_lstsq(proto, V, n):
+    config = SimConfig(proto, V, AttackParams.from_excess(0.7, 0.1), n, 5)
+    got = empirical_mi(trajectories(config))
+    want = lstsq_mi(*sample_arrays(config))
+    assert got.capped == want.capped
+    assert got.bits == pytest.approx(want.bits, rel=1e-10, abs=0.0)
+    assert got.var == pytest.approx(want.var, rel=1e-10, abs=0.0)
+    assert got.cond_var == pytest.approx(want.cond_var, rel=1e-10, abs=0.0)
 
 
 def test_empirical_mi_independent_data():
     rng = np.random.default_rng(17)
-    est = empirical_mi(rng.standard_normal((100000, 1)),
-                       rng.standard_normal((100000, 1)))
+    est = empirical_mi([(rng.standard_normal((100000, 1)),
+                         rng.standard_normal((100000, 1)))])
     assert abs(est.bits) < 1e-3
     assert not est.capped
 
@@ -116,14 +152,15 @@ def test_empirical_mi_known_correlation():
     y = rho * x + math.sqrt(1 - rho * rho) * rng.standard_normal(n)
     expect = -0.5 * math.log2(1 - rho * rho)
     sigma = rho / (math.sqrt(n) * math.log(2.0))
-    assert abs(empirical_mi(x[:, None], y[:, None]).bits - expect) < 3 * sigma
+    assert abs(empirical_mi([(x[:, None], y[:, None])]).bits - expect) < 3 * sigma
 
 
 def test_fixed_seed_reproducibility():
     cfg = SimConfig("het2", 1e3, AttackParams.from_excess(0.7, 0.1), 20000, 42)
     a, b = simulate(cfg), simulate(cfg)
-    assert np.array_equal(a.x_a, b.x_a)
-    assert np.array_equal(a.x_b, b.x_b)
+    (a_x_a, a_x_b), (b_x_a, b_x_b) = sample_arrays(cfg), sample_arrays(cfg)
+    assert np.array_equal(a_x_a, b_x_a)
+    assert np.array_equal(a_x_b, b_x_b)
     assert summary_text(a) == summary_text(b)
 
 
@@ -143,9 +180,9 @@ def test_error_shrinks_with_samples():
 
 
 def test_dump_samples(tmp_path):
-    run = simulate(SimConfig("het", 5.0, AttackParams(0.8, 1.2), 1000, 3))
+    config = SimConfig("het", 5.0, AttackParams(0.8, 1.2), 1000, 3)
     path = tmp_path / "samples.csv"
-    dump_samples(run, path)
+    dump_samples(config, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (1000, 4)
-    assert np.allclose(data[:, :2], run.x_a, atol=1e-10)
+    assert np.allclose(data[:, :2], sample_arrays(config)[0], atol=1e-10)

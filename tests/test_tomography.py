@@ -9,7 +9,6 @@ from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS,
                                      GaussianChannel, ProbeRecord,
                                      TomographyDataset, channel_distance,
                                      check_reducibility, compose,
-                                     dataset_from_csv, dataset_to_csv,
                                      estimate_channel, simulate_probe_dataset)
 
 I2 = np.eye(2)
@@ -156,11 +155,3 @@ def test_uncorrelated_deviation_below_noise_floor():
     floor = sum(d.statistical_sigma() for d in datasets)
     assert verdict.composition_deviation < 3 * floor
 
-
-def test_dataset_csv_roundtrip(tmp_path):
-    data = simulate_probe_dataset(cloner_channel(0.6, 1.8), 5000, 90)
-    path = tmp_path / "probes.csv"
-    dataset_to_csv(data, path)
-    back = dataset_from_csv(path)
-    fit_a, fit_b = estimate_channel(data), estimate_channel(back)
-    assert channel_distance(fit_a, fit_b) < 1e-9
