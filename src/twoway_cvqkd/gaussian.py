@@ -38,7 +38,7 @@ def omega(n_modes: int) -> np.ndarray:
     return out
 
 
-def symplectic_eigenvalues(cm, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
+def symplectic_eigenvalues(cm) -> np.ndarray:
     """Williamson eigenvalues of a covariance matrix, descending order.
 
     Computed as the moduli of the eigenvalues of Omega @ V, which come in
@@ -55,7 +55,7 @@ def symplectic_eigenvalues(cm, pairing_tol: float = PAIRING_TOL) -> np.ndarray:
     scale = max(1.0, moduli[0])
     for k in range(n):
         a, b = moduli[2 * k], moduli[2 * k + 1]
-        if abs(a - b) > pairing_tol * max(1.0, a) + PAIRING_TOL * scale:
+        if abs(a - b) > PAIRING_TOL * max(1.0, a) + PAIRING_TOL * scale:
             raise ValueError(
                 f"eigenvalues of Omega V fail +/- pairing ({a} vs {b}): broken CM"
             )

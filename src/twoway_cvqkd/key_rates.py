@@ -200,7 +200,10 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
     return RateResult(protocol, recon, rate, Method.ASYMPTOTIC, params)
 
 
-def het2_rr_finite_eigenvalues(params: AttackParams, V: float = 1e8,
+HET2_RR_V = 1e8
+
+
+def het2_rr_finite_eigenvalues(params: AttackParams,
                                rel_tol: float = 1e-6) -> np.ndarray:
     """The three finite eigenvalues of Eve's CM conditioned on Bob's
     heterodyne estimators in the two-way protocol.
@@ -208,10 +211,10 @@ def het2_rr_finite_eigenvalues(params: AttackParams, V: float = 1e8,
     Computed from the full conditional spectrum at large modulation; the
     single eigenvalue growing as (1-T^2)V is identified and dropped. The
     finite eigenvalues still carry an O(1/V) truncation tail, which is
-    removed by Richardson extrapolation between V/10 and V. The product of
-    the remaining three must match the closed form
-    n1 n2 n3 = [1 + T^3 + (1-T)(1+T^2)W] W / (T(1+T)) within `rel_tol` or a
-    NumericalFailure is raised.
+    removed by Richardson extrapolation between V = HET2_RR_V/10 and
+    HET2_RR_V. The product of the remaining three must match the closed
+    form n1 n2 n3 = [1 + T^3 + (1-T)(1+T^2)W] W / (T(1+T)) within
+    `rel_tol` or a NumericalFailure is raised.
     """
     _require_rate_params(params)
     T, W = params.T, params.W
@@ -229,7 +232,7 @@ def het2_rr_finite_eigenvalues(params: AttackParams, V: float = 1e8,
             )
         return nus[1:]
 
-    coarse, fine = finite_at(V / 10.0), finite_at(V)
+    coarse, fine = finite_at(HET2_RR_V / 10.0), finite_at(HET2_RR_V)
     finite = np.clip((10.0 * fine - coarse) / 9.0, 1.0, None)
     expected = (1 + T ** 3 + (1 - T) * (1 + T * T) * W) * W / (T * (1 + T))
     product = float(np.prod(finite))
@@ -292,23 +295,18 @@ def one_way_joint(V: float, params: AttackParams) -> JointMoments:
     return JointMoments(sigma, ix)
 
 
-def two_way_joint(V: float, params: AttackParams,
-                  vbar: float | None = None) -> JointMoments:
+def two_way_joint(V: float, params: AttackParams) -> JointMoments:
     """Joint moments of the two-way protocol outputs.
 
     Bob's EPR(V) pair (B1 kept, C1 sent) passes through a cloner, Alice adds
-    her encoding displacement (classical variance vbar per quadrature,
-    default V - 1 for identical resources), and the mode returns through a
-    second identical cloner. Variable order:
+    her encoding displacement (classical variance V - 1 per quadrature),
+    and the mode returns through a second identical cloner. Variable order:
     [Q_A, P_A, B1, B2, E1', E1'', E2', E2''] with (Q, P) per mode.
     """
     if not 1.0 < V < math.inf:
         raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
-    if vbar is None:
-        vbar = V - 1.0
-    if vbar <= 0:
-        raise ValueError(f"encoding variance must be positive, got {vbar}")
     T, W = params.T, params.W
+    vbar = V - 1.0
     t, r = math.sqrt(T), math.sqrt(1.0 - T)
     v = math.sqrt(V * V - 1.0)
     w = math.sqrt(W * W - 1.0)
@@ -338,10 +336,9 @@ def two_way_joint(V: float, params: AttackParams,
     return JointMoments(sigma, ix)
 
 
-def _joint_for(protocol: Protocol, V: float, params: AttackParams,
-               vbar: float | None = None) -> JointMoments:
+def _joint_for(protocol: Protocol, V: float, params: AttackParams) -> JointMoments:
     if protocol.two_way:
-        return two_way_joint(V, params, vbar)
+        return two_way_joint(V, params)
     return one_way_joint(V, params)
 
 
@@ -390,14 +387,18 @@ def _encoding_rows(protocol: Protocol, joint: JointMoments) -> np.ndarray:
     return rows
 
 
-def shannon_terms(protocol, V: float, params: AttackParams,
-                  vbar: float | None = None) -> list[tuple[str, float, float]]:
+def shannon_terms(protocol, V: float,
+                  params: AttackParams) -> list[tuple[str, float, float]]:
     """Per-dimension (label, total variance, conditional variance) of Bob's
     decoding variable, conditioned on Alice's corresponding encoding."""
     protocol = Protocol(protocol)
     if protocol.collective:
         raise ValueError("Shannon terms are defined for individual protocols only")
-    joint = _joint_for(protocol, V, params, vbar)
+    return _shannon_terms(protocol, _joint_for(protocol, V, params), params)
+
+
+def _shannon_terms(protocol: Protocol, joint: JointMoments,
+                   params: AttackParams) -> list[tuple[str, float, float]]:
     rows, noise, labels = _bob_measurement(protocol, joint, params)
     enc = _encoding_rows(protocol, joint)
     total = rows @ joint.sigma @ rows.T + noise
@@ -425,14 +426,7 @@ def mi_from_terms(terms) -> float:
     return bits
 
 
-def shannon_mi(protocol, V: float, params: AttackParams,
-               vbar: float | None = None) -> float:
-    """Mutual information I(X_A:X_B) of the individual protocols."""
-    return mi_from_terms(shannon_terms(protocol, V, params, vbar))
-
-
-def exact_rate(protocol, reconciliation, V: float, params: AttackParams,
-               vbar: float | None = None) -> RateResult:
+def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> RateResult:
     """Exact finite-modulation secret-key rate.
 
     Builds the joint output moments, takes Shannon mutual information from
@@ -447,7 +441,7 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams,
     if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
         return RateResult(protocol, recon, RATE_DIVERGENT, Method.EXACT_FINITE_V,
                           params, V)
-    joint = _joint_for(protocol, V, params, vbar)
+    joint = _joint_for(protocol, V, params)
     sigma, ix = joint.sigma, joint.ix
     enc = _encoding_rows(protocol, joint)
 
@@ -466,7 +460,7 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams,
                     - von_neumann_entropy(block("BE")))
             rate = i_ab - i_be
     else:
-        i_ab = shannon_mi(protocol, V, params, vbar)
+        i_ab = mi_from_terms(_shannon_terms(protocol, joint, params))
         # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
         if recon is Reconciliation.DR:
             rows, noise = enc, None

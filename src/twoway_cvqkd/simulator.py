@@ -256,13 +256,11 @@ def summary_text(run: SimRun) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_samples(config: SimConfig, path) -> None:
-    """Raw per-sample CSV with one column per X_A / X_B dimension, written
-    block by block from regenerated trajectories."""
+def dump_samples(config: SimConfig, f) -> None:
+    """Write the raw per-sample CSV, one column per X_A / X_B dimension, to
+    the open text file `f`, block by block from regenerated trajectories."""
     labels = [lab for lab, _, _ in shannon_terms(config.protocol, config.V, config.params)]
-    header = ",".join([f"x_a_{lab}" for lab in labels]
-                      + [f"x_b_{lab}" for lab in labels])
-    with open(path, "w", newline="") as f:
-        f.write(header + "\n")
-        for x_a, x_b in trajectories(config):
-            np.savetxt(f, np.column_stack([x_a, x_b]), fmt="%.12g", delimiter=",")
+    f.write(",".join([f"x_a_{lab}" for lab in labels]
+                     + [f"x_b_{lab}" for lab in labels]) + "\n")
+    for x_a, x_b in trajectories(config):
+        np.savetxt(f, np.column_stack([x_a, x_b]), fmt="%.12g", delimiter=",")

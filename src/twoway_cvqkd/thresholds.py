@@ -25,6 +25,8 @@ W_HI_MAX = 1e6
 # Slack for the monotonicity check during bracket expansion: the rate must
 # not increase with W by more than this.
 MONOTONE_SLACK = 1e-9
+# Width in T to which `crossover` refines each crossing.
+CROSSOVER_T_TOL = 1e-4
 
 
 def default_threads() -> int:
@@ -135,12 +137,11 @@ def _require_same_grid(a: ThresholdCurve, b: ThresholdCurve) -> None:
         raise ValueError(f"curves are on different grids: {a.grid} vs {b.grid}")
 
 
-def crossover(curve_a: ThresholdCurve, curve_b: ThresholdCurve,
-              refine_tol: float = 1e-4) -> list[float]:
+def crossover(curve_a: ThresholdCurve, curve_b: ThresholdCurve) -> list[float]:
     """Transmissions where the curves cross, refined by local bisection.
 
     Grid points where the difference N_a - N_b changes sign are refined to
-    `refine_tol` in T by re-solving both thresholds at the bisection
+    CROSSOVER_T_TOL in T by re-solving both thresholds at the bisection
     midpoints. Touching without sign change does not count.
     """
     _require_same_grid(curve_a, curve_b)
@@ -158,7 +159,7 @@ def crossover(curve_a: ThresholdCurve, curve_b: ThresholdCurve,
             continue
         lo, hi = float(curve_a.T[i]), float(curve_a.T[i + 1])
         d_lo = d[i]
-        while hi - lo > refine_tol:
+        while hi - lo > CROSSOVER_T_TOL:
             mid = 0.5 * (lo + hi)
             d_mid = diff(mid)
             if d_mid == 0.0:

@@ -20,6 +20,8 @@ from .gaussian import I2, omega
 from .rng import generator
 
 CP_EIG_TOL = 1e-9
+# A fitted channel may miss complete positivity by this many sampling sigmas.
+CP_SIGMA_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class GaussianChannel:
         herm = self.noise + 1j * (om - self.gain @ om @ self.gain.T)
         return float(min(np.linalg.eigvalsh(herm).min(), 0.0))
 
-    def is_cp(self, tol: float = CP_EIG_TOL) -> bool:
-        return self.cp_defect() >= -tol
+    def is_cp(self) -> bool:
+        return self.cp_defect() >= -CP_EIG_TOL
 
     def apply(self, mean, cov):
         """Push a Gaussian state (mean, covariance) through the channel."""
@@ -120,13 +122,13 @@ class TomographyDataset:
         return max(per_probe) / math.sqrt(len(self.probes))
 
 
-def estimate_channel(data: TomographyDataset, cp_sigma_factor: float = 5.0) -> GaussianChannel:
+def estimate_channel(data: TomographyDataset) -> GaussianChannel:
     """Least-squares Gaussian-channel fit from probe moments.
 
     Gain and displacement come from the affine fit of output means against
     input displacements; the additive noise is the probe-averaged residual
     output CM minus gain @ CM_in @ gain^T. Complete positivity is verified
-    within `cp_sigma_factor` times the dataset's sampling error.
+    within CP_SIGMA_FACTOR times the dataset's sampling error.
     """
     data.validate()
     design = np.array([[*p.displacement, 1.0] for p in data.probes])
@@ -139,10 +141,10 @@ def estimate_channel(data: TomographyDataset, cp_sigma_factor: float = 5.0) -> G
     )
     channel = GaussianChannel(gain, noise, disp)
     sigma = data.statistical_sigma()
-    if channel.cp_defect() < -(cp_sigma_factor * sigma + CP_EIG_TOL):
+    if channel.cp_defect() < -(CP_SIGMA_FACTOR * sigma + CP_EIG_TOL):
         raise ValueError(
             f"fitted channel violates complete positivity beyond "
-            f"{cp_sigma_factor} sigma (defect {channel.cp_defect():.3g}, sigma {sigma:.3g})"
+            f"{CP_SIGMA_FACTOR} sigma (defect {channel.cp_defect():.3g}, sigma {sigma:.3g})"
         )
     return channel
 
@@ -164,20 +166,19 @@ class ReducibilityVerdict:
 
 
 def check_reducibility(e1: GaussianChannel, e2: GaussianChannel,
-                       e_roundtrip: GaussianChannel, tol: float,
-                       alice_map: GaussianChannel | None = None) -> ReducibilityVerdict:
+                       e_roundtrip: GaussianChannel, tol: float) -> ReducibilityVerdict:
     """Classify a two-path attack as reducible, asymmetric or irreducible.
 
     Asymmetric if the forward and backward channels differ beyond `tol`;
-    irreducible if the round trip differs from e2 o alice_map o e1 beyond
-    `tol`; reducible otherwise.
+    irreducible if the round trip differs from e2 o e1 (Alice's publicized
+    map in between is the identity) beyond `tol`; reducible otherwise. A NaN
+    or infinite `tol` would call every attack reducible, so it is rejected.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if alice_map is None:
-        alice_map = GaussianChannel.identity()
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     sym_dev = channel_distance(e1, e2)
-    comp_dev = channel_distance(e_roundtrip, compose(e1, alice_map, e2))
+    comp_dev = channel_distance(e_roundtrip,
+                                compose(e1, GaussianChannel.identity(), e2))
     if sym_dev > tol:
         kind = "asymmetric"
     elif comp_dev > tol:

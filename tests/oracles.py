@@ -179,8 +179,7 @@ class TwoWayCoefficients:
 
 # Fixed asymptotically-optimal linear-estimator coefficients for RR, used as
 # an independent cross-check of the general Gaussian conditioning.
-def rr_conditional_entropy_estimator(protocol, V: float, params: AttackParams,
-                                     vbar: float | None = None) -> float:
+def rr_conditional_entropy_estimator(protocol, V: float, params: AttackParams) -> float:
     """Eve's conditional entropy H(E|X_B) via the fixed optimal estimators.
 
     Bob's variable X_B is turned into a linear estimate K X_B of Eve's
@@ -193,7 +192,7 @@ def rr_conditional_entropy_estimator(protocol, V: float, params: AttackParams,
     if protocol.collective:
         raise ValueError("estimator conditioning applies to individual protocols")
     T = params.T
-    joint = _joint_for(protocol, V, params, vbar)
+    joint = _joint_for(protocol, V, params)
     rows, noise, _ = _bob_measurement(protocol, joint, params)
     e_idx = joint.ix["E"]
     k = np.zeros((len(e_idx), rows.shape[0]))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twoway_cvqkd import cli
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import (EXIT_FLAG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from twoway_cvqkd.rng import CHUNK
@@ -106,7 +107,7 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert b"mi_empirical_bits=" in out_a.read_bytes()
 
 
-def test_simulate_dump_samples(tmp_path, capsys):
+def test_simulate_dump_samples(tmp_path, capsys, monkeypatch):
     n = CHUNK + 5
     args = ["simulate", "--protocol", "het2", "--T", "0.7", "--N", "0.1",
             "--V", "1000", "--n", str(n), "--seed", "42"]
@@ -121,8 +122,15 @@ def test_simulate_dump_samples(tmp_path, capsys):
                                        n, 42))
     assert lines[1:] == [",".join(f"{x:.12g}" for x in row)
                          for row in np.column_stack([x_a, x_b])]
-    code, _, err = run(capsys, *args, "--dump-samples", str(tmp_path / "missing" / "s.csv"))
+    # an unwritable dump path fails before any sample is drawn, and prints nothing
+    def no_simulation(config):
+        raise AssertionError("simulated before opening the dump file")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    code, out, err = run(capsys, *args, "--dump-samples",
+                         str(tmp_path / "missing" / "s.csv"))
     assert code == EXIT_IO
+    assert out == ""
     assert "i/o failure" in err
 
 
@@ -190,6 +198,10 @@ def test_log_base_switch(capsys):
       "--n", "2000", "--seed", "3"], "modulation variance must be finite"),
     (["tomo-check", "--T", "0.7", "--W", "nan", "--n", "2000", "--seed", "7"],
      "EPR variance must be finite"),
+    (["tomo-check", "--T", "0.7", "--W", "1.5", "--correlation", "0.9", "--n", "2000",
+      "--seed", "7", "--tol", "nan"], "tolerance must be positive and finite"),
+    (["tomo-check", "--T", "0.7", "--W", "1.5", "--correlation", "0.9", "--n", "2000",
+      "--seed", "7", "--tol", "inf"], "tolerance must be positive and finite"),
 ])
 def test_non_finite_inputs_are_flag_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -245,3 +257,46 @@ def test_numeric_edges_exit_numeric(capsys, argv, message):
     assert code == EXIT_NUMERIC
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["rate", "--protocol", "coll_hom", "--recon", "rr", "--T", "0.5"], EXIT_FLAG),
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1e300"],
+     EXIT_NUMERIC),
+    (["threshold", "--protocol", "coll_hom", "--recon", "rr", "--T", "0.5"], EXIT_FLAG),
+    (["threshold", "--protocol", "hom", "--recon", "dr", "--T", "1.5"], EXIT_FLAG),
+    (["simulate", "--protocol", "hom", "--T", "0.7", "--V", "10", "--n", "10",
+      "--seed", "1"], EXIT_FLAG),
+    (["simulate", "--protocol", "hom", "--T", "0.7", "--V", "1e300", "--n", "1000",
+      "--seed", "1"], EXIT_NUMERIC),
+    (["tomo-check", "--T", "0.7", "--W", "1.5", "--n", "2000", "--seed", "7",
+      "--tol", "nan"], EXIT_FLAG),
+])
+def test_failed_command_creates_no_out_file(tmp_path, capsys, argv, expected):
+    path = tmp_path / "out.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == expected
+    assert out == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.7", "--N", "0.1",
+      "--V", "1e4"], EXIT_OK),
+    (["threshold", "--protocol", "het", "--recon", "rr", "--T", "0.5"], EXIT_OK),
+    (["sweep", "--protocol", "hom2", "--recon", "dr", "--grid", "0.7:0.95:11"], EXIT_OK),
+    (["figure-bundle", "--recon", "rr", "--grid", "0.95:0.999:3"], EXIT_NUMERIC),
+    (["simulate", "--protocol", "het2", "--T", "0.7", "--N", "0.1", "--V", "1000",
+      "--n", "2000", "--seed", "42"], EXIT_OK),
+    (["tomo-check", "--T", "0.7", "--W", "1.5", "--correlation", "0.9", "--n", "2000",
+      "--seed", "7"], EXIT_OK),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_out_file_matches_stdout(tmp_path, capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == expected
+    assert out
+    path = tmp_path / "out.csv"
+    code, out_with_file, _ = run(capsys, *argv, "--out", str(path))
+    assert code == expected
+    assert out_with_file == ""
+    assert path.read_text() == out

@@ -9,8 +9,8 @@ from twoway_cvqkd.gaussian import conditional_cov, g_entropy, von_neumann_entrop
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
                                     RATE_DIVERGENT, Reconciliation,
                                     asymptotic_rate, exact_rate,
-                                    het2_rr_finite_eigenvalues, one_way_joint,
-                                    shannon_mi, two_way_joint)
+                                    het2_rr_finite_eigenvalues, mi_from_terms,
+                                    one_way_joint, shannon_terms, two_way_joint)
 
 from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
                      one_way_cm, rr_conditional_entropy_estimator,
@@ -205,9 +205,10 @@ def test_substitution_rule_equals_schur_conditioning():
 
 def test_shannon_mi_lossless():
     # noiseless channel: homodyne MI is (1/2) log V, heterodyne log((V+1)/2)
-    assert shannon_mi("hom", 3.0, P(1.0, 1.0)) == pytest.approx(
+    assert mi_from_terms(shannon_terms("hom", 3.0, P(1.0, 1.0))) == pytest.approx(
         0.5 * math.log2(3.0), abs=1e-12)
-    assert shannon_mi("het", 3.0, P(1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert mi_from_terms(shannon_terms("het", 3.0, P(1.0, 1.0))) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_exact_rate_rejects_bad_modulation():
@@ -240,16 +241,6 @@ def test_estimator_conditioning_matches_general():
         est = rr_conditional_entropy_estimator(proto, V, params)
         assert est >= general - 1e-12  # the estimator can only lose information
         assert abs(est - general) < 1e-4, proto
-
-
-def test_nonidentical_two_way_resources():
-    # vbar is an explicit knob; identical resources recover the default
-    params = P(0.6, 1.3)
-    default = exact_rate("hom2", "rr", 50.0, params).rate
-    explicit = exact_rate("hom2", "rr", 50.0, params, vbar=49.0).rate
-    assert default == pytest.approx(explicit, abs=1e-14)
-    other = exact_rate("hom2", "rr", 50.0, params, vbar=10.0).rate
-    assert other != pytest.approx(default, abs=1e-6)
 
 
 def test_log_base_switch_scales_rates(capsys):

@@ -182,7 +182,8 @@ def test_error_shrinks_with_samples():
 def test_dump_samples(tmp_path):
     config = SimConfig("het", 5.0, AttackParams(0.8, 1.2), 1000, 3)
     path = tmp_path / "samples.csv"
-    dump_samples(config, path)
+    with open(path, "w", newline="") as f:
+        dump_samples(config, f)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (1000, 4)
     assert np.allclose(data[:, :2], sample_arrays(config)[0], atol=1e-10)

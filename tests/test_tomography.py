@@ -123,8 +123,9 @@ def test_check_reducibility_verdicts():
     fwd, bwd, rt = correlated_two_mode_channels(
         CorrelatedAttackParams(AttackParams(0.7, 1.5), AttackParams(0.5, 1.5), 0.0))
     assert check_reducibility(fwd, bwd, rt, tol).kind == "asymmetric"
-    with pytest.raises(ValueError):
-        check_reducibility(fwd, bwd, rt, 0.0)
+    for bad_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            check_reducibility(fwd, bwd, rt, bad_tol)
 
 
 def test_verdict_invariant_under_probe_choice():
