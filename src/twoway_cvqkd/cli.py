@@ -7,8 +7,9 @@ whole output and returns it with its exit code; `main` writes it once, to
 stdout or `--out`, and maps exceptions to exit codes: 0 success, 2 flag
 error, 3 numeric failure, 4 I/O error. A failed command writes nothing and
 creates no `--out` file, except a sweep, which writes failed grid points as
-`nan` and exits 3. `simulate --dump-samples` opens its file before drawing
-any sample, so an unwritable path fails at once.
+`nan` and exits 3. `simulate --dump-samples` opens its file after the
+analytic check and before drawing any sample, so an unwritable path fails
+at once and a numeric failure leaves no file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import sys
 
 from .attacks import AttackParams, CorrelatedAttackParams, correlated_two_mode_channels
 from .key_rates import (DIVERGENT_RR, DIVERGENT_RR_REASON, NumericalFailure,
-                        Protocol, Reconciliation, asymptotic_rate, exact_rate)
+                        Protocol, Reconciliation, asymptotic_rate, exact_rate,
+                        mi_from_terms, shannon_terms)
 from .simulator import SimConfig, dump_samples, simulate, summary_text
 from .thresholds import Grid, crossover, solve_threshold, sweep_curve
 from .tomography import check_reducibility, estimate_channel, simulate_probe_dataset
@@ -151,6 +153,8 @@ def cmd_simulate(args) -> tuple[str, int]:
     config = SimConfig(Protocol(args.protocol), args.V, _params(args), args.n, args.seed)
     if not args.dump_samples:
         return summary_text(simulate(config)), EXIT_OK
+    # the analytic check `simulate` starts with, run before the file exists
+    mi_from_terms(shannon_terms(config.protocol, config.V, config.params))
     with open(args.dump_samples, "w", newline="") as f:
         run = simulate(config)
         dump_samples(config, f)
@@ -158,6 +162,8 @@ def cmd_simulate(args) -> tuple[str, int]:
 
 
 def cmd_tomo_check(args) -> tuple[str, int]:
+    if not 0.0 < args.tol < math.inf:
+        raise FlagError(f"tolerance must be positive and finite, got {args.tol}")
     forward = _params(args)
     cparams = CorrelatedAttackParams(forward, forward, args.correlation)
     channels = correlated_two_mode_channels(cparams)

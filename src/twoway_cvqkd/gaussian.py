@@ -62,7 +62,7 @@ def symplectic_eigenvalues(cm) -> np.ndarray:
     return moduli[::2]
 
 
-def g_entropy(nu: float) -> float:
+def g_entropy(nu: float | np.ndarray) -> float | np.ndarray:
     """Bosonic entropy g(nu) of a single symplectic eigenvalue.
 
     g(nu) = a log2 a - b log2 b with a = (nu+1)/2, b = (nu-1)/2, in bits.
@@ -70,8 +70,15 @@ def g_entropy(nu: float) -> float:
     since a = b + 1, but keeps full precision at large nu, where the
     difference form cancels two terms of size nu log2 nu.
     g(1) = 0 (pure-state limit), with a guard band just above 1 to avoid
-    evaluating log(0).
+    evaluating log(0). An ndarray gives the elementwise array.
     """
+    if isinstance(nu, np.ndarray):
+        if np.any(nu < 1.0 - PHYSICALITY_TOL):
+            raise ValueError(f"symplectic eigenvalue must be >= 1, got {np.nanmin(nu)}")
+        pure = nu <= 1.0 + 1e-12
+        b = np.where(pure, 1.0, (nu - 1.0) / 2.0)
+        return np.where(pure, 0.0, np.log2((nu + 1.0) / 2.0)
+                        + b * np.log1p(1.0 / b) / _LN2)
     if nu < 1.0 - PHYSICALITY_TOL:
         raise ValueError(f"symplectic eigenvalue must be >= 1, got {nu}")
     if nu <= 1.0 + 1e-12:

@@ -8,8 +8,8 @@ finite-modulation engine that rebuilds the full output covariance matrices
 from the channel model and computes the same rate from Shannon and Holevo
 terms, with no asymptotic shortcuts.
 
-The closed forms are one table, (protocol, reconciliation) -> f(T, W),
-read by `asymptotic_rate`.
+The closed forms are one table, (protocol, reconciliation) -> f(T, W, xp),
+read by `asymptotic_rate` (xp = math) and, on arrays, by threshold sweeps.
 
 The exact engine works on one joint second-moment matrix over Alice's
 classical encoding variables and all output quadratures; marginals,
@@ -19,6 +19,7 @@ complements of that matrix.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -103,64 +104,72 @@ def _require_rate_params(params: AttackParams) -> None:
 # Closed-form asymptotic rates
 # ---------------------------------------------------------------------------
 # One formula per (protocol, reconciliation) pair, as a function of (T, W).
-# b1 = (1-T)W + T and e1 = (1-T) + TW are Bob's and Eve's output variances
-# conditioned on Alice's encoding.
+# `xp` is the math module for one point or numpy for arrays of points, so
+# each formula is written once for both. b1 = (1-T)W + T and e1 = (1-T) + TW
+# are Bob's and Eve's output variances conditioned on Alice's encoding.
 
-def _dr_coll_het(T: float, W: float) -> float:
-    return math.log2(T / (1 - T)) - g_entropy(W)
+def _dr_coll_het(T, W, xp):
+    return xp.log2(T / (1 - T)) - g_entropy(W)
 
 
-def _dr_hom(T: float, W: float) -> float:
+def _dr_hom(T, W, xp):
     """DR homodyne rate; the collective and individual forms coincide."""
     b1, e1 = (1 - T) * W + T, (1 - T) + T * W
-    return (0.5 * math.log2(T * e1 / ((1 - T) * b1))
-            + g_entropy(math.sqrt(W * b1 / e1)) - g_entropy(W))
+    return (0.5 * xp.log2(T * e1 / ((1 - T) * b1))
+            + g_entropy(xp.sqrt(W * b1 / e1)) - g_entropy(W))
 
 
-def _dr_het(T: float, W: float) -> float:
+def _dr_het(T, W, xp):
     b1 = (1 - T) * W + T
-    return (math.log2(2 * T / (math.e * (1 - T) * (1 + b1)))
+    return (xp.log2(2 * T / (math.e * (1 - T) * (1 + b1)))
             + g_entropy(b1) - g_entropy(W))
 
 
-def _rr_coll_het(T: float, W: float) -> float:
+def _rr_coll_het(T, W, xp):
     b1 = (1 - T) * W + T
-    return math.log2(1 / (1 - T)) - g_entropy(W) - g_entropy(b1)
+    return xp.log2(1 / (1 - T)) - g_entropy(W) - g_entropy(b1)
 
 
-def _rr_hom(T: float, W: float) -> float:
+def _rr_hom(T, W, xp):
     b1 = (1 - T) * W + T
-    return 0.5 * math.log2(W / ((1 - T) * b1)) - g_entropy(W)
+    return 0.5 * xp.log2(W / ((1 - T) * b1)) - g_entropy(W)
 
 
-def _rr_het(T: float, W: float) -> float:
+def _rr_het(T, W, xp):
     b1 = (1 - T) * W + T
-    return (math.log2(2 * T / (math.e * (1 - T) * (1 + b1)))
+    return (xp.log2(2 * T / (math.e * (1 - T) * (1 + b1)))
             + g_entropy((1 - T + b1) / T) - g_entropy(W))
 
 
-def _dr_coll_hom2(T: float, W: float) -> float:
+def _dr_coll_hom2(T, W, xp):
     """Two-way DR homodyne rate; collective and individual forms coincide."""
-    return 0.5 * math.log2(T / (1 - T) ** 2) - g_entropy(W)
+    return 0.5 * xp.log2(T / (1 - T) ** 2) - g_entropy(W)
 
 
-def _dr_het2(T: float, W: float) -> float:
-    return (math.log2(2 * T * (1 + T)
-                      / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
+def _dr_het2(T, W, xp):
+    return (xp.log2(2 * T * (1 + T)
+                    / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
             - g_entropy(W))
 
 
-def _rr_hom2(T: float, W: float) -> float:
-    return 0.5 * math.log2((1 - T + T * T) / (1 - T) ** 2) - g_entropy(W)
+def _rr_hom2(T, W, xp):
+    return 0.5 * xp.log2((1 - T + T * T) / (1 - T) ** 2) - g_entropy(W)
 
 
-def _rr_het2(T: float, W: float) -> float:
+def _rr_het2(T, W, xp):
     """The three finite eigenvalues of Eve's conditional spectrum are known
     in closed form only through their product, so they are extracted
-    numerically (see het2_rr_finite_eigenvalues)."""
-    finite = het2_rr_finite_eigenvalues(AttackParams(T, W))
-    return (math.log2(2 * T * (1 + T)
-                      / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
+    numerically (see het2_rr_finite_eigenvalues), one point at a time. On
+    arrays, a point whose extraction raises NumericalFailure gets NaN."""
+    if xp is math:
+        finite = het2_rr_finite_eigenvalues(AttackParams(T, W))
+    else:
+        finite = np.full((3, T.size), np.nan)
+        for j, (t, w) in enumerate(zip(T, W)):
+            with contextlib.suppress(NumericalFailure):
+                finite[:, j] = het2_rr_finite_eigenvalues(AttackParams(t, w))
+    return (xp.log2(2 * T * (1 + T)
+                    / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
             + sum(g_entropy(n) for n in finite) - 2 * g_entropy(W))
 
 
@@ -173,13 +182,13 @@ _RATES = {
     (_P.HOM2, _DR): _dr_coll_hom2,
     (_P.COLL_HOM2, _DR): _dr_coll_hom2,
     (_P.HET2, _DR): _dr_het2,
-    (_P.COLL_HET2, _DR): lambda T, W: 2.0 * _dr_coll_hom2(T, W),
+    (_P.COLL_HET2, _DR): lambda T, W, xp: 2.0 * _dr_coll_hom2(T, W, xp),
     (_P.HOM, _RR): _rr_hom,
     (_P.HET, _RR): _rr_het,
     (_P.COLL_HET, _RR): _rr_coll_het,
     (_P.HOM2, _RR): _rr_hom2,
     (_P.HET2, _RR): _rr_het2,
-    **{(p, _RR): (lambda T, W: RATE_DIVERGENT) for p in DIVERGENT_RR},
+    **{(p, _RR): (lambda T, W, xp: RATE_DIVERGENT) for p in DIVERGENT_RR},
 }
 
 
@@ -189,15 +198,17 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
     Divergent collective RR combinations return the -inf sentinel. A NaN
     rate (W so large that the formula overflows) raises NumericalFailure.
     """
-    protocol = Protocol(protocol)
-    recon = Reconciliation(reconciliation)
+    # members pass as they are: an Enum call costs about a tenth of one
+    # rate evaluation of a threshold solve
+    if type(protocol) is not Protocol or type(reconciliation) is not Reconciliation:
+        protocol, reconciliation = Protocol(protocol), Reconciliation(reconciliation)
     _require_rate_params(params)
-    rate = _RATES[protocol, recon](params.T, params.W)
+    rate = _RATES[protocol, reconciliation](params.T, params.W, math)
     if math.isnan(rate):
-        raise NumericalFailure(f"{protocol.value} {recon.value} rate is NaN at "
-                               f"T={params.T}, W={params.W}: the closed form "
+        raise NumericalFailure(f"{protocol.value} {reconciliation.value} rate is NaN "
+                               f"at T={params.T}, W={params.W}: the closed form "
                                f"overflows")
-    return RateResult(protocol, recon, rate, Method.ASYMPTOTIC, params)
+    return RateResult(protocol, reconciliation, rate, Method.ASYMPTOTIC, params)
 
 
 HET2_RR_V = 1e8

@@ -6,8 +6,8 @@ security boundary rate = 0 has a unique root in W. The solver bisects on W
 and reports the threshold as excess noise N = (W - 1)(1 - T)/T; if the rate
 is already non-positive in the pure-loss limit W = 1 the threshold is 0.
 
-Curve sweeps over a transmission grid, crossover location between curves,
-and the one-way versus two-way dominance report are built on top.
+Curve sweeps (all grid points bisected at once), crossover location between
+curves and the one-way versus two-way dominance report are built on top.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackParams, excess_noise
-from .key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
+from .key_rates import (_RATES, DIVERGENT_RR, NumericalFailure, Protocol,
                         Reconciliation, asymptotic_rate)
 
 W_TOL = 1e-10
@@ -34,6 +34,15 @@ def default_threads() -> int:
     return 1
 
 
+def _finite_pair(protocol, reconciliation) -> tuple[Protocol, Reconciliation]:
+    protocol = Protocol(protocol)
+    recon = Reconciliation(reconciliation)
+    if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
+        raise ValueError(f"no threshold for {protocol.value} {recon.value}: "
+                         "the rate diverges to -inf")
+    return protocol, recon
+
+
 def solve_threshold(protocol, reconciliation, T: float,
                     w_tol: float = W_TOL) -> float:
     """Maximum tolerable excess noise N at transmission T.
@@ -43,11 +52,7 @@ def solve_threshold(protocol, reconciliation, T: float,
     rate increases with W during expansion or no sign change is found below
     W_hi = 1e6; raises ValueError for pairs whose rate diverges.
     """
-    protocol = Protocol(protocol)
-    recon = Reconciliation(reconciliation)
-    if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
-        raise ValueError(f"no threshold for {protocol.value} {recon.value}: "
-                         "the rate diverges to -inf")
+    protocol, recon = _finite_pair(protocol, reconciliation)
 
     def rate(w: float) -> float:
         return asymptotic_rate(protocol, recon, AttackParams(T, w)).rate
@@ -112,24 +117,55 @@ class ThresholdCurve:
 
 
 def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> ThresholdCurve:
-    """Solve the threshold at every grid point, in grid order.
+    """Solve the threshold at every grid point, all points at once.
 
-    Per-point solver failures are recorded in `errors` (index -> message)
-    and surface as NaN in the curve rather than aborting the sweep.
+    The points take the steps of `solve_threshold` together, each step one
+    array evaluation of the closed form, and stop on the same test, so
+    their midpoints and N are the same. A point that fails (a NaN rate, a
+    rising rate, no sign change below W_HI_MAX) is solved again by
+    `solve_threshold`; if that raises, the point is NaN and `errors` holds
+    its message (grid index -> message, in grid order).
     """
-    protocol = Protocol(protocol)
-    recon = Reconciliation(reconciliation)
+    protocol, recon = _finite_pair(protocol, reconciliation)
+    rates = _RATES[protocol, recon]
     if grid is None:
         grid = Grid()
-    points = grid.points()
-    n_vals = np.full(points.shape, np.nan)
+    T = grid.points()
+    idx = np.arange(T.size)
+    r_prev = rates(T, np.ones(T.shape), np)
+    N = np.where(r_prev <= 0.0, 0.0, np.nan)
+    failed = [idx[np.isnan(r_prev)]]
+    idx, r_prev = idx[r_prev > 0.0], r_prev[r_prev > 0.0]
+    lo, hi = np.ones(T.shape), np.full(T.shape, 2.0)
+    bracketed = [idx[:0]]
+    while idx.size:
+        r_hi = rates(T[idx], hi[idx], np)
+        bad = np.isnan(r_hi) | (r_hi > r_prev + MONOTONE_SLACK)
+        failed.append(idx[bad])
+        bracketed.append(idx[~bad & (r_hi <= 0.0)])
+        grow = ~bad & (r_hi > 0.0)
+        idx, r_prev = idx[grow], r_hi[grow]
+        lo[idx], hi[idx] = hi[idx], 2.0 * hi[idx]
+        over = hi[idx] > W_HI_MAX
+        failed.append(idx[over])
+        idx, r_prev = idx[~over], r_prev[~over]
+    idx = solved = np.concatenate(bracketed)
+    while (idx := idx[hi[idx] - lo[idx] > W_TOL]).size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        r = rates(T[idx], mid, np)
+        lo[idx[r > 0.0]] = mid[r > 0.0]
+        hi[idx[r <= 0.0]] = mid[r <= 0.0]
+        failed.append(idx[np.isnan(r)])
+        idx = idx[~np.isnan(r)]
+    W = 0.5 * (lo[solved] + hi[solved])
+    N[solved] = (W - 1.0) * (1.0 - T[solved]) / T[solved]
     errors: dict[int, str] = {}
-    for i, T in enumerate(points):
+    for i in np.sort(np.concatenate(failed)):
         try:
-            n_vals[i] = solve_threshold(protocol, recon, T)
+            N[i] = solve_threshold(protocol, recon, T[i])
         except NumericalFailure as exc:
-            errors[i] = str(exc)
-    return ThresholdCurve(protocol, recon, grid, points, n_vals, errors)
+            N[i], errors[int(i)] = np.nan, str(exc)
+    return ThresholdCurve(protocol, recon, grid, T, N, errors)
 
 
 def _require_same_grid(a: ThresholdCurve, b: ThresholdCurve) -> None:

@@ -132,12 +132,33 @@ def test_simulate_dump_samples(tmp_path, capsys, monkeypatch):
     assert code == EXIT_IO
     assert out == ""
     assert "i/o failure" in err
+    # a run whose analytic check fails exits 3 before the dump file exists
+    path = tmp_path / "failed.csv"
+    code, out, _ = run(capsys, "simulate", "--protocol", "hom", "--T", "0.7",
+                       "--V", "1e300", "--n", "1000", "--seed", "1",
+                       "--dump-samples", str(path))
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert not path.exists()
 
 
 def test_simulate_requires_seed(capsys):
     code, _, _ = run(capsys, "simulate", "--protocol", "hom", "--T", "0.7",
                      "--V", "10", "--n", "2000")
     assert code == EXIT_FLAG
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tomo_check_rejects_tolerance_before_sampling(capsys, monkeypatch, tol):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking --tol")
+
+    monkeypatch.setattr(cli, "simulate_probe_dataset", no_sampling)
+    code, out, err = run(capsys, "tomo-check", "--T", "0.7", "--W", "1.5",
+                         "--n", "2000", "--seed", "7", "--tol", tol)
+    assert code == EXIT_FLAG
+    assert out == ""
+    assert "tolerance must be positive and finite" in err
 
 
 def test_tomo_check_reducible(capsys):

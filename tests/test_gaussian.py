@@ -8,8 +8,8 @@ import pytest
 
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_FLAG, EXIT_OK, main
-from twoway_cvqkd.gaussian import (I2, conditional_cov, g_entropy, omega,
-                                   symplectic_eigenvalues, von_neumann_entropy)
+from twoway_cvqkd.gaussian import (I2, PHYSICALITY_TOL, conditional_cov, g_entropy,
+                                   omega, symplectic_eigenvalues, von_neumann_entropy)
 
 from oracles import (beam_splitter, direct_sum, epr_cm, is_symplectic,
                      one_way_cm, random_symplectic)
@@ -79,6 +79,17 @@ def test_g_entropy_values():
 def test_g_entropy_rejects_unphysical():
     with pytest.raises(ValueError):
         g_entropy(0.9)
+
+
+def test_g_entropy_on_arrays_matches_scalar():
+    # numpy's log1p may differ from the C library's by an ulp (it does at
+    # nu = 2), so the array path is held to 4 ulp of the scalar value
+    nus = np.array([1.0, 1.0 + 1e-13, 2.0, 1e8, 1e300])
+    scalar = np.array([g_entropy(nu) for nu in nus])
+    assert np.all(np.abs(g_entropy(nus) - scalar) <= 4 * np.spacing(scalar))
+    assert np.array_equal(g_entropy(nus)[:2], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        g_entropy(np.array([2.0, 1.0 - 2 * PHYSICALITY_TOL]))
 
 
 def test_g_entropy_strictly_increasing():

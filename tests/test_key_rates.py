@@ -7,7 +7,7 @@ from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_OK, main
 from twoway_cvqkd.gaussian import conditional_cov, g_entropy, von_neumann_entropy
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
-                                    RATE_DIVERGENT, Reconciliation,
+                                    RATE_DIVERGENT, Reconciliation, _RATES,
                                     asymptotic_rate, exact_rate,
                                     het2_rr_finite_eigenvalues, mi_from_terms,
                                     one_way_joint, shannon_terms, two_way_joint)
@@ -123,6 +123,30 @@ def test_rr_het2_values():
 def test_het2_eigenvalue_extraction_guard():
     with pytest.raises(NumericalFailure):
         het2_rr_finite_eigenvalues(P(0.7, 1.5), rel_tol=1e-18)
+
+
+def test_closed_forms_on_arrays_match_scalar_rates():
+    # every term of every formula is below 32 in magnitude on this grid, so
+    # numpy's and the C library's logarithms may part by a few ulp of 32;
+    # measured against the result they can reach 512 ulp where it cancels
+    T, W = (a.ravel() for a in np.meshgrid(np.linspace(0.02, 0.98, 13),
+                                           np.logspace(0.0, 6.0, 13)))
+    for (protocol, recon), formula in _RATES.items():
+        if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
+            continue
+        if protocol is Protocol.HET2 and recon is Reconciliation.RR:
+            T_p, W_p = T[::7], W[::7]   # its numeric spectrum costs ~1 ms
+        else:
+            T_p, W_p = T, W
+        batch = formula(T_p, W_p, np)
+        for t, w, r in zip(T_p, W_p, batch):
+            try:
+                want = asymptotic_rate(protocol, recon, P(t, w)).rate
+            except NumericalFailure:
+                assert math.isnan(r), (protocol, recon, t, w)
+                continue
+            assert abs(r - want) <= 4 * np.spacing(max(abs(want), 32.0)), \
+                (protocol, recon, t, w)
 
 
 def test_divergent_rr_sentinel():

@@ -42,6 +42,24 @@ def test_pure_loss_rates_respect_plob_bound(T):
 
 
 @fixed
+@given(transmissions, attack_variances)
+def test_rates_respect_thermal_loss_plob_bound(T, W):
+    # thermal-loss bound -log2[(1-T) T^n] - h(n) for a thermal number
+    # n < T/(1-T), and 0 above (Pirandola et al., Nat. Commun. 8, 15043,
+    # 2017); the cloner's EPR variance W = 2n + 1 is the environment's
+    n = (W - 1.0) / 2.0
+    h = (n + 1.0) * math.log2(n + 1.0) - (n * math.log2(n) if n > 0.0 else 0.0)
+    for protocol, recon in FINITE_PAIRS:
+        uses = 2 if protocol.two_way else 1
+        bound = 0.0
+        if n < T / (1.0 - T):
+            bound = -uses * (math.log2(1.0 - T) + n * math.log2(T) + h)
+        r = rate(protocol, recon, T, W)
+        if r is not None:
+            assert r <= bound + 1e-12, (protocol, recon)
+
+
+@fixed
 @given(transmissions, attack_variances, attack_variances)
 def test_rates_do_not_increase_in_w(T, w1, w2):
     lo, hi = sorted((w1, w2))

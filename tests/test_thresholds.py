@@ -6,9 +6,13 @@ from scipy.optimize import brentq
 
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.gaussian import g_entropy
-from twoway_cvqkd.key_rates import asymptotic_rate
+from twoway_cvqkd.key_rates import (_RATES, DIVERGENT_RR, NumericalFailure, Protocol,
+                                    Reconciliation, asymptotic_rate)
 from twoway_cvqkd.thresholds import (Grid, crossover, solve_threshold,
                                      superadditivity_report, sweep_curve)
+
+FINITE_PAIRS = [(p, r) for p in Protocol for r in Reconciliation
+                if not (r is Reconciliation.RR and p in DIVERGENT_RR)]
 
 
 def test_threshold_zero_at_3db_boundary():
@@ -117,3 +121,65 @@ def test_superadditivity_identical_curves():
     curve = sweep_curve("hom", "dr", grid)
     report = superadditivity_report(curve, curve)
     assert report.no_improvement
+
+
+def scalar_curve(protocol, recon, grid):
+    """N and errors of `solve_threshold` point by point: the oracle of the
+    batched `sweep_curve`."""
+    n, errors = [], {}
+    for i, T in enumerate(grid.points()):
+        try:
+            n.append(solve_threshold(protocol, recon, T))
+        except NumericalFailure as exc:
+            n.append(math.nan)
+            errors[i] = str(exc)
+    return np.array(n), errors
+
+
+@pytest.mark.parametrize("protocol, recon", FINITE_PAIRS,
+                         ids=lambda v: v.value)
+def test_sweep_matches_scalar_solves(protocol, recon):
+    grid = Grid(0.02, 0.98, 25)
+    curve = sweep_curve(protocol, recon, grid)
+    n, errors = scalar_curve(protocol, recon, grid)
+    assert np.array_equal(curve.N, n, equal_nan=True)
+    assert curve.errors == errors
+
+
+def test_sweep_failures_match_scalar_solves():
+    # het2 RR's numeric spectrum fails at T = 0.999
+    grid = Grid(0.95, 0.999, 8)
+    curve = sweep_curve("het2", "rr", grid)
+    n, errors = scalar_curve("het2", "rr", grid)
+    assert 7 in errors
+    assert list(curve.errors.items()) == list(errors.items())
+    assert np.array_equal(curve.N, n, equal_nan=True)
+
+
+def test_sweep_bracket_failures_match_scalar_solves(monkeypatch):
+    def rate(T, W, xp):
+        """A root at W = 10 below T = 0.35, with a NaN next to it at T = 0.2
+        and at W = 1 at T = 0.3; a root just above W_HI_MAX up to T = 0.6;
+        above, a rate that rises from W = 1 to 2 and is negative at W = 4."""
+        nan = ((abs(T - 0.2) < 0.05) & (abs(W - 10.0) < 0.5)
+               | (abs(T - 0.3) < 0.05) & (W < 1.5))
+        r = np.where(nan, np.nan,
+                     np.where(T < 0.35, 1.0 - W / 10.0,
+                              np.where(T < 0.6, 1.0 - W / 1.02e6,
+                                       1.0 + (W - 1.0) * (3.0 - W))))
+        return r if xp is np else float(r)
+
+    monkeypatch.setitem(_RATES, (Protocol.HOM, Reconciliation.DR), rate)
+    grid = Grid(0.1, 0.9, 9)
+    curve = sweep_curve("hom", "dr", grid)
+    n, errors = scalar_curve("hom", "dr", grid)
+    assert sorted(errors) == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert "rate is NaN" in errors[1] and "rate is NaN" in errors[2]
+    assert "no sign change" in errors[3] and "not monotone" in errors[5]
+    assert list(curve.errors.items()) == list(errors.items())
+    assert np.array_equal(curve.N, n, equal_nan=True)
+
+
+def test_sweep_rejects_divergent_pair():
+    with pytest.raises(ValueError):
+        sweep_curve("coll_hom", "rr", Grid(0.3, 0.7, 3))
