@@ -44,22 +44,40 @@ def symplectic_eigenvalues(cm) -> np.ndarray:
     Computed as the moduli of the eigenvalues of Omega @ V, which come in
     +/- pairs for a symmetric V; the pairs are deduplicated. A failure of
     the +/- pairing beyond tolerance signals a broken covariance matrix.
+    A stack of matrices (..., 2n, 2n) gives the stack of spectra (..., n),
+    each matrix checked on its own: one that is not finite and symmetric,
+    or fails the pairing, gets a NaN row instead of raising.
     """
     mat = np.asarray(cm, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] % 2:
         raise ValueError(f"covariance matrix must be 2n x 2n, got {mat.shape}")
-    if not np.allclose(mat, mat.T, atol=SYMMETRY_TOL * max(1.0, np.abs(mat).max())):
-        raise ValueError("covariance matrix is not symmetric")
-    n = mat.shape[0] // 2
-    moduli = np.sort(np.abs(np.linalg.eigvals(omega(n) @ mat)))[::-1]
-    scale = max(1.0, moduli[0])
-    for k in range(n):
-        a, b = moduli[2 * k], moduli[2 * k + 1]
-        if abs(a - b) > PAIRING_TOL * max(1.0, a) + PAIRING_TOL * scale:
-            raise ValueError(
-                f"eigenvalues of Omega V fail +/- pairing ({a} vs {b}): broken CM"
-            )
-    return moduli[::2]
+    mat_t = np.swapaxes(mat, -1, -2)
+    atol = SYMMETRY_TOL * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), keepdims=True))
+    with np.errstate(invalid="ignore"):
+        # np.allclose(mat, mat_t, atol=atol), matrix by matrix
+        close = ((np.abs(mat - mat_t) <= atol + 1e-5 * np.abs(mat_t))
+                 & np.isfinite(mat_t) | (mat == mat_t))
+    broken = ~close.all(axis=(-2, -1))
+    if mat.ndim == 2:
+        if broken:
+            raise ValueError("covariance matrix is not symmetric")
+    else:
+        # a non-finite matrix would make eigvals fail the whole stack
+        broken |= ~np.isfinite(mat).all(axis=(-2, -1))
+        if broken.any():
+            mat = np.where(broken[..., None, None], 0.0, mat)
+    n = mat.shape[-1] // 2
+    moduli = np.sort(np.abs(np.linalg.eigvals(omega(n) @ mat)), axis=-1)[..., ::-1]
+    a, b = moduli[..., ::2], moduli[..., 1::2]
+    scale = np.maximum(1.0, moduli[..., :1])
+    unpaired = np.abs(a - b) > PAIRING_TOL * np.maximum(1.0, a) + PAIRING_TOL * scale
+    if mat.ndim == 2:
+        if unpaired.any():
+            k = int(np.argmax(unpaired))
+            raise ValueError(f"eigenvalues of Omega V fail +/- pairing "
+                             f"({a[k]} vs {b[k]}): broken CM")
+        return a
+    return np.where((broken | unpaired.any(axis=-1))[..., None], np.nan, a)
 
 
 def g_entropy(nu: float | np.ndarray) -> float | np.ndarray:
@@ -106,14 +124,18 @@ def conditional_cov(sigma: np.ndarray, keep, obs_rows: np.ndarray,
     second moments). The observed quantities are obs_rows @ y plus optional
     independent Gaussian noise with covariance `obs_noise`; the returned
     matrix is the covariance of the `keep` variables given the observation.
-    Rank-deficient observations are handled by pseudo-inversion.
+    Rank-deficient observations are handled by pseudo-inversion. A stack
+    of covariances (..., n, n), with rows and noise stacked alike or shared,
+    is conditioned matrix by matrix.
     """
     sigma = np.asarray(sigma, dtype=float)
     keep = np.asarray(keep, dtype=int)
     obs_rows = np.atleast_2d(np.asarray(obs_rows, dtype=float))
-    s_obs = obs_rows @ sigma @ obs_rows.T
+    rows_t = np.swapaxes(obs_rows, -1, -2)
+    s_obs = obs_rows @ sigma @ rows_t
     if obs_noise is not None:
         s_obs = s_obs + np.atleast_2d(obs_noise)
-    cross = sigma[keep, :] @ obs_rows.T
-    out = sigma[np.ix_(keep, keep)] - cross @ np.linalg.pinv(s_obs) @ cross.T
-    return 0.5 * (out + out.T)
+    cross = sigma[..., keep, :] @ rows_t
+    out = (sigma[..., keep[:, None], keep]
+           - cross @ np.linalg.pinv(s_obs) @ np.swapaxes(cross, -1, -2))
+    return 0.5 * (out + np.swapaxes(out, -1, -2))

@@ -19,10 +19,10 @@ complements of that matrix.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -159,18 +159,13 @@ def _rr_hom2(T, W, xp):
 def _rr_het2(T, W, xp):
     """The three finite eigenvalues of Eve's conditional spectrum are known
     in closed form only through their product, so they are extracted
-    numerically (see het2_rr_finite_eigenvalues), one point at a time. On
-    arrays, a point whose extraction raises NumericalFailure gets NaN."""
-    if xp is math:
-        finite = het2_rr_finite_eigenvalues(AttackParams(T, W))
-    else:
-        finite = np.full((3, T.size), np.nan)
-        for j, (t, w) in enumerate(zip(T, W)):
-            with contextlib.suppress(NumericalFailure):
-                finite[:, j] = het2_rr_finite_eigenvalues(AttackParams(t, w))
+    numerically by het2_rr_finite_eigenvalues: one point, or every point
+    of a sweep step in one stacked solve. On arrays, a point whose
+    extraction fails a check gets NaN."""
+    finite = het2_rr_finite_eigenvalues(T, W)
     return (xp.log2(2 * T * (1 + T)
                     / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
-            + sum(g_entropy(n) for n in finite) - 2 * g_entropy(W))
+            + sum(g_entropy(n) for n in finite.T) - 2 * g_entropy(W))
 
 
 _P, _DR, _RR = Protocol, Reconciliation.DR, Reconciliation.RR
@@ -214,8 +209,7 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
 HET2_RR_V = 1e8
 
 
-def het2_rr_finite_eigenvalues(params: AttackParams,
-                               rel_tol: float = 1e-6) -> np.ndarray:
+def het2_rr_finite_eigenvalues(T, W, rel_tol: float = 1e-6) -> np.ndarray:
     """The three finite eigenvalues of Eve's CM conditioned on Bob's
     heterodyne estimators in the two-way protocol.
 
@@ -225,34 +219,58 @@ def het2_rr_finite_eigenvalues(params: AttackParams,
     removed by Richardson extrapolation between V = HET2_RR_V/10 and
     HET2_RR_V. The product of the remaining three must match the closed
     form n1 n2 n3 = [1 + T^3 + (1-T)(1+T^2)W] W / (T(1+T)) within
-    `rel_tol` or a NumericalFailure is raised.
+    `rel_tol`.
+
+    T and W are floats (one point) or equal-length 1-D arrays (k points).
+    The points at both modulations are one stack of joints, conditioned
+    and diagonalised together; every check is still made point by point.
+    One point gives its three eigenvalues or raises: NumericalFailure for
+    the diverging-eigenvalue check (coarse V, then fine V) or the product
+    check, ValueError for a broken spectrum. k points give a (k, 3) array
+    with a NaN row for each point that fails a check.
     """
-    _require_rate_params(params)
-    T, W = params.T, params.W
-
-    def finite_at(v: float) -> np.ndarray:
-        joint = two_way_joint(v, params)
-        rows, noise, _ = _bob_measurement(Protocol.HET2, joint, params)
-        cond = conditional_cov(joint.sigma, joint.ix["E"], rows, noise)
-        nus = symplectic_eigenvalues(cond)
-        diverging = (1 - T ** 2) * v
-        if abs(nus[0] - diverging) > 0.01 * diverging:
+    point = np.ndim(T) == 0
+    T, W = np.atleast_1d(np.asarray(T, dtype=float), np.asarray(W, dtype=float))
+    if not ((0.0 < T) & (T < 1.0)).all():
+        raise ValueError(f"rates require T strictly in (0, 1), got T={T}")
+    if not ((1.0 <= W) & (W < math.inf)).all():
+        raise ValueError(f"EPR variance must be finite and >= 1, got {W}")
+    k = T.size
+    modulations = (HET2_RR_V / 10.0, HET2_RR_V)
+    stack = SimpleNamespace(T=np.tile(T, 2), W=np.tile(W, 2))
+    joint = two_way_joint(np.repeat(modulations, k), stack)
+    rows, noise, _ = _bob_measurement(Protocol.HET2, joint, stack)
+    cond = conditional_cov(joint.sigma, joint.ix["E"], rows, noise)
+    nus = symplectic_eigenvalues(cond)
+    nus = nus.reshape((2, k) + nus.shape[1:])   # [coarse, fine]
+    # The closed-form reference values in Python floats, as for one point:
+    # numpy's power and the C library's pow part in the last bit for some T.
+    t_w = list(zip(T.tolist(), W.tolist()))
+    diverging = np.array([[(1 - t ** 2) * v for t, _ in t_w] for v in modulations])
+    expected = np.array([(1 + t ** 3 + (1 - t) * (1 + t * t) * w) * w / (t * (1 + t))
+                         for t, w in t_w])
+    broken = np.isnan(nus[..., 0])
+    off = np.abs(nus[..., 0] - diverging) > 0.01 * diverging
+    finite = np.clip((10.0 * nus[1, :, 1:] - nus[0, :, 1:]) / 9.0, 1.0, None)
+    product = np.prod(finite, axis=-1)
+    deviates = np.abs(product - expected) > rel_tol * expected
+    if not point:
+        finite[broken.any(axis=0) | off.any(axis=0) | deviates] = np.nan
+        return finite
+    for s in range(2):
+        if broken[s, 0]:
+            symplectic_eigenvalues(cond[s])   # one matrix raises its check's error
+        if off[s, 0]:
             raise NumericalFailure(
-                f"largest conditional eigenvalue {nus[0]} is not within 1% of "
-                f"the expected diverging value {diverging}"
+                f"largest conditional eigenvalue {nus[s, 0, 0]} is not within 1% "
+                f"of the expected diverging value {diverging[s, 0]}"
             )
-        return nus[1:]
-
-    coarse, fine = finite_at(HET2_RR_V / 10.0), finite_at(HET2_RR_V)
-    finite = np.clip((10.0 * fine - coarse) / 9.0, 1.0, None)
-    expected = (1 + T ** 3 + (1 - T) * (1 + T * T) * W) * W / (T * (1 + T))
-    product = float(np.prod(finite))
-    if abs(product - expected) > rel_tol * expected:
+    if deviates[0]:
         raise NumericalFailure(
-            f"eigenvalue product {product} deviates from closed form {expected} "
+            f"eigenvalue product {product[0]} deviates from closed form {expected[0]} "
             f"beyond relative tolerance {rel_tol}"
         )
-    return finite
+    return finite[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,38 +324,48 @@ def one_way_joint(V: float, params: AttackParams) -> JointMoments:
     return JointMoments(sigma, ix)
 
 
-def two_way_joint(V: float, params: AttackParams) -> JointMoments:
+def two_way_joint(V, params) -> JointMoments:
     """Joint moments of the two-way protocol outputs.
 
     Bob's EPR(V) pair (B1 kept, C1 sent) passes through a cloner, Alice adds
     her encoding displacement (classical variance V - 1 per quadrature),
     and the mode returns through a second identical cloner. Variable order:
     [Q_A, P_A, B1, B2, E1', E1'', E2', E2''] with (Q, P) per mode.
+
+    V, params.T and params.W are floats, or equal-length 1-D arrays for a
+    stack of joints (sigma of shape (k, 14, 14)).
     """
-    if not 1.0 < V < math.inf:
+    if not np.asarray((1.0 < V) & (V < math.inf)).all():
         raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     T, W = params.T, params.W
     vbar = V - 1.0
-    t, r = math.sqrt(T), math.sqrt(1.0 - T)
-    v = math.sqrt(V * V - 1.0)
-    w = math.sqrt(W * W - 1.0)
+    t, r = np.sqrt(T), np.sqrt(1.0 - T)
+    v = np.sqrt(V * V - 1.0)
+    w = np.sqrt(W * W - 1.0)
     # inputs: qa, pa, B1(2), C1(2), E1(2), E1''(2), E2(2), E2''(2)
-    sigma_in = np.diag([vbar, vbar, V, V, V, V, W, W, W, W, W, W, W, W])
+    sigma_in = np.zeros(np.shape(V) + (14, 14))
+    diag = np.arange(14)
+    sigma_in[..., diag, diag] = np.array([vbar, vbar, V, V, V, V, W, W, W, W, W, W, W, W]).T
     for base, corr in ((2, v), (6, w), (10, w)):
-        sigma_in[base, base + 2] = sigma_in[base + 2, base] = corr
-        sigma_in[base + 1, base + 3] = sigma_in[base + 3, base + 1] = -corr
-    m = np.zeros((14, 14))
-    m[0, 0] = m[1, 1] = 1.0
+        sigma_in[..., base, base + 2] = sigma_in[..., base + 2, base] = corr
+        sigma_in[..., base + 1, base + 3] = sigma_in[..., base + 3, base + 1] = -corr
+    m = np.zeros(np.shape(V) + (14, 14))
+
+    def put(i, cols, coeffs):
+        for j, c in zip(cols, coeffs):
+            m[..., i, j] = c
+
+    m[..., 0, 0] = m[..., 1, 1] = 1.0
     for k in range(2):
         qa, qC1, qE1, qE2 = 0 + k, 4 + k, 6 + k, 10 + k
-        m[2 + k, 2 + k] = 1.0                                     # B1 kept
+        m[..., 2 + k, 2 + k] = 1.0                                # B1 kept
         # B2 = sqrt(T) (A1 + encoding) + sqrt(1-T) E2, A1 = sqrt(T) C1 + sqrt(1-T) E1
-        m[4 + k, [qa, qC1, qE1, qE2]] = [t, T, t * r, r]
-        m[6 + k, [qC1, qE1]] = [-r, t]                            # E1'
-        m[8 + k, 8 + k] = 1.0                                     # E1''
-        m[10 + k, [qa, qC1, qE1, qE2]] = [-r, -r * t, -r * r, t]  # E2'
-        m[12 + k, 12 + k] = 1.0                                   # E2''
-    sigma = m @ sigma_in @ m.T
+        put(4 + k, [qa, qC1, qE1, qE2], [t, T, t * r, r])
+        put(6 + k, [qC1, qE1], [-r, t])                           # E1'
+        m[..., 8 + k, 8 + k] = 1.0                                # E1''
+        put(10 + k, [qa, qC1, qE1, qE2], [-r, -r * t, -r * r, t])  # E2'
+        m[..., 12 + k, 12 + k] = 1.0                              # E2''
+    sigma = m @ sigma_in @ np.swapaxes(m, -1, -2)
     ix = {
         "cl": [0, 1], "qa": 0, "pa": 1,
         "B": [2, 3, 4, 5], "qB1": 2, "pB1": 3, "qB2": 4, "pB2": 5,
@@ -360,31 +388,29 @@ def _bob_measurement(protocol: Protocol, joint: JointMoments,
     The rows act on the joint variable vector; heterodyne vacuum ancillas
     enter as independent observation noise. Normalizations follow the
     protocol definitions (2^{-1/2} combining for heterodyne outputs,
-    Q_B2 - T Q_B1 for the two-way homodyne estimator).
+    Q_B2 - T Q_B1 for the two-way homodyne estimator). With params.T an
+    array (a stack of joints), the rows and the noise stack alike.
     """
-    n = joint.sigma.shape[0]
+    n = joint.sigma.shape[-1]
     T = params.T
     s2 = math.sqrt(2.0)
 
-    def row(coeffs: dict) -> np.ndarray:
-        out = np.zeros(n)
-        for name, c in coeffs.items():
-            out[joint.ix[name]] = c
+    def rows(*coeffs: dict) -> np.ndarray:
+        out = np.zeros(np.shape(T) + (len(coeffs), n))
+        for i, row in enumerate(coeffs):
+            for name, c in row.items():
+                out[..., i, joint.ix[name]] = c
         return out
 
     if protocol in (Protocol.HOM, Protocol.COLL_HOM):
-        return np.array([row({"qB": 1.0})]), np.zeros((1, 1)), ["Q"]
+        return rows({"qB": 1.0}), np.zeros((1, 1)), ["Q"]
     if protocol in (Protocol.HET, Protocol.COLL_HET):
-        rows = np.array([row({"qB": 1 / s2}), row({"pB": 1 / s2})])
-        return rows, 0.5 * np.eye(2), ["Q", "P"]
+        return rows({"qB": 1 / s2}, {"pB": 1 / s2}), 0.5 * np.eye(2), ["Q", "P"]
     if protocol in (Protocol.HOM2, Protocol.COLL_HOM2):
-        return (np.array([row({"qB2": 1.0, "qB1": -T})]), np.zeros((1, 1)), ["Q"])
+        return rows({"qB2": 1.0, "qB1": -T}), np.zeros((1, 1)), ["Q"]
     if protocol in (Protocol.HET2, Protocol.COLL_HET2):
-        rows = np.array([
-            row({"qB2": 1 / s2, "qB1": -T / s2}),
-            row({"pB2": 1 / s2, "pB1": T / s2}),
-        ])
-        return rows, ((1 + T * T) / 2) * np.eye(2), ["Q", "P"]
+        return (rows({"qB2": 1 / s2, "qB1": -T / s2}, {"pB2": 1 / s2, "pB1": T / s2}),
+                np.multiply.outer((1 + T * T) / 2, np.eye(2)), ["Q", "P"])
     raise ValueError(f"no measurement model for protocol {protocol}")
 
 

@@ -21,6 +21,9 @@ from .key_rates import (_RATES, DIVERGENT_RR, NumericalFailure, Protocol,
                         Reconciliation, asymptotic_rate)
 
 W_TOL = 1e-10
+# Bracket ends double from 2 while they stay below this cap, so the last
+# one tried is 2^19. It must not grow: adjacent doubles in [2^19, 2^20] are
+# 1.16e-10 apart, wider than W_TOL, and a bisection there never stops.
 W_HI_MAX = 1e6
 # Slack for the monotonicity check during bracket expansion: the rate must
 # not increase with W by more than this.
@@ -49,8 +52,9 @@ def solve_threshold(protocol, reconciliation, T: float,
 
     Bisects the asymptotic rate on W in [1, W_hi], expanding the bracket by
     doubling until the rate changes sign. Raises NumericalFailure if the
-    rate increases with W during expansion or no sign change is found below
-    W_hi = 1e6; raises ValueError for pairs whose rate diverges.
+    rate increases with W during expansion or is still positive at the last
+    bracket end below W_HI_MAX (2^19); raises ValueError for pairs whose
+    rate diverges.
     """
     protocol, recon = _finite_pair(protocol, reconciliation)
 
@@ -74,7 +78,7 @@ def solve_threshold(protocol, reconciliation, T: float,
         hi *= 2.0
         if hi > W_HI_MAX:
             raise NumericalFailure(
-                f"no sign change in W up to {W_HI_MAX} for {protocol.value} "
+                f"no sign change in W up to {lo} for {protocol.value} "
                 f"{recon.value} at T={T}")
     while hi - lo > w_tol:
         mid = 0.5 * (lo + hi)

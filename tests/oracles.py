@@ -9,7 +9,8 @@ None of this is used by the package itself:
   the variance and correlation coefficients they are written in;
 - the large-modulation spectrum oracle: per CM and conditioning, the
   symplectic eigenvalues known in closed form, or the product of those
-  known only through it;
+  known only through it, and the closed form of the three finite het2 RR
+  eigenvalues that the package extracts numerically;
 - Eve's conditional entropy through the fixed large-modulation linear
   estimators, an independent check of general Gaussian conditioning;
 - the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
@@ -175,6 +176,28 @@ class TwoWayCoefficients:
             m_product=math.sqrt((1 - T) ** 3 * (1 + T ** 3) * W / T),
             n_product=(1 + T ** 3 + (1 - T) * (1 + T * T) * W) * W / (T * (1 + T)),
         )
+
+
+def het2_rr_closed_form(T, W) -> np.ndarray:
+    """The three finite eigenvalues of Eve's CM conditioned on Bob's two-way
+    heterodyne estimators, at infinite modulation, in closed form.
+
+    n1 = W, and n2, n3 are the roots of x^4 - S x^2 + P^2 = 0 with
+    P = n2 n3 = [1 + T^3 + (1-T)(1+T^2) W] / (T(1+T)) and
+    S = n2^2 + n3^2 = [(1-T)^4 (1+T)^2 W^2 + 2(1 - T + T^2 - T^4 + T^5 - T^6) W
+    + (1 + 5T^2 - 4T^3 + 5T^4 + T^6)] / (T^2 (1+T)^2).
+    S was found by integer polynomial fits of the numeric spectrum and
+    agrees with an 80-digit rebuild of the whole chain; at W = 1 it is
+    P^2 + 1. n3 is taken as P / n2, which keeps full precision where the
+    smaller root of the quadratic in x^2 would cancel. T and W may be
+    arrays; the eigenvalues are on the last axis, in the order (n1, n2, n3).
+    """
+    T, W = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(W, dtype=float))
+    P = (1 + T**3 + (1 - T) * (1 + T * T) * W) / (T * (1 + T))
+    S = ((1 - T)**4 * (1 + T)**2 * W * W + 2 * (1 - T + T**2 - T**4 + T**5 - T**6) * W
+         + (1 + 5 * T**2 - 4 * T**3 + 5 * T**4 + T**6)) / (T * T * (1 + T)**2)
+    n2 = np.sqrt((S + np.sqrt(S * S - 4 * P * P)) / 2)
+    return np.stack([W, n2, P / n2], axis=-1)
 
 
 # Fixed asymptotically-optimal linear-estimator coefficients for RR, used as

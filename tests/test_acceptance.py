@@ -139,7 +139,7 @@ def test_criterion_6_n_product():
     worst = 0.0
     for _ in range(100):
         params = AttackParams(rng.uniform(0.05, 0.95), rng.uniform(1.0, 5.0))
-        finite = het2_rr_finite_eigenvalues(params)
+        finite = het2_rr_finite_eigenvalues(params.T, params.W)
         expect = TwoWayCoefficients.evaluate(1e8, params).n_product
         worst = max(worst, abs(float(np.prod(finite)) - expect) / expect)
     _report(worst < 1e-6, "criterion 6 (n-product)",

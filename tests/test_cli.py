@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoway_cvqkd
 from twoway_cvqkd import cli
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import (EXIT_FLAG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
@@ -58,6 +62,33 @@ def test_threshold_command(capsys):
                        "--recon", "rr", "--T", "0.5")
     assert code == EXIT_OK
     assert float(out.strip().splitlines()[1].split(",")[3]) > 0
+
+
+def test_threshold_failure_names_the_last_bracket_end(capsys):
+    # the root lies near W = 5.3e5, beyond the last bracket end 2^19
+    code, out, err = run(capsys, "threshold", "--protocol", "hom", "--recon", "dr",
+                         "--T", "0.9999985")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == ("error: numeric failure: no sign change in W up to 524288.0 "
+                   "for hom dr at T=0.9999985\n")
+
+
+@pytest.mark.parametrize("module", ["twoway_cvqkd", "twoway_cvqkd.cli"])
+def test_python_dash_m_runs_the_cli(capsys, module):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(twoway_cvqkd.__file__).resolve().parent.parent))
+    argv = ["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7"]
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == EXIT_OK
+    assert proc.stdout == out != ""
+    bad = subprocess.run([sys.executable, "-m", module, *argv, "--bogus"], env=env,
+                         capture_output=True, text=True)
+    assert bad.returncode == EXIT_FLAG
+    assert bad.stdout == ""
+    assert "unrecognized arguments: --bogus" in bad.stderr
 
 
 def test_sweep_includes_crossover_annotation(capsys):
@@ -246,14 +277,29 @@ def test_figure_bundle_failed_point_exits_numeric(capsys):
     assert "numeric failure during sweep: het2 rr at T=0.999" in err
 
 
-@pytest.mark.parametrize("argv, reference", [
-    (["figure-bundle", "--recon", "dr"], "figure_bundle_dr.csv"),
-    (["sweep", "--protocol", "hom2", "--recon", "dr"], "sweep_hom2_dr.csv"),
+# the ids keep the names these cases have always been reported under
+@pytest.mark.parametrize("argv, reference, stride, expected", [
+    pytest.param(["figure-bundle", "--recon", "dr"], "figure_bundle_dr.csv", 1, EXIT_OK,
+                 id="argv0-figure_bundle_dr.csv"),
+    pytest.param(["sweep", "--protocol", "hom2", "--recon", "dr"], "sweep_hom2_dr.csv",
+                 1, EXIT_OK, id="argv1-sweep_hom2_dr.csv"),
+    # every 8th point of the default grid
+    pytest.param(["figure-bundle", "--recon", "rr", "--grid", "0.02:0.98:25"],
+                 "figure_bundle_rr.csv", 8, EXIT_OK, id="argv2-figure_bundle_rr.csv"),
+    # T = 0.999 fails the het2 RR product check and is written as nan
+    pytest.param(["sweep", "--protocol", "het2", "--recon", "rr", "--grid", "0.95:0.999:8"],
+                 "sweep_het2_rr_edge.csv", 1, EXIT_NUMERIC,
+                 id="argv3-sweep_het2_rr_edge.csv"),
 ])
-def test_output_matches_reference_csv(capsys, argv, reference):
-    code, out, _ = run(capsys, *argv)
-    assert code == EXIT_OK
-    assert out == (REFERENCE / reference).read_text()
+def test_output_matches_reference_csv(capsys, argv, reference, stride, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    header, *rows = (REFERENCE / reference).read_text().splitlines(keepends=True)
+    assert out == header + "".join(rows[::stride])
+    if expected == EXIT_NUMERIC:
+        assert err == ("error: numeric failure during sweep: het2 rr at T=0.999: "
+                       "eigenvalue product 68.09797662244495 deviates from closed form "
+                       "68.09811513965191 beyond relative tolerance 1e-06\n")
 
 
 def test_rate_keeps_its_sign_at_huge_w(capsys):

@@ -135,6 +135,37 @@ def test_spectrum_invariant_under_symplectics():
         assert np.allclose(symplectic_eigenvalues(s @ cm @ s.T), ref, atol=1e-8)
 
 
+def test_symplectic_eigenvalues_on_a_stack():
+    rng = np.random.default_rng(5)
+    base = direct_sum(1.5 * np.eye(2), epr_cm(4.0), 7.0 * np.eye(2))
+    cms = [s @ base @ s.T for s in (random_symplectic(4, rng) for _ in range(4))]
+    asymmetric = cms[0].copy()
+    asymmetric[0, 1] += 1e-3
+    non_finite = cms[1].copy()
+    non_finite[2, 2] = np.nan
+    nus = symplectic_eigenvalues(np.array(cms + [asymmetric, non_finite]))
+    assert nus.shape == (6, 4)
+    for cm, row in zip(cms, nus):
+        assert np.array_equal(row, symplectic_eigenvalues(cm))
+    assert np.isnan(nus[4:]).all()
+    with pytest.raises(ValueError, match="not symmetric"):
+        symplectic_eigenvalues(asymmetric)
+
+
+def test_conditional_cov_on_a_stack():
+    rng = np.random.default_rng(6)
+    base = direct_sum(epr_cm(3.0), 2.5 * np.eye(2))
+    cms = np.array([s @ base @ s.T for s in (random_symplectic(3, rng) for _ in range(3))])
+    rows = rng.normal(size=(3, 2, 6))
+    noise = np.array([k * I2 for k in (0.5, 1.0, 2.0)])
+    stacked = conditional_cov(cms, range(4), rows, noise)
+    for k in range(3):
+        assert np.array_equal(stacked[k], conditional_cov(cms[k], range(4), rows[k], noise[k]))
+    shared = conditional_cov(cms, range(4), np.eye(6)[4:], I2)
+    for k in range(3):
+        assert np.array_equal(shared[k], conditional_cov(cms[k], range(4), np.eye(6)[4:], I2))
+
+
 # Measuring a mode conditions the others by a Schur complement: homodyne
 # observes one quadrature row, heterodyne both rows plus vacuum noise I.
 

@@ -13,8 +13,9 @@ from twoway_cvqkd.key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
                                     one_way_joint, shannon_terms, two_way_joint)
 
 from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
-                     one_way_cm, rr_conditional_entropy_estimator,
-                     spectrum_matches, two_way_cm)
+                     het2_rr_closed_form, one_way_cm,
+                     rr_conditional_entropy_estimator, spectrum_matches,
+                     two_way_cm)
 
 P = AttackParams
 
@@ -111,18 +112,62 @@ def test_rr_hom2_values():
 
 
 def test_rr_het2_values():
-    finite = het2_rr_finite_eigenvalues(P(0.7, 1.5))
+    finite = het2_rr_finite_eigenvalues(0.7, 1.5)
     expect = TwoWayCoefficients.evaluate(1e8, P(0.7, 1.5)).n_product
     assert np.prod(finite) == pytest.approx(expect, rel=1e-6)
     # pure loss at T=0.5: n1 n2 n3 = [1+T^3+(1-T)(1+T^2)]/(T(1+T)) = 7/3
-    finite = het2_rr_finite_eigenvalues(P(0.5, 1.0))
+    finite = het2_rr_finite_eigenvalues(0.5, 1.0)
     assert np.prod(finite) == pytest.approx(7.0 / 3.0, rel=1e-6)
     assert rate("het2", "rr", P(0.5, 1.2)) > rate("het", "rr", P(0.5, 1.2))
 
 
 def test_het2_eigenvalue_extraction_guard():
-    with pytest.raises(NumericalFailure):
-        het2_rr_finite_eigenvalues(P(0.7, 1.5), rel_tol=1e-18)
+    with pytest.raises(NumericalFailure, match="eigenvalue product"):
+        het2_rr_finite_eigenvalues(0.7, 1.5, rel_tol=1e-18)
+    stacked = het2_rr_finite_eigenvalues(np.array([0.3, 0.7]), np.array([1.0, 1.5]),
+                                         rel_tol=1e-18)
+    assert stacked.shape == (2, 3) and np.isnan(stacked).all()
+
+
+def test_het2_stack_matches_point_calls():
+    # equal rows where a point call returns, NaN rows exactly where it
+    # raises; the corners T = 0.999 and W = 1e5 fail their checks
+    T, W = (a.ravel() for a in np.meshgrid(np.linspace(0.02, 0.999, 12),
+                                           np.geomspace(1.0, 1e5, 9)))
+    stacked = het2_rr_finite_eigenvalues(T, W)
+    assert stacked.shape == (T.size, 3)
+    raised = 0
+    for t, w, row in zip(T.tolist(), W.tolist(), stacked):
+        try:
+            one = het2_rr_finite_eigenvalues(t, w)
+        except NumericalFailure:
+            assert np.isnan(row).all(), (t, w)
+            raised += 1
+            continue
+        assert np.array_equal(row, one), (t, w)
+    assert 0 < raised < T.size
+
+
+def test_het2_broken_spectrum_raises_on_a_point_and_is_nan_in_a_stack():
+    # at W = 1e100 the conditional CM loses its +/- pairing
+    with pytest.raises(ValueError, match="pairing"):
+        het2_rr_finite_eigenvalues(0.5, 1e100)
+    stacked = het2_rr_finite_eigenvalues(np.array([0.5, 0.5]), np.array([1e100, 1.5]))
+    assert np.isnan(stacked[0]).all()
+    assert np.array_equal(stacked[1], het2_rr_finite_eigenvalues(0.5, 1.5))
+
+
+def test_het2_spectrum_matches_closed_form():
+    T, W = (a.ravel() for a in np.meshgrid(np.linspace(0.05, 0.95, 19),
+                                           np.geomspace(1.0, 100.0, 13)))
+    numeric = np.sort(het2_rr_finite_eigenvalues(T, W), axis=1)
+    closed = np.sort(het2_rr_closed_form(T, W), axis=1)
+    # within the extraction's own product tolerance; measured worst 4.3e-8
+    assert np.abs(numeric / closed - 1.0).max() <= 1e-6
+    # at W = 1, S = P^2 + 1 exactly
+    n = het2_rr_closed_form(T, 1.0)
+    assert np.allclose(n[:, 1] ** 2 + n[:, 2] ** 2, (n[:, 1] * n[:, 2]) ** 2 + 1.0,
+                       rtol=1e-13)
 
 
 def test_closed_forms_on_arrays_match_scalar_rates():
