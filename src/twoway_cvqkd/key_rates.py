@@ -20,6 +20,7 @@ complements of that matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -224,10 +225,11 @@ def het2_rr_finite_eigenvalues(T, W, rel_tol: float = 1e-6) -> np.ndarray:
     T and W are floats (one point) or equal-length 1-D arrays (k points).
     The points at both modulations are one stack of joints, conditioned
     and diagonalised together; every check is still made point by point.
-    One point gives its three eigenvalues or raises: NumericalFailure for
-    the diverging-eigenvalue check (coarse V, then fine V) or the product
-    check, ValueError for a broken spectrum. k points give a (k, 3) array
-    with a NaN row for each point that fails a check.
+    One point gives its three eigenvalues or raises NumericalFailure for
+    a broken spectrum, the diverging-eigenvalue check (coarse V, then fine
+    V) or the product check. k points give a (k, 3) array with a NaN row for
+    each point that fails a check; a W whose EPR correlation overflows
+    raises for the whole stack, as in `two_way_joint`.
     """
     point = np.ndim(T) == 0
     T, W = np.atleast_1d(np.asarray(T, dtype=float), np.asarray(W, dtype=float))
@@ -252,14 +254,16 @@ def het2_rr_finite_eigenvalues(T, W, rel_tol: float = 1e-6) -> np.ndarray:
     broken = np.isnan(nus[..., 0])
     off = np.abs(nus[..., 0] - diverging) > 0.01 * diverging
     finite = np.clip((10.0 * nus[1, :, 1:] - nus[0, :, 1:]) / 9.0, 1.0, None)
-    product = np.prod(finite, axis=-1)
-    deviates = np.abs(product - expected) > rel_tol * expected
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the check
+        product = np.prod(finite, axis=-1)
+        deviates = ~(np.abs(product - expected) <= rel_tol * expected)
     if not point:
         finite[broken.any(axis=0) | off.any(axis=0) | deviates] = np.nan
         return finite
     for s in range(2):
         if broken[s, 0]:
-            symplectic_eigenvalues(cond[s])   # one matrix raises its check's error
+            raise NumericalFailure(f"conditional CM at V={modulations[s]:g} fails the "
+                                   f"symmetry or +/- pairing check of its spectrum")
         if off[s, 0]:
             raise NumericalFailure(
                 f"largest conditional eigenvalue {nus[s, 0, 0]} is not within 1% "
@@ -276,6 +280,21 @@ def het2_rr_finite_eigenvalues(T, W, rel_tol: float = 1e-6) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact finite-modulation engine
 # ---------------------------------------------------------------------------
+
+# Largest variance whose square, in an EPR correlation, is finite.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _epr_correlation(x):
+    """sqrt(x^2 - 1), the correlation of an EPR pair of variance x (a float
+    or an array). Raises NumericalFailure where x^2 would overflow, before
+    any joint moment is built from it."""
+    below = x < _SQRT_MAX   # on a float, numpy's all() costs ~1% of an exact rate
+    if not (below if isinstance(below, bool) else below.all()):
+        raise NumericalFailure(f"EPR variance {x} overflows: joint moments need "
+                               f"V and W below {_SQRT_MAX:.4g}")
+    return np.sqrt(x * x - 1.0)
+
 
 @dataclass(frozen=True)
 class JointMoments:
@@ -296,14 +315,15 @@ def one_way_joint(V: float, params: AttackParams) -> JointMoments:
 
     Variable order: [Q_A, P_A, Q_B, P_B, Q_E', P_E', Q_E'', P_E''], built by
     propagating (encoding + signal vacuum) and Eve's EPR(W) pair through the
-    cloner beam splitter.
+    cloner beam splitter. A W whose EPR correlation overflows raises
+    NumericalFailure.
     """
     if not 1.0 < V < math.inf:
         raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     T, W = params.T, params.W
     vbar = V - 1.0
     t, r = math.sqrt(T), math.sqrt(1.0 - T)
-    w = math.sqrt(W * W - 1.0)
+    w = _epr_correlation(W)
     # inputs: qa, pa, q0, p0 (signal vacuum), qE, pE, qE'', pE''
     sigma_in = np.diag([vbar, vbar, 1.0, 1.0, W, W, W, W])
     sigma_in[4, 6] = sigma_in[6, 4] = w
@@ -333,15 +353,16 @@ def two_way_joint(V, params) -> JointMoments:
     [Q_A, P_A, B1, B2, E1', E1'', E2', E2''] with (Q, P) per mode.
 
     V, params.T and params.W are floats, or equal-length 1-D arrays for a
-    stack of joints (sigma of shape (k, 14, 14)).
+    stack of joints (sigma of shape (k, 14, 14)). A V or W whose EPR
+    correlation overflows raises NumericalFailure, for a whole stack.
     """
     if not np.asarray((1.0 < V) & (V < math.inf)).all():
         raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     T, W = params.T, params.W
     vbar = V - 1.0
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    v = np.sqrt(V * V - 1.0)
-    w = np.sqrt(W * W - 1.0)
+    v = _epr_correlation(V)
+    w = _epr_correlation(W)
     # inputs: qa, pa, B1(2), C1(2), E1(2), E1''(2), E2(2), E2''(2)
     sigma_in = np.zeros(np.shape(V) + (14, 14))
     diag = np.arange(14)

@@ -46,8 +46,7 @@ def _finite_pair(protocol, reconciliation) -> tuple[Protocol, Reconciliation]:
     return protocol, recon
 
 
-def solve_threshold(protocol, reconciliation, T: float,
-                    w_tol: float = W_TOL) -> float:
+def solve_threshold(protocol, reconciliation, T: float) -> float:
     """Maximum tolerable excess noise N at transmission T.
 
     Bisects the asymptotic rate on W in [1, W_hi], expanding the bracket by
@@ -80,7 +79,7 @@ def solve_threshold(protocol, reconciliation, T: float,
             raise NumericalFailure(
                 f"no sign change in W up to {lo} for {protocol.value} "
                 f"{recon.value} at T={T}")
-    while hi - lo > w_tol:
+    while hi - lo > W_TOL:
         mid = 0.5 * (lo + hi)
         if rate(mid) > 0.0:
             lo = mid

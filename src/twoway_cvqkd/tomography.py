@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import I2, omega
-from .rng import generator
+from .rng import normal_chunks
 
 CP_EIG_TOL = 1e-9
 # A fitted channel may miss complete positivity by this many sampling sigmas.
@@ -199,21 +199,26 @@ def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int
 
     Each probe sends a coherent state (input CM = I) displaced by one row of
     `displacements`; the output moments are sample estimates over
-    `n_per_probe` shots.
+    `n_per_probe` shots mean_k + L z: L is the Cholesky factor of the output
+    CM all probes share (physical, so positive definite), and the z of all
+    probes are one `rng.normal_chunks` stream, folded into the factor R of
+    [1, z] (streaming TSQR) in memory flat in n. Row 0 of R gives the means
+    of z, the rows below it their centred cross products.
     """
     if displacements is None:
         displacements = DEFAULT_PROBE_DISPLACEMENTS
-    probes = []
-    for k, d in enumerate(displacements):
-        mean, cov = channel.apply(d, I2)
-        rng = generator(seed, k)
-        samples = rng.multivariate_normal(mean, cov, size=n_per_probe)
-        probes.append(ProbeRecord(
-            displacement=np.asarray(d, dtype=float),
-            input_cm=I2.copy(),
-            output_mean=samples.mean(axis=0),
-            output_cm=np.cov(samples, rowvar=False, ddof=1),
-            n_samples=n_per_probe,
-        ))
-    return TomographyDataset(probes)
-
+    if n_per_probe < TomographyDataset.MIN_SAMPLES:
+        raise ValueError(f"probe with n={n_per_probe} < {TomographyDataset.MIN_SAMPLES}")
+    m = len(displacements)
+    chol = np.linalg.cholesky(channel.apply(np.zeros(2), I2)[1])
+    R = None
+    for z in normal_chunks(seed, n_per_probe, 2 * m):
+        z = np.column_stack([np.ones(len(z)), z])
+        R = np.linalg.qr(z if R is None else np.vstack([R, z]), mode="r")
+    z_mean = (R[0, 1:] / R[0, 0]).reshape(m, 2)
+    z_cov = (R[1:, 1:].T @ R[1:, 1:]).reshape(m, 2, m, 2) / (n_per_probe - 1)
+    return TomographyDataset([
+        ProbeRecord(displacement=np.asarray(d, dtype=float), input_cm=I2.copy(),
+                    output_mean=channel.apply(d, I2)[0] + chol @ z_mean[k],
+                    output_cm=chol @ z_cov[k, :, k] @ chol.T, n_samples=n_per_probe)
+        for k, d in enumerate(displacements)])

@@ -14,7 +14,9 @@ None of this is used by the package itself:
 - Eve's conditional entropy through the fixed large-modulation linear
   estimators, an independent check of general Gaussian conditioning;
 - the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
-  reference for the streamed estimator.
+  reference for the streamed estimator;
+- the tomography probe moments on whole shot arrays, by `np.mean` and
+  `np.cov`, the reference for the streamed probe sampler.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
                                    symplectic_eigenvalues, von_neumann_entropy)
 from twoway_cvqkd.key_rates import (Protocol, _bob_measurement, _encoding_rows,
                                     _joint_for)
+from twoway_cvqkd.rng import normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
                                     SimConfig, trajectories)
+from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS, GaussianChannel,
+                                     ProbeRecord, TomographyDataset)
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +470,29 @@ def lstsq_mi(x_a: np.ndarray, x_b: np.ndarray) -> MiEstimate:
         var.append(total)
         cond_var.append(cond)
     return MiEstimate(bits, capped, tuple(var), tuple(cond_var))
+
+
+# ---------------------------------------------------------------------------
+# Tomography probes on whole shot arrays
+# ---------------------------------------------------------------------------
+
+def materialised_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int,
+                               displacements=DEFAULT_PROBE_DISPLACEMENTS
+                               ) -> TomographyDataset:
+    """The probe dataset of `simulate_probe_dataset` from materialised shots.
+
+    The same normals, all at once from `normal_matrix`, columns 2k and
+    2k + 1 for probe k, are mapped through the Cholesky factor of the
+    channel's output CM onto whole (n, 2) shot arrays, whose moments are
+    taken by `np.mean` and `np.cov`.
+    """
+    z = normal_matrix(seed, n_per_probe, 2 * len(displacements))
+    chol = np.linalg.cholesky(channel.apply(np.zeros(2), I2)[1])
+    probes = []
+    for k, d in enumerate(displacements):
+        mean, _ = channel.apply(d, I2)
+        shots = mean + z[:, 2 * k:2 * k + 2] @ chol.T
+        probes.append(ProbeRecord(np.asarray(d, dtype=float), I2.copy(),
+                                  shots.mean(axis=0), np.cov(shots, rowvar=False),
+                                  n_per_probe))
+    return TomographyDataset(probes)

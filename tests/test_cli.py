@@ -318,11 +318,23 @@ def test_rate_keeps_its_sign_at_huge_w(capsys):
      "conditional variance"),
     (["simulate", "--protocol", "hom", "--T", "0.7", "--V", "1e300", "--n", "1000",
       "--seed", "1"], "conditional variance"),
+    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.5", "--W", "1e100"],
+     "pairing"),
+    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.5", "--W", "1e300"],
+     "overflows"),
+    (["rate", "--protocol", "coll_hom2", "--recon", "dr", "--T", "0.7", "--W", "1.5",
+      "--V", "1e200"], "overflows"),
+    (["rate", "--protocol", "coll_het2", "--recon", "dr", "--T", "0.7", "--W", "1.5",
+      "--V", "1e200"], "overflows"),
+    (["rate", "--protocol", "coll_het", "--recon", "rr", "--T", "0.7", "--W", "1e200",
+      "--V", "10"], "overflows"),
 ])
 def test_numeric_edges_exit_numeric(capsys, argv, message):
+    # a numpy RuntimeWarning on the way fails the test: pytest makes it an error
     code, out, err = run(capsys, *argv)
     assert code == EXIT_NUMERIC
     assert out == ""
+    assert err.startswith("error: numeric failure: ") and err.count("\n") == 1
     assert message in err
 
 

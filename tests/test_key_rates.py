@@ -150,11 +150,16 @@ def test_het2_stack_matches_point_calls():
 
 def test_het2_broken_spectrum_raises_on_a_point_and_is_nan_in_a_stack():
     # at W = 1e100 the conditional CM loses its +/- pairing
-    with pytest.raises(ValueError, match="pairing"):
+    with pytest.raises(NumericalFailure, match="pairing"):
         het2_rr_finite_eigenvalues(0.5, 1e100)
     stacked = het2_rr_finite_eigenvalues(np.array([0.5, 0.5]), np.array([1e100, 1.5]))
     assert np.isnan(stacked[0]).all()
     assert np.array_equal(stacked[1], het2_rr_finite_eigenvalues(0.5, 1.5))
+
+
+def test_het2_overflowing_joint_raises_for_a_whole_stack():
+    with pytest.raises(NumericalFailure, match="overflows"):
+        het2_rr_finite_eigenvalues(np.array([0.5, 0.5]), np.array([1e300, 1.5]))
 
 
 def test_het2_spectrum_matches_closed_form():

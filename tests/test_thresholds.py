@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from twoway_cvqkd import thresholds
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.gaussian import g_entropy
 from twoway_cvqkd.key_rates import (_RATES, DIVERGENT_RR, NumericalFailure, Protocol,
@@ -42,9 +43,11 @@ def test_rate_vanishes_at_threshold():
         assert abs(asymptotic_rate(proto, recon, params).rate) <= 1e-8
 
 
-def test_threshold_solver_stability():
-    a = solve_threshold("coll_het", "dr", 0.75, w_tol=1e-10)
-    b = solve_threshold("coll_het", "dr", 0.75, w_tol=2e-10)
+def test_threshold_solver_stability(monkeypatch):
+    a = solve_threshold("coll_het", "dr", 0.75)
+    monkeypatch.setattr(thresholds, "W_TOL", 2e-10)
+    b = solve_threshold("coll_het", "dr", 0.75)
+    assert a != b   # the solver reads W_TOL when it is called
     assert abs(a - b) <= 1e-8
 
 

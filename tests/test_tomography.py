@@ -1,15 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from twoway_cvqkd.attacks import AttackParams, CorrelatedAttackParams, \
     correlated_two_mode_channels
+from twoway_cvqkd.cli import EXIT_OK, main
+from twoway_cvqkd.rng import CHUNK
 from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS,
                                      GaussianChannel, ProbeRecord,
                                      TomographyDataset, channel_distance,
                                      check_reducibility, compose,
                                      estimate_channel, simulate_probe_dataset)
+
+from oracles import materialised_probe_dataset
 
 I2 = np.eye(2)
 
@@ -156,3 +161,49 @@ def test_uncorrelated_deviation_below_noise_floor():
     floor = sum(d.statistical_sigma() for d in datasets)
     assert verdict.composition_deviation < 3 * floor
 
+
+
+def test_streamed_probe_moments_match_materialised_shots():
+    # an output CM with off-diagonal entries, so the Cholesky factor mixes
+    # the two normals of each shot
+    channel = GaussianChannel([[0.8, 0.3], [-0.1, 0.6]], [[1.0, 0.4], [0.4, 0.8]],
+                              [0.3, -0.2])
+    assert channel.is_cp()
+    n = 3 * CHUNK + 17
+    streamed = simulate_probe_dataset(channel, n, 11)
+    reference = materialised_probe_dataset(channel, n, 11)
+    for s, r in zip(streamed.probes, reference.probes, strict=True):
+        assert s.n_samples == r.n_samples == n
+        assert np.array_equal(s.displacement, r.displacement)
+        np.testing.assert_allclose(s.output_mean, r.output_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s.output_cm, r.output_cm, rtol=1e-12, atol=0)
+
+
+def test_probe_sampling_memory_is_flat_in_n():
+    def peak(n):
+        tracemalloc.start()
+        try:
+            simulate_probe_dataset(cloner_channel(0.7, 2.0), n, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40 * CHUNK) <= peak(4 * CHUNK) + 2**20
+
+
+def test_probe_sampling_rejects_too_few_shots():
+    for n in (-1, 0, 1, TomographyDataset.MIN_SAMPLES - 1):
+        with pytest.raises(ValueError, match=f"probe with n={n} <"):
+            simulate_probe_dataset(GaussianChannel.identity(), n, 5)
+
+
+def test_tomo_check_reference_output(capsys):
+    code = main(["tomo-check", "--T", "0.7", "--N", "0.1", "--correlation", "0.9",
+                 "--n", "20000", "--seed", "5"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        "verdict=irreducible\n"
+        "symmetry_deviation=0.01916585386\n"
+        "composition_deviation=0.343610744201\n"
+        "tolerance=0.05\n"
+    )
