@@ -12,9 +12,12 @@ The closed forms are one table, (protocol, reconciliation) -> f(T, W, xp),
 read by `asymptotic_rate` (xp = math) and, on arrays, by threshold sweeps.
 
 The exact engine works on one joint second-moment matrix over Alice's
-classical encoding variables and all output quadratures; marginals,
-measurement conditioning and classical conditioning are all Schur
-complements of that matrix.
+classical encoding variables and all output quadratures. Marginals are its
+blocks and conditioning on Bob's measurement is a Schur complement of it.
+Conditioning on Alice's encoding needs neither: the encoding is an
+independent input of the linear map that builds the matrix, so the same
+map with that input's variance set to 0 gives the conditional moments,
+with no subtraction of O(V) terms.
 """
 
 from __future__ import annotations
@@ -300,14 +303,28 @@ def _epr_correlation(x):
 class JointMoments:
     """Second moments over Alice's classical encoding and all quadratures.
 
-    `sigma` is the full joint covariance; `ix` maps block names to index
-    lists: "cl" for the classical encoding (Q_A, P_A), "B" for Bob's
-    output mode(s), "E" for all of Eve's output modes, plus named scalar
-    quadrature indices ("qa", "qB1", ...).
+    `sigma` is the full joint covariance, m @ sigma_in @ m.T: `m` maps the
+    independent inputs, whose covariance is `sigma_in`, to the outputs.
+    Inputs 0 and 1 are Alice's encoding (Q_A, P_A), of variance V - 1
+    each. `ix` maps block names to index lists: "cl" for the classical
+    encoding (Q_A, P_A), "B" for Bob's output mode(s), "E" for all of Eve's
+    output modes, plus named scalar quadrature indices ("qa", "qB1", ...).
     """
 
     sigma: np.ndarray
     ix: dict
+    m: np.ndarray
+    sigma_in: np.ndarray
+
+    def given_alice(self, protocol: Protocol) -> np.ndarray:
+        """The joint covariance conditioned on the part of Alice's encoding
+        that `protocol` reveals: Q_A for homodyne decoding, Q_A and P_A for
+        heterodyne. Those inputs are independent of all others, so this is
+        the same map with their variance set to 0."""
+        revealed = [0, 1] if protocol.joint_decoding else [0]
+        sigma_in = self.sigma_in.copy()
+        sigma_in[..., revealed, revealed] = 0.0
+        return self.m @ sigma_in @ np.swapaxes(self.m, -1, -2)
 
 
 def one_way_joint(V: float, params: AttackParams) -> JointMoments:
@@ -341,7 +358,7 @@ def one_way_joint(V: float, params: AttackParams) -> JointMoments:
         "E": [4, 5, 6, 7],
         "BE": [2, 3, 4, 5, 6, 7],
     }
-    return JointMoments(sigma, ix)
+    return JointMoments(sigma, ix, m, sigma_in)
 
 
 def two_way_joint(V, params) -> JointMoments:
@@ -393,13 +410,27 @@ def two_way_joint(V, params) -> JointMoments:
         "E": [6, 7, 8, 9, 10, 11, 12, 13],
         "BE": list(range(2, 14)),
     }
-    return JointMoments(sigma, ix)
+    return JointMoments(sigma, ix, m, sigma_in)
+
+
+# Largest modulation the exact engine accepts. Outside the one-way DR rates,
+# terms of size V cancel (Bob's EPR(V) correlation in the two-way joints,
+# the RR Schur complement on Bob's measurement, S(B) + S(E) - S(BE)), so
+# the rates lose precision in proportion to machine epsilon times V.
+EXACT_V_MAX = 1e12
 
 
 def _joint_for(protocol: Protocol, V: float, params: AttackParams) -> JointMoments:
-    if protocol.two_way:
-        return two_way_joint(V, params)
-    return one_way_joint(V, params)
+    """The protocol's joint moments. A V above EXACT_V_MAX raises
+    NumericalFailure, checked after the build so that a V the joint itself
+    rejects (not finite, or an overflowing EPR correlation) keeps its own
+    error."""
+    joint = two_way_joint(V, params) if protocol.two_way else one_way_joint(V, params)
+    if V > EXACT_V_MAX:
+        raise NumericalFailure(f"modulation variance V={V:g} is above the exact "
+                               f"engine's limit of {EXACT_V_MAX:g}, beyond which "
+                               f"its rates lose their precision")
+    return joint
 
 
 def _bob_measurement(protocol: Protocol, joint: JointMoments,
@@ -435,16 +466,6 @@ def _bob_measurement(protocol: Protocol, joint: JointMoments,
     raise ValueError(f"no measurement model for protocol {protocol}")
 
 
-def _encoding_rows(protocol: Protocol, joint: JointMoments) -> np.ndarray:
-    """Rows selecting the classical variables revealed by Alice's encoding."""
-    n = joint.sigma.shape[0]
-    idxs = [joint.ix["qa"]] if not protocol.joint_decoding else joint.ix["cl"]
-    rows = np.zeros((len(idxs), n))
-    for r, i in enumerate(idxs):
-        rows[r, i] = 1.0
-    return rows
-
-
 def shannon_terms(protocol, V: float,
                   params: AttackParams) -> list[tuple[str, float, float]]:
     """Per-dimension (label, total variance, conditional variance) of Bob's
@@ -458,11 +479,8 @@ def shannon_terms(protocol, V: float,
 def _shannon_terms(protocol: Protocol, joint: JointMoments,
                    params: AttackParams) -> list[tuple[str, float, float]]:
     rows, noise, labels = _bob_measurement(protocol, joint, params)
-    enc = _encoding_rows(protocol, joint)
     total = rows @ joint.sigma @ rows.T + noise
-    cross = rows @ joint.sigma @ enc.T
-    s_cl = enc @ joint.sigma @ enc.T
-    cond = total - cross @ np.linalg.inv(s_cl) @ cross.T
+    cond = rows @ joint.given_alice(protocol) @ rows.T + noise
     return [(lab, float(total[i, i]), float(cond[i, i]))
             for i, lab in enumerate(labels)]
 
@@ -488,10 +506,12 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
     """Exact finite-modulation secret-key rate.
 
     Builds the joint output moments, takes Shannon mutual information from
-    scalar variances and Holevo terms from symplectic spectra, with
-    reverse-reconciliation conditioning done by general Gaussian
-    conditioning on Bob's measured variables. Divergent collective RR
-    combinations return the -inf sentinel.
+    scalar variances and Holevo terms from symplectic spectra. Conditioning
+    on Alice's encoding is `JointMoments.given_alice`; reverse
+    reconciliation conditions Eve on Bob's measured variables by a Schur
+    complement. Divergent collective RR combinations return the -inf
+    sentinel. V must be in (1, EXACT_V_MAX]; a larger V raises
+    NumericalFailure.
     """
     protocol = Protocol(protocol)
     recon = Reconciliation(reconciliation)
@@ -500,31 +520,28 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
         return RateResult(protocol, recon, RATE_DIVERGENT, Method.EXACT_FINITE_V,
                           params, V)
     joint = _joint_for(protocol, V, params)
-    sigma, ix = joint.sigma, joint.ix
-    enc = _encoding_rows(protocol, joint)
+    ix = joint.ix
 
-    def block(name: str) -> np.ndarray:
-        return sigma[np.ix_(ix[name], ix[name])]
+    def entropy(sigma: np.ndarray, name: str) -> float:
+        return von_neumann_entropy(sigma[np.ix_(ix[name], ix[name])])
 
+    s_e = entropy(joint.sigma, "E")
     if protocol.collective:
-        i_ab = (von_neumann_entropy(block("B"))
-                - von_neumann_entropy(conditional_cov(sigma, ix["B"], enc)))
+        given = joint.given_alice(protocol)
+        s_b = entropy(joint.sigma, "B")
+        i_ab = s_b - entropy(given, "B")
         if recon is Reconciliation.DR:
-            i_ae = (von_neumann_entropy(block("E"))
-                    - von_neumann_entropy(conditional_cov(sigma, ix["E"], enc)))
-            rate = i_ab - i_ae
+            rate = i_ab - (s_e - entropy(given, "E"))
         else:  # only COLL_HET reaches this branch
-            i_be = (von_neumann_entropy(block("B")) + von_neumann_entropy(block("E"))
-                    - von_neumann_entropy(block("BE")))
-            rate = i_ab - i_be
+            rate = i_ab - (s_b + s_e - entropy(joint.sigma, "BE"))
     else:
         i_ab = mi_from_terms(_shannon_terms(protocol, joint, params))
         # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
         if recon is Reconciliation.DR:
-            rows, noise = enc, None
+            s_e_given = entropy(joint.given_alice(protocol), "E")
         else:
             rows, noise, _ = _bob_measurement(protocol, joint, params)
-        i_e = (von_neumann_entropy(block("E"))
-               - von_neumann_entropy(conditional_cov(sigma, ix["E"], rows, noise)))
-        rate = i_ab - i_e
+            s_e_given = von_neumann_entropy(
+                conditional_cov(joint.sigma, ix["E"], rows, noise))
+        rate = i_ab - (s_e - s_e_given)
     return RateResult(protocol, recon, float(rate), Method.EXACT_FINITE_V, params, V)

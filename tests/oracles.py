@@ -13,6 +13,10 @@ None of this is used by the package itself:
   eigenvalues that the package extracts numerically;
 - Eve's conditional entropy through the fixed large-modulation linear
   estimators, an independent check of general Gaussian conditioning;
+- Schur conditioning on the rows of Alice's revealed encoding, the
+  reference for the exact engine's conditioning by construction;
+- the one-way exact chain at 50 digits in mpmath: joint moments, Schur
+  conditioning on Alice, symplectic spectra, g and the four DR rates;
 - the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
   reference for the streamed estimator;
 - the tomography probe moments on whole shot arrays, by `np.mean` and
@@ -24,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
                                    symplectic_eigenvalues, von_neumann_entropy)
-from twoway_cvqkd.key_rates import (Protocol, _bob_measurement, _encoding_rows,
+from twoway_cvqkd.key_rates import (JointMoments, Protocol, _bob_measurement,
                                     _joint_for)
 from twoway_cvqkd.rng import normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
@@ -240,6 +245,39 @@ def rr_conditional_entropy_estimator(protocol, V: float, params: AttackParams) -
 
 
 # ---------------------------------------------------------------------------
+# Schur conditioning on Alice's encoding
+# ---------------------------------------------------------------------------
+
+def encoding_rows(protocol: Protocol, joint: JointMoments) -> np.ndarray:
+    """Rows selecting the classical variables revealed by Alice's encoding:
+    Q_A for homodyne decoding, Q_A and P_A for heterodyne."""
+    n = joint.sigma.shape[0]
+    idxs = [joint.ix["qa"]] if not protocol.joint_decoding else joint.ix["cl"]
+    rows = np.zeros((len(idxs), n))
+    for r, i in enumerate(idxs):
+        rows[r, i] = 1.0
+    return rows
+
+
+def schur_given_alice(protocol: Protocol, joint: JointMoments, name: str) -> np.ndarray:
+    """Block `name` of the joint conditioned on Alice's revealed encoding,
+    as a Schur complement on `encoding_rows`."""
+    return conditional_cov(joint.sigma, joint.ix[name], encoding_rows(protocol, joint))
+
+
+def schur_shannon_variances(protocol: Protocol, joint: JointMoments,
+                            params: AttackParams) -> np.ndarray:
+    """Conditional variances of Bob's decoding variables given Alice's
+    revealed encoding, by explicit inversion of her classical block."""
+    rows, noise, _ = _bob_measurement(protocol, joint, params)
+    enc = encoding_rows(protocol, joint)
+    cross = rows @ joint.sigma @ enc.T
+    s_cl = enc @ joint.sigma @ enc.T
+    return np.diag(rows @ joint.sigma @ rows.T + noise
+                   - cross @ np.linalg.inv(s_cl) @ cross.T)
+
+
+# ---------------------------------------------------------------------------
 # Substitution-form covariance matrices (closed-form conditionals)
 # ---------------------------------------------------------------------------
 
@@ -400,7 +438,7 @@ def exact_spectrum(way: int, target: str, conditioning: str,
         return symplectic_eigenvalues(block)
     if conditioning in ("qa", "qa_pa"):
         proto = protocol_hom if conditioning == "qa" else protocol_het
-        rows = _encoding_rows(proto, joint)
+        rows = encoding_rows(proto, joint)
         return symplectic_eigenvalues(conditional_cov(joint.sigma, idx, rows))
     if conditioning in ("hom_b", "het_b"):
         proto = protocol_hom if conditioning == "hom_b" else protocol_het
@@ -431,6 +469,93 @@ def spectrum_matches(numeric: np.ndarray, prediction: SpectrumPrediction,
         if abs(product - expect) > prediction.residual_count * rtol * abs(expect):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The one-way exact chain at 50 digits
+# ---------------------------------------------------------------------------
+
+MP_DPS = 50
+
+
+def _mp_sub(mat, rows, cols):
+    return mpmath.matrix([[mat[i, j] for j in cols] for i in rows])
+
+
+def mp_one_way_joint(V, params: AttackParams):
+    """`key_rates.one_way_joint` in mpmath, from the same float inputs:
+    the 8x8 joint over [Q_A, P_A, Q_B, P_B, Q_E', P_E', Q_E'', P_E'']."""
+    T, W = mpmath.mpf(params.T), mpmath.mpf(params.W)
+    t, r, w = mpmath.sqrt(T), mpmath.sqrt(1 - T), mpmath.sqrt(W * W - 1)
+    sigma_in = mpmath.diag([V - 1, V - 1, 1, 1, W, W, W, W])
+    sigma_in[4, 6] = sigma_in[6, 4] = w
+    sigma_in[5, 7] = sigma_in[7, 5] = -w
+    m = mpmath.zeros(8, 8)
+    m[0, 0] = m[1, 1] = 1
+    for k in range(2):
+        m[2 + k, 0 + k], m[2 + k, 2 + k], m[2 + k, 4 + k] = t, t, r
+        m[4 + k, 0 + k], m[4 + k, 2 + k], m[4 + k, 4 + k] = -r, -r, t
+        m[6 + k, 6 + k] = 1
+    return m * sigma_in * m.T
+
+
+def mp_conditional(sigma, keep, obs):
+    """Schur complement of the `keep` block on the `obs` variables."""
+    cross = _mp_sub(sigma, keep, obs)
+    return (_mp_sub(sigma, keep, keep)
+            - cross * mpmath.inverse(_mp_sub(sigma, obs, obs)) * cross.T)
+
+
+def mp_symplectic_eigenvalues(cm) -> list:
+    """Moduli of the eigenvalues of Omega V, one of each +/- pair, descending."""
+    n = cm.rows // 2
+    om = mpmath.zeros(2 * n, 2 * n)
+    for k in range(n):
+        om[2 * k, 2 * k + 1], om[2 * k + 1, 2 * k] = 1, -1
+    moduli = sorted((abs(e) for e in mpmath.eig(om * cm, left=False, right=False)),
+                    reverse=True)
+    return moduli[::2]
+
+
+def mp_g(nu):
+    """g(nu) = a log2 a - b log2 b, a = (nu+1)/2, b = (nu-1)/2, with
+    g = 0 for an eigenvalue within rounding of 1."""
+    a, b = (nu + 1) / 2, (nu - 1) / 2
+    if b <= mpmath.mpf(10) ** (10 - mpmath.mp.dps):
+        return a * mpmath.log(a, 2)
+    return a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
+
+
+def mp_entropy(cm):
+    return mpmath.fsum(mp_g(nu) for nu in mp_symplectic_eigenvalues(cm))
+
+
+def mp_one_way_dr_rate(protocol, V: float, params: AttackParams) -> float:
+    """DR rate of hom, het, coll_hom or coll_het at MP_DPS digits.
+
+    I(A:B) is Shannon (half the log-ratio of total to conditional variance
+    per decoded quadrature, heterodyne adding a vacuum unit) for the
+    individual protocols and Holevo for the collective ones; Eve's term is
+    Holevo on Alice's revealed encoding. Every conditional is a Schur
+    complement of the joint on Alice's classical variables.
+    """
+    protocol = Protocol(protocol)
+    if protocol.two_way:
+        raise ValueError("the mpmath chain covers the one-way protocols")
+    B, E = [2, 3], [4, 5, 6, 7]
+    enc, q_b = ([0, 1], B) if protocol.joint_decoding else ([0], [2])
+    with mpmath.workdps(MP_DPS):
+        sigma = mp_one_way_joint(mpmath.mpf(V), params)
+        i_ae = mp_entropy(_mp_sub(sigma, E, E)) - mp_entropy(mp_conditional(sigma, E, enc))
+        if protocol.collective:
+            i_ab = (mp_entropy(_mp_sub(sigma, B, B))
+                    - mp_entropy(mp_conditional(sigma, B, enc)))
+        else:
+            noise = 1 if protocol.joint_decoding else 0
+            cond = mp_conditional(sigma, q_b, enc)
+            i_ab = mpmath.fsum(mpmath.log((sigma[q, q] + noise) / (cond[i, i] + noise), 2)
+                               for i, q in enumerate(q_b)) / 2
+        return float(i_ab - i_ae)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import twoway_cvqkd
 from twoway_cvqkd import cli
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import (EXIT_FLAG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
+from twoway_cvqkd.key_rates import DIVERGENT_RR, Protocol, Reconciliation
 from twoway_cvqkd.rng import CHUNK
 from twoway_cvqkd.simulator import SimConfig
 
@@ -312,12 +313,17 @@ def test_rate_keeps_its_sign_at_huge_w(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1e300"],
      "rate is NaN"),
-    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--V", "1e17"],
-     "conditional variance"),
-    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.7", "--V", "1e17"],
-     "conditional variance"),
-    (["simulate", "--protocol", "hom", "--T", "0.7", "--V", "1e300", "--n", "1000",
-      "--seed", "1"], "conditional variance"),
+    # these three ids keep the names the cases have always been reported
+    # under, from when a cancelled conditional variance stopped them
+    pytest.param(["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7",
+                  "--V", "1e17"], "exact engine's limit",
+                 id="argv1-conditional variance"),
+    pytest.param(["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.7",
+                  "--V", "1e17"], "exact engine's limit",
+                 id="argv2-conditional variance"),
+    pytest.param(["simulate", "--protocol", "hom", "--T", "0.7", "--V", "1e300",
+                  "--n", "1000", "--seed", "1"], "exact engine's limit",
+                 id="argv3-conditional variance"),
     (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.5", "--W", "1e100"],
      "pairing"),
     (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.5", "--W", "1e300"],
@@ -328,6 +334,11 @@ def test_rate_keeps_its_sign_at_huge_w(capsys):
       "--V", "1e200"], "overflows"),
     (["rate", "--protocol", "coll_het", "--recon", "rr", "--T", "0.7", "--W", "1e200",
       "--V", "10"], "overflows"),
+    # the one-way joint never squares V, so only the bound stops these
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1.5",
+      "--V", "1e200"], "exact engine's limit"),
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1.5",
+      "--V", "1e13"], "exact engine's limit"),
 ])
 def test_numeric_edges_exit_numeric(capsys, argv, message):
     # a numpy RuntimeWarning on the way fails the test: pytest makes it an error
@@ -336,6 +347,17 @@ def test_numeric_edges_exit_numeric(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: numeric failure: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("protocol, recon", [
+    (p.value, r.value) for r in Reconciliation for p in Protocol
+    if not (r is Reconciliation.RR and p in DIVERGENT_RR)])
+def test_rate_at_the_exact_engine_limit_is_finite(capsys, protocol, recon):
+    code, out, err = run(capsys, "rate", "--protocol", protocol, "--recon", recon,
+                         "--T", "0.7", "--N", "0.1", "--V", "1e12")
+    assert (code, err) == (EXIT_OK, "")
+    header, row = out.strip().splitlines()
+    assert math.isfinite(float(row.split(",")[header.split(",").index("rate_bits")]))
 
 
 @pytest.mark.parametrize("argv, expected", [

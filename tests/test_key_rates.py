@@ -5,17 +5,19 @@ import pytest
 
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_OK, main
-from twoway_cvqkd.gaussian import conditional_cov, g_entropy, von_neumann_entropy
-from twoway_cvqkd.key_rates import (DIVERGENT_RR, NumericalFailure, Protocol,
-                                    RATE_DIVERGENT, Reconciliation, _RATES,
-                                    asymptotic_rate, exact_rate,
-                                    het2_rr_finite_eigenvalues, mi_from_terms,
-                                    one_way_joint, shannon_terms, two_way_joint)
+from twoway_cvqkd.gaussian import (conditional_cov, g_entropy, symplectic_eigenvalues,
+                                   von_neumann_entropy)
+from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
+                                    Protocol, RATE_DIVERGENT, Reconciliation, _RATES,
+                                    _joint_for, _shannon_terms, asymptotic_rate,
+                                    exact_rate, het2_rr_finite_eigenvalues,
+                                    mi_from_terms, one_way_joint, shannon_terms,
+                                    two_way_joint)
 
 from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
-                     het2_rr_closed_form, one_way_cm,
-                     rr_conditional_entropy_estimator, spectrum_matches,
-                     two_way_cm)
+                     het2_rr_closed_form, mp_one_way_dr_rate, one_way_cm,
+                     rr_conditional_entropy_estimator, schur_given_alice,
+                     schur_shannon_variances, spectrum_matches, two_way_cm)
 
 P = AttackParams
 
@@ -275,6 +277,43 @@ def test_substitution_rule_equals_schur_conditioning():
         on_qp = conditional_cov(joint.sigma, idx, qp_rows)
         assert np.allclose(on_q, two_way_cm(kind, 0.0, vbar, V, params), atol=1e-10)
         assert np.allclose(on_qp, two_way_cm(kind, 0.0, 0.0, V, params), atol=1e-10)
+
+
+@pytest.mark.parametrize("V", [2.5, 1e3])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_given_alice_matches_schur_conditioning(protocol, V):
+    # conditioning by construction (the encoding input's variance set to 0)
+    # against a Schur complement on the rows of Alice's revealed encoding
+    worst = 0.0
+    for T in (0.1, 0.5, 0.9):
+        for W in (1.0, 1.5, 4.0):
+            params = P(T, W)
+            joint = _joint_for(protocol, V, params)
+            given = joint.given_alice(protocol)
+            pairs = [(symplectic_eigenvalues(given[np.ix_(joint.ix[k], joint.ix[k])]),
+                      symplectic_eigenvalues(schur_given_alice(protocol, joint, k)))
+                     for k in ("B", "E")]
+            if not protocol.collective:
+                pairs.append((np.array([c for _, _, c in
+                                        _shannon_terms(protocol, joint, params)]),
+                              schur_shannon_variances(protocol, joint, params)))
+            for got, want in pairs:
+                worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("V", [1e4, 1e8, EXACT_V_MAX])
+def test_one_way_dr_rates_match_mpmath_chain(V):
+    # the whole one-way chain at 50 digits: joint, Schur conditioning on
+    # Alice, eig(Omega V) and g
+    worst = 0.0
+    for protocol in ("hom", "het", "coll_hom", "coll_het"):
+        for T in (0.1, 0.5, 0.9):
+            for W in (1.0, 1.5, 4.0):
+                params = P(T, W)
+                worst = max(worst, abs(exact_rate(protocol, "dr", V, params).rate
+                                       - mp_one_way_dr_rate(protocol, V, params)))
+    assert worst <= 1e-10
 
 
 def test_shannon_mi_lossless():
