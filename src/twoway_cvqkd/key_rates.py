@@ -326,6 +326,21 @@ class JointMoments:
         sigma_in[..., revealed, revealed] = 0.0
         return self.m @ sigma_in @ np.swapaxes(self.m, -1, -2)
 
+    def input_factor(self) -> np.ndarray:
+        """Lower-triangular L with L @ L.T = sigma_in, for a single joint.
+
+        Every input is independent or one half of a pure EPR pair (x, c),
+        c^2 = x^2 - 1, whose later half has conditional standard deviation
+        exactly 1/sqrt(x). Written so, L stays exact at any x, including
+        where sigma_in has rounded c to x and a Cholesky factorization of
+        it breaks down."""
+        x = np.diag(self.sigma_in)
+        L = np.diag(np.sqrt(x))
+        for i, j in np.argwhere(np.triu(self.sigma_in, 1)):
+            L[j, i] = self.sigma_in[i, j] / np.sqrt(x[i])
+            L[j, j] = 1.0 / np.sqrt(x[j])
+        return L
+
 
 def one_way_joint(V: float, params: AttackParams) -> JointMoments:
     """Joint moments of the one-way protocol outputs.

@@ -2,9 +2,11 @@
 
 Because every state, channel and measurement involved is Gaussian, the
 prepare-and-measure runs can be simulated exactly as classical Gaussian
-phase-space trajectories: Alice's modulation, the vacuum and EPR inputs and
-Eve's injected thermal ancillas are drawn as correlated normals and pushed
-through the beam-splitter relations. No Hilbert-space machinery is needed.
+phase-space trajectories, with no Hilbert-space machinery. The trajectories
+sample the exact engine's joint: standard normals pass through its input
+factor (Alice's modulation, the vacuum and EPR inputs and Eve's ancillas),
+its input map and Bob's measurement rows, plus the heterodyne vacuum
+noise. The channel and the measurements are written once, in `key_rates`.
 
 A run streams: `trajectories` yields the per-sample pairs (X_A, X_B) of
 encoding and decoding variables one RNG chunk at a time, and
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackParams
-from .key_rates import Protocol, mi_from_terms, shannon_terms
+from .key_rates import (Protocol, _bob_measurement, _joint_for, mi_from_terms,
+                        shannon_terms)
 from .rng import normal_chunks
 
 MIN_SAMPLES = 1000
@@ -51,6 +54,9 @@ class SimConfig:
         if self.protocol not in _INDIVIDUAL:
             raise ValueError(f"simulation covers individual protocols only, "
                              f"got {self.protocol.value}")
+        if self.params.T == 0.0:
+            raise ValueError("simulation needs a transmission T > 0: the "
+                             "excess noise it reports is undefined at T = 0")
         if not 1.0 < self.V < math.inf:
             raise ValueError(f"modulation variance must be finite and exceed 1, "
                              f"got V={self.V}")
@@ -90,67 +96,31 @@ class SimRun:
         return self.config.seed
 
 
-def _epr_pair(z1: np.ndarray, z2: np.ndarray, V: float, sign: float):
-    """Correlated pair with covariance [[V, s v],[s v, V]], v = sqrt(V^2-1)."""
-    v = math.sqrt(V * V - 1.0)
-    a = math.sqrt(V) * z1
-    # the conditional standard deviation sqrt(V - v^2/V) is exactly 1/sqrt(V)
-    b = (sign * v / math.sqrt(V)) * z1 + (1.0 / math.sqrt(V)) * z2
-    return a, b
-
-
-def _one_way_block(config: SimConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    T, W = config.params.T, config.params.W
-    vbar = config.V - 1.0
-    t, r = math.sqrt(T), math.sqrt(1.0 - T)
-    qa, pa = math.sqrt(vbar) * z[:, 0], math.sqrt(vbar) * z[:, 1]
-    q0, p0 = z[:, 2], z[:, 3]
-    qe, pe = math.sqrt(W) * z[:, 4], math.sqrt(W) * z[:, 5]
-    qb = t * (qa + q0) + r * qe
-    pb = t * (pa + p0) + r * pe
-    if config.protocol is Protocol.HOM:
-        return qa[:, None], qb[:, None]
-    # heterodyne: split on a balanced beam splitter against fresh vacuum
-    xq = (qb + z[:, 6]) / math.sqrt(2.0)
-    xp = (pb - z[:, 7]) / math.sqrt(2.0)
-    return np.column_stack([qa, pa]), np.column_stack([xq, xp])
-
-
-def _two_way_block(config: SimConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    T, W = config.params.T, config.params.W
-    vbar = config.V - 1.0
-    t, r = math.sqrt(T), math.sqrt(1.0 - T)
-    qa, pa = math.sqrt(vbar) * z[:, 0], math.sqrt(vbar) * z[:, 1]
-    qb1, qc1 = _epr_pair(z[:, 2], z[:, 3], config.V, +1.0)
-    pb1, pc1 = _epr_pair(z[:, 4], z[:, 5], config.V, -1.0)
-    qe1, pe1 = math.sqrt(W) * z[:, 6], math.sqrt(W) * z[:, 7]
-    qe2, pe2 = math.sqrt(W) * z[:, 8], math.sqrt(W) * z[:, 9]
-    qa1 = t * qc1 + r * qe1
-    pa1 = t * pc1 + r * pe1
-    qb2 = t * (qa1 + qa) + r * qe2
-    pb2 = t * (pa1 + pa) + r * pe2
-    if config.protocol is Protocol.HOM2:
-        return qa[:, None], (qb2 - T * qb1)[:, None]
-    # heterodyne on both kept and returned modes, then combine
-    q_minus = (qb1 - z[:, 10]) / math.sqrt(2.0)
-    p_plus = (pb1 + z[:, 11]) / math.sqrt(2.0)
-    q_cap = (qb2 - z[:, 12]) / math.sqrt(2.0)
-    p_cap = (pb2 + z[:, 13]) / math.sqrt(2.0)
-    xq = q_cap - T * q_minus
-    xp = p_cap + T * p_plus
-    return np.column_stack([qa, pa]), np.column_stack([xq, xp])
+def _sampling_map(config: SimConfig) -> np.ndarray:
+    """(2d, k) map A from k standard normals to the d encoding variables
+    X_A that Alice reveals and Bob's d decoding variables X_B: the rows of
+    the protocol's joint at Alice's encoding and Bob's measurement rows,
+    applied to the joint's input map times its input factor, next to the
+    square root of Bob's (diagonal) measurement noise. Normals that no
+    output sees are left out."""
+    joint = _joint_for(config.protocol, config.V, config.params)
+    rows, noise, labels = _bob_measurement(config.protocol, joint, config.params)
+    d = len(labels)
+    out = joint.m @ joint.input_factor()
+    A = np.block([[out[joint.ix["cl"][:d]], np.zeros((d, d))],
+                  [rows @ out, np.sqrt(noise)]])
+    return A[:, A.any(axis=0)]
 
 
 def trajectories(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(X_A, X_B) sample blocks of a run, one per chunk of
     `rng.normal_chunks`, as (rows, dims) arrays. Concatenated, they are the
     run's n_samples samples; every call yields the same blocks."""
-    if config.protocol in (Protocol.HOM, Protocol.HET):
-        block, cols = _one_way_block, 8
-    else:
-        block, cols = _two_way_block, 14
-    for z in normal_chunks(config.seed, config.n_samples, cols):
-        yield block(config, z)
+    A = _sampling_map(config)
+    d = len(A) // 2
+    for z in normal_chunks(config.seed, config.n_samples, A.shape[1]):
+        x = z @ A.T
+        yield x[:, :d], x[:, d:]
 
 
 def empirical_mi(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> MiEstimate:

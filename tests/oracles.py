@@ -17,6 +17,8 @@ None of this is used by the package itself:
   reference for the exact engine's conditioning by construction;
 - the one-way exact chain at 50 digits in mpmath: joint moments, Schur
   conditioning on Alice, symplectic spectra, g and the four DR rates;
+- the individual protocols as phase-space beam-splitter relations on
+  standard normals, the reference for the simulator's sampling map;
 - the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
   reference for the streamed estimator;
 - the tomography probe moments on whole shot arrays, by `np.mean` and
@@ -556,6 +558,76 @@ def mp_one_way_dr_rate(protocol, V: float, params: AttackParams) -> float:
             i_ab = mpmath.fsum(mpmath.log((sigma[q, q] + noise) / (cond[i, i] + noise), 2)
                                for i, q in enumerate(q_b)) / 2
         return float(i_ab - i_ae)
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo phase-space reference
+# ---------------------------------------------------------------------------
+
+# The individual protocols as beam-splitter relations on (8 one-way, 14
+# two-way) standard-normal columns, written independently of the exact
+# engine's joint: the reference for the simulator's sampling map.
+
+def _epr_pair(z1: np.ndarray, z2: np.ndarray, V: float, sign: float):
+    """Correlated pair with covariance [[V, s v],[s v, V]], v = sqrt(V^2-1)."""
+    v = math.sqrt(V * V - 1.0)
+    a = math.sqrt(V) * z1
+    # the conditional standard deviation sqrt(V - v^2/V) is exactly 1/sqrt(V)
+    b = (sign * v / math.sqrt(V)) * z1 + (1.0 / math.sqrt(V)) * z2
+    return a, b
+
+
+def _one_way_block(config: SimConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    T, W = config.params.T, config.params.W
+    vbar = config.V - 1.0
+    t, r = math.sqrt(T), math.sqrt(1.0 - T)
+    qa, pa = math.sqrt(vbar) * z[:, 0], math.sqrt(vbar) * z[:, 1]
+    q0, p0 = z[:, 2], z[:, 3]
+    qe, pe = math.sqrt(W) * z[:, 4], math.sqrt(W) * z[:, 5]
+    qb = t * (qa + q0) + r * qe
+    pb = t * (pa + p0) + r * pe
+    if config.protocol is Protocol.HOM:
+        return qa[:, None], qb[:, None]
+    # heterodyne: split on a balanced beam splitter against fresh vacuum
+    xq = (qb + z[:, 6]) / math.sqrt(2.0)
+    xp = (pb - z[:, 7]) / math.sqrt(2.0)
+    return np.column_stack([qa, pa]), np.column_stack([xq, xp])
+
+
+def _two_way_block(config: SimConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    T, W = config.params.T, config.params.W
+    vbar = config.V - 1.0
+    t, r = math.sqrt(T), math.sqrt(1.0 - T)
+    qa, pa = math.sqrt(vbar) * z[:, 0], math.sqrt(vbar) * z[:, 1]
+    qb1, qc1 = _epr_pair(z[:, 2], z[:, 3], config.V, +1.0)
+    pb1, pc1 = _epr_pair(z[:, 4], z[:, 5], config.V, -1.0)
+    qe1, pe1 = math.sqrt(W) * z[:, 6], math.sqrt(W) * z[:, 7]
+    qe2, pe2 = math.sqrt(W) * z[:, 8], math.sqrt(W) * z[:, 9]
+    qa1 = t * qc1 + r * qe1
+    pa1 = t * pc1 + r * pe1
+    qb2 = t * (qa1 + qa) + r * qe2
+    pb2 = t * (pa1 + pa) + r * pe2
+    if config.protocol is Protocol.HOM2:
+        return qa[:, None], (qb2 - T * qb1)[:, None]
+    # heterodyne on both kept and returned modes, then combine
+    q_minus = (qb1 - z[:, 10]) / math.sqrt(2.0)
+    p_plus = (pb1 + z[:, 11]) / math.sqrt(2.0)
+    q_cap = (qb2 - z[:, 12]) / math.sqrt(2.0)
+    p_cap = (pb2 + z[:, 13]) / math.sqrt(2.0)
+    xq = q_cap - T * q_minus
+    xp = p_cap + T * p_plus
+    return np.column_stack([qa, pa]), np.column_stack([xq, xp])
+
+PHASE_SPACE_BLOCKS = {Protocol.HOM: (_one_way_block, 8), Protocol.HET: (_one_way_block, 8),
+                      Protocol.HOM2: (_two_way_block, 14), Protocol.HET2: (_two_way_block, 14)}
+
+
+def phase_space_map(config: SimConfig) -> np.ndarray:
+    """(2d, cols) linear map of the reference block from its standard
+    normals to (X_A, X_B), read by feeding it the identity."""
+    block, cols = PHASE_SPACE_BLOCKS[config.protocol]
+    x_a, x_b = block(config, np.eye(cols))
+    return np.column_stack([x_a, x_b]).T
 
 
 # ---------------------------------------------------------------------------

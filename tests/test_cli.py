@@ -174,6 +174,21 @@ def test_simulate_dump_samples(tmp_path, capsys, monkeypatch):
     assert not path.exists()
 
 
+def test_simulate_rejects_zero_transmission_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_simulation(config):
+        raise AssertionError("simulated a run whose summary cannot be printed")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    path = tmp_path / "d.csv"
+    code, out, err = run(capsys, "simulate", "--protocol", "hom", "--T", "0", "--W", "1.5",
+                         "--V", "10", "--n", "2000000", "--seed", "1",
+                         "--dump-samples", str(path))
+    assert code == EXIT_FLAG
+    assert out == ""
+    assert "T > 0" in err
+    assert not path.exists()
+
+
 def test_simulate_requires_seed(capsys):
     code, _, _ = run(capsys, "simulate", "--protocol", "hom", "--T", "0.7",
                      "--V", "10", "--n", "2000")

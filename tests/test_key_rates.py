@@ -253,6 +253,29 @@ def test_two_way_joint_matches_closed_form_blocks():
                        two_way_cm("E", vbar, vbar, V, params), atol=1e-12)
 
 
+# (first, second) input halves of each EPR pair, W pairs last
+_EPR_PAIRS = {one_way_joint: [(4, 6), (5, 7)],
+              two_way_joint: [(2, 4), (3, 5), (6, 8), (7, 9), (10, 12), (11, 13)]}
+
+
+@pytest.mark.parametrize("W", [1.0, 1.5, 1e4])
+@pytest.mark.parametrize("V", [2.5, 1e3, 95754019.12279658])
+@pytest.mark.parametrize("build", [one_way_joint, two_way_joint])
+def test_input_factor(build, V, W):
+    joint = build(V, P(0.7, W))
+    L = joint.input_factor()
+    x = np.diag(joint.sigma_in)
+    np.testing.assert_allclose(L @ L.T, joint.sigma_in, rtol=1e-15, atol=0.0)
+    # at W = 1 Eve's inputs are vacua, not pairs; the two-way V pair stays
+    pairs = [(i, j) for i, j in _EPR_PAIRS[build] if W > 1.0 or x[i] == V]
+    partners = {j for _, j in pairs}
+    assert np.array_equal(np.diag(L), [1 / np.sqrt(x[k]) if k in partners
+                                       else np.sqrt(x[k]) for k in range(len(x))])
+    # lower-triangular, and off the diagonal only where a pair couples
+    off = np.argwhere(L - np.diag(np.diag(L)))
+    assert sorted(map(tuple, off.tolist())) == sorted((j, i) for i, j in pairs)
+
+
 def test_substitution_rule_equals_schur_conditioning():
     # conditional CMs by substituting modulation slots agree exactly with
     # Gaussian conditioning on the classical encoding variables

@@ -6,10 +6,11 @@ import pytest
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.rng import CHUNK, generator, normal_chunks, normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, SimConfig,
-                                    dump_samples, empirical_mi, mi_sigma_bits,
-                                    simulate, summary_text, trajectories)
+                                    _sampling_map, dump_samples, empirical_mi,
+                                    mi_sigma_bits, simulate, summary_text,
+                                    trajectories)
 
-from oracles import lstsq_mi, sample_arrays
+from oracles import lstsq_mi, phase_space_map, sample_arrays
 
 
 def test_rng_chunking_is_deterministic():
@@ -45,6 +46,8 @@ def test_config_validation():
         SimConfig("hom", 0.9, params, 10000, 1)
     with pytest.raises(ValueError):
         SimConfig("hom", 10.0, params, MIN_SAMPLES - 1, 1)
+    with pytest.raises(ValueError, match="T > 0"):
+        SimConfig("hom", 10.0, AttackParams(0.0, 1.5), 10000, 1)
 
 
 def test_lossless_hom_mi():
@@ -95,6 +98,38 @@ def test_large_modulation_epr_pair():
     run = simulate(SimConfig("het2", 95754019.12279658,
                              AttackParams.from_excess(0.7, 0.1), 100000, 3))
     assert abs(run.mi_empirical.bits - run.mi_analytic_bits) < 3 * mi_sigma_bits(run)
+
+
+def _moments(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance of (X_A, X_B) = A z for standard normals z, and of X_B
+    given X_A. Each of the d rows of X_A reads one normal of its own, so
+    conditioning fixes those normals: their columns drop, with no
+    subtraction that would lose precision at large V."""
+    d = len(A) // 2
+    seen = A[:d] != 0
+    assert (seen.sum(axis=1) == 1).all() and (seen.sum(axis=0) <= 1).all()
+    free = A[d:, ~seen.any(axis=0)]
+    return A @ A.T, free @ free.T
+
+
+@pytest.mark.parametrize("W", [1.0, 1.5, 4.0])
+@pytest.mark.parametrize("T", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("V", [2.5, 1e3, 1e6, 95754019.12279658, 1e10])
+@pytest.mark.parametrize("proto", ["hom", "het", "hom2", "het2"])
+def test_sampling_map_matches_phase_space_reference(proto, V, T, W):
+    # the joint-based map against the beam-splitter relations it replaced
+    config = SimConfig(proto, V, AttackParams(T, W), MIN_SAMPLES, 1)
+    got_cov, got_cond = _moments(_sampling_map(config))
+    want_cov, want_cond = _moments(phase_space_map(config))
+    np.testing.assert_allclose(got_cov, want_cov, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got_cond, want_cond, rtol=1e-13, atol=0.0)
+
+
+def test_sampling_map_draws_only_the_normals_it_uses():
+    params = AttackParams.from_excess(0.7, 0.1)
+    widths = {proto: _sampling_map(SimConfig(proto, 1e3, params, MIN_SAMPLES, 1)).shape
+              for proto in ("hom", "het", "hom2", "het2")}
+    assert widths == {"hom": (2, 3), "het": (4, 8), "hom2": (2, 5), "het2": (4, 12)}
 
 
 def test_two_way_signal_gain():
