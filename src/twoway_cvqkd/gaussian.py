@@ -106,6 +106,23 @@ def g_entropy(nu: float | np.ndarray) -> float | np.ndarray:
     return math.log2(a) + b * math.log1p(1.0 / b) / _LN2
 
 
+def g_derivative(nu: float | np.ndarray) -> float | np.ndarray:
+    """Derivative of g_entropy, g'(nu) = (1/2) log2((nu+1)/(nu-1)), in bits.
+
+    Evaluated as log1p(2/(nu-1)) / (2 ln 2). On g_entropy's guard band
+    nu <= 1 + 1e-12, where g is held at 0, the derivative is 0 too, so no
+    division by zero happens at the pure-state limit. An ndarray gives the
+    elementwise array.
+    """
+    if isinstance(nu, np.ndarray):
+        pure = nu <= 1.0 + 1e-12
+        return np.where(pure, 0.0, np.log1p(2.0 / np.where(pure, 1.0, nu - 1.0))
+                        / (2.0 * _LN2))
+    if nu <= 1.0 + 1e-12:
+        return 0.0
+    return math.log1p(2.0 / (nu - 1.0)) / (2.0 * _LN2)
+
+
 def von_neumann_entropy(cm) -> float:
     """Von Neumann entropy of a Gaussian state: sum of g over the spectrum.
 

@@ -54,9 +54,10 @@ class SimConfig:
         if self.protocol not in _INDIVIDUAL:
             raise ValueError(f"simulation covers individual protocols only, "
                              f"got {self.protocol.value}")
-        if self.params.T == 0.0:
-            raise ValueError("simulation needs a transmission T > 0: the "
-                             "excess noise it reports is undefined at T = 0")
+        if self.params.T == 0.0 or not math.isfinite(self.params.N):
+            raise ValueError(f"simulation needs a transmission T > 0 at which the "
+                             f"excess noise (W - 1)(1 - T)/T it reports is finite, "
+                             f"got T={self.params.T}, W={self.params.W}")
         if not 1.0 < self.V < math.inf:
             raise ValueError(f"modulation variance must be finite and exceed 1, "
                              f"got V={self.V}")

@@ -2,28 +2,42 @@
 
 For each (protocol, reconciliation) pair the asymptotic rate decreases
 monotonically in the attack variance W at fixed transmission T, so the
-security boundary rate = 0 has a unique root in W. The solver bisects on W
-and reports the threshold as excess noise N = (W - 1)(1 - T)/T; if the rate
-is already non-positive in the pure-loss limit W = 1 the threshold is 0.
+security boundary rate = 0 has a unique root in W. The solver brackets the
+root by doubling W and reports the threshold as excess noise
+N = (W - 1)(1 - T)/T; if the rate is already non-positive in the pure-loss
+limit W = 1 the threshold is 0.
 
-Curve sweeps (all grid points bisected at once), crossover location between
+Inside the bracket it evaluates the rate only on the points lo + k h of
+bisection's lattice, h being the bracket width halved down to W_TOL, and
+stops at a lattice cell where the rate changes sign. Safeguarded Newton
+steps on the analytic slope of the closed forms pick the points, and reach
+the cell in a few rate evaluations instead of some forty. Where the rate
+changes by more than its rounding noise over one cell, the cell is unique
+and is bisection's final bracket, so N is bisection's to the bit. For the
+closed forms that holds below T = 0.9999; closer to 1, where W is large,
+two solves may stop in different cells of the noisy band and N differs in
+the 14th digit. het2 RR, whose rate is numeric and has no slope, takes
+bisection's own steps.
+
+Curve sweeps (all grid points solved at once), crossover location between
 curves and the one-way versus two-way dominance report are built on top.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attacks import AttackParams, excess_noise
-from .key_rates import (_RATES, DIVERGENT_RR, NumericalFailure, Protocol,
+from .key_rates import (_RATES, _SLOPES, DIVERGENT_RR, NumericalFailure, Protocol,
                         Reconciliation, asymptotic_rate)
 
 W_TOL = 1e-10
-# Bracket ends double from 2 while they stay below this cap, so the last
-# one tried is 2^19. It must not grow: adjacent doubles in [2^19, 2^20] are
-# 1.16e-10 apart, wider than W_TOL, and a bisection there never stops.
+# Bracket ends double from 2 up to this cap, which is the last end tried.
+# Above 2^19 adjacent doubles are 1.16e-10 apart, wider than W_TOL, so a
+# bracket there is refined down to the spacing of doubles instead.
 W_HI_MAX = 1e6
 # Slack for the monotonicity check during bracket expansion: the rate must
 # not increase with W by more than this.
@@ -46,46 +60,80 @@ def _finite_pair(protocol, reconciliation) -> tuple[Protocol, Reconciliation]:
     return protocol, recon
 
 
+def _lattice(lo: float, hi: float) -> tuple[float, int]:
+    """(h, n): the width of bisection's final cell in the bracket [lo, hi]
+    and the number of such cells in it. h is hi - lo halved until it is at
+    most W_TOL (read when called) or, in the last bracket [2^19, W_HI_MAX],
+    at most the spacing of doubles at lo. Below 2^19 every lattice point
+    lo + k h is a double, and the midpoint of two of them is what bisection
+    computes."""
+    tol = max(W_TOL, math.ulp(lo))
+    h, n = hi - lo, 1
+    while h > tol:
+        h, n = 0.5 * h, 2 * n
+    return h, n
+
+
 def solve_threshold(protocol, reconciliation, T: float) -> float:
     """Maximum tolerable excess noise N at transmission T.
 
-    Bisects the asymptotic rate on W in [1, W_hi], expanding the bracket by
-    doubling until the rate changes sign. Raises NumericalFailure if the
-    rate increases with W during expansion or is still positive at the last
-    bracket end below W_HI_MAX (2^19); raises ValueError for pairs whose
-    rate diverges.
+    Brackets the root of the asymptotic rate in W by doubling from [1, 2],
+    with the last bracket end at W_HI_MAX, then narrows the bracket to one
+    cell of bisection's lattice (see `_lattice`) and returns the N of the
+    cell's midpoint. A Newton step on the rate's analytic slope from the
+    bracket end whose rate is closer to 0, rounded to the nearest lattice
+    point strictly inside the bracket, picks each point. The bisection
+    midpoint is taken instead where the slope is not finite and negative,
+    after a step that did not halve the bracket, and for het2 RR, which
+    has no slope. So the cell is that of plain bisection, in at most about
+    twice its rate evaluations even with a wrong slope. Raises
+    NumericalFailure if the rate increases with W during expansion or is
+    still positive at W_HI_MAX; raises ValueError for pairs whose rate
+    diverges.
     """
     protocol, recon = _finite_pair(protocol, reconciliation)
+    slope = _SLOPES.get((protocol, recon))
 
     def rate(w: float) -> float:
         return asymptotic_rate(protocol, recon, AttackParams(T, w)).rate
 
-    r_lo = rate(1.0)
-    if r_lo <= 0.0:
+    r_prev = rate(1.0)
+    if r_prev <= 0.0:
         return 0.0
     lo, hi = 1.0, 2.0
-    r_prev = r_lo
     while True:
-        r_hi = rate(hi)
-        if r_hi > r_prev + MONOTONE_SLACK:
+        r = rate(hi)
+        if r > r_prev + MONOTONE_SLACK:
             raise NumericalFailure(
                 f"rate not monotone in W for {protocol.value} {recon.value} at "
-                f"T={T}: rate({hi}) = {r_hi} > rate at smaller W = {r_prev}")
-        if r_hi <= 0.0:
+                f"T={T}: rate({hi}) = {r} > rate at smaller W = {r_prev}")
+        if r <= 0.0:
             break
-        lo, r_prev = hi, r_hi
-        hi *= 2.0
-        if hi > W_HI_MAX:
+        if hi >= W_HI_MAX:
             raise NumericalFailure(
-                f"no sign change in W up to {lo} for {protocol.value} "
+                f"no sign change in W up to {hi} for {protocol.value} "
                 f"{recon.value} at T={T}")
-    while hi - lo > W_TOL:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
-            lo = mid
+        lo, r_prev = hi, r
+        hi = min(2.0 * hi, W_HI_MAX)
+    # the bracket is [lo + a h, lo + b h], with rates r_a > 0 >= r_b
+    h, b = _lattice(lo, hi)
+    a, r_a, r_b, halved = 0, r_prev, r, True
+    while b - a > 1:
+        k = (a + b) // 2
+        if slope is not None and halved:
+            # Newton from the end whose rate is closer to 0
+            x, r_x = (a, r_a) if r_a < -r_b else (b, r_b)
+            s = slope(T, lo + x * h, math)
+            if -math.inf < s < 0.0:
+                k = round(min(max(x - r_x / s / h, a + 1), b - 1))
+        r = rate(lo + k * h)
+        width = b - a
+        if r > 0.0:
+            a, r_a = k, r
         else:
-            hi = mid
-    return excess_noise(AttackParams(T, 0.5 * (lo + hi)))
+            b, r_b = k, r
+        halved = 2 * (b - a) <= width
+    return excess_noise(AttackParams(T, 0.5 * ((lo + a * h) + (lo + b * h))))
 
 
 @dataclass(frozen=True)
@@ -123,45 +171,74 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> Threshold
     """Solve the threshold at every grid point, all points at once.
 
     The points take the steps of `solve_threshold` together, each step one
-    array evaluation of the closed form, and stop on the same test, so
-    their midpoints and N are the same. A point that fails (a NaN rate, a
-    rising rate, no sign change below W_HI_MAX) is solved again by
-    `solve_threshold`; if that raises, the point is NaN and `errors` holds
-    its message (grid index -> message, in grid order).
+    array evaluation of the closed form (and of its slope), on the same
+    lattice and up to a one-cell bracket, so their N is that of
+    `solve_threshold` wherever that cell is unique (see the module
+    docstring). A point that fails (a NaN rate, a rising rate, no sign
+    change up to W_HI_MAX) is solved again by `solve_threshold`; if that
+    raises, the point is NaN and `errors` holds its message (grid index ->
+    message, in grid order).
     """
     protocol, recon = _finite_pair(protocol, reconciliation)
-    rates = _RATES[protocol, recon]
     if grid is None:
         grid = Grid()
     T = grid.points()
+    rates, slopes = _RATES[protocol, recon], _SLOPES.get((protocol, recon))
     idx = np.arange(T.size)
     r_prev = rates(T, np.ones(T.shape), np)
     N = np.where(r_prev <= 0.0, 0.0, np.nan)
     failed = [idx[np.isnan(r_prev)]]
     idx, r_prev = idx[r_prev > 0.0], r_prev[r_prev > 0.0]
     lo, hi = np.ones(T.shape), np.full(T.shape, 2.0)
+    r_a, r_b = np.zeros(T.shape), np.zeros(T.shape)
     bracketed = [idx[:0]]
     while idx.size:
         r_hi = rates(T[idx], hi[idx], np)
         bad = np.isnan(r_hi) | (r_hi > r_prev + MONOTONE_SLACK)
         failed.append(idx[bad])
-        bracketed.append(idx[~bad & (r_hi <= 0.0)])
+        found = ~bad & (r_hi <= 0.0)
+        bracketed.append(idx[found])
+        r_a[idx[found]], r_b[idx[found]] = r_prev[found], r_hi[found]
         grow = ~bad & (r_hi > 0.0)
+        failed.append(idx[grow & (hi[idx] >= W_HI_MAX)])
+        grow &= hi[idx] < W_HI_MAX
         idx, r_prev = idx[grow], r_hi[grow]
-        lo[idx], hi[idx] = hi[idx], 2.0 * hi[idx]
-        over = hi[idx] > W_HI_MAX
-        failed.append(idx[over])
-        idx, r_prev = idx[~over], r_prev[~over]
-    idx = solved = np.concatenate(bracketed)
-    while (idx := idx[hi[idx] - lo[idx] > W_TOL]).size:
-        mid = 0.5 * (lo[idx] + hi[idx])
-        r = rates(T[idx], mid, np)
-        lo[idx[r > 0.0]] = mid[r > 0.0]
-        hi[idx[r <= 0.0]] = mid[r <= 0.0]
-        failed.append(idx[np.isnan(r)])
-        idx = idx[~np.isnan(r)]
-    W = 0.5 * (lo[solved] + hi[solved])
-    N[solved] = (W - 1.0) * (1.0 - T[solved]) / T[solved]
+        lo[idx], hi[idx] = hi[idx], np.minimum(2.0 * hi[idx], W_HI_MAX)
+    # each point's bracket is [lo + a h, lo + b h], with rates r_a > 0 >= r_b;
+    # the points share a few distinct brackets, so _lattice runs once each
+    idx = np.concatenate(bracketed)
+    _, first, which = np.unique(lo[idx], return_index=True, return_inverse=True)
+    cells = [_lattice(lo[i], hi[i]) for i in idx[first]]
+    h = np.array([c[0] for c in cells])[which]
+    b = np.array([c[1] for c in cells], dtype=np.int64)[which]
+    t, lo, r_a, r_b = T[idx], lo[idx], r_a[idx], r_b[idx]
+    a, halved = np.zeros(idx.shape, dtype=np.int64), np.ones(idx.shape, dtype=bool)
+    while idx.size:
+        k = (a + b) // 2
+        if slopes is not None:
+            # Newton from the end whose rate is closer to 0
+            near_a = r_a < -r_b
+            x = np.where(near_a, a, b)
+            s = slopes(t, lo + x * h, np)
+            newton = halved & (s < 0.0) & (s > -np.inf)
+            with np.errstate(all="ignore"):   # only the Newton entries are kept
+                guess = np.rint(np.clip(x - np.where(near_a, r_a, r_b) / s / h,
+                                        a + 1, b - 1))
+            k = np.where(newton, guess, k).astype(np.int64)
+        r = rates(t, lo + k * h, np)
+        up, down = r > 0.0, r <= 0.0
+        if slopes is not None:
+            r_a, r_b = np.where(up, r, r_a), np.where(down, r, r_b)
+            halved = 2 * (np.where(down, k, b) - np.where(up, k, a)) <= b - a
+        a, b = np.where(up, k, a), np.where(down, k, b)
+        done = b - a <= 1
+        if (keep := ~done & (up | down)).all():
+            continue
+        failed.append(idx[~(up | down)])
+        W = 0.5 * ((lo[done] + a[done] * h[done]) + (lo[done] + b[done] * h[done]))
+        N[idx[done]] = (W - 1.0) * (1.0 - t[done]) / t[done]
+        idx, t, lo, h, a, b, r_a, r_b, halved = (
+            v[keep] for v in (idx, t, lo, h, a, b, r_a, r_b, halved))
     errors: dict[int, str] = {}
     for i in np.sort(np.concatenate(failed)):
         try:

@@ -22,7 +22,9 @@ None of this is used by the package itself:
 - the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
   reference for the streamed estimator;
 - the tomography probe moments on whole shot arrays, by `np.mean` and
-  `np.cov`, the reference for the streamed probe sampler.
+  `np.cov`, the reference for the streamed probe sampler;
+- the threshold solve by plain bisection, the reference for the lattice
+  Newton solver.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from twoway_cvqkd.attacks import AttackParams
+from twoway_cvqkd import thresholds
+from twoway_cvqkd.attacks import AttackParams, excess_noise
 from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
                                    symplectic_eigenvalues, von_neumann_entropy)
-from twoway_cvqkd.key_rates import (JointMoments, Protocol, _bob_measurement,
-                                    _joint_for)
+from twoway_cvqkd.key_rates import (JointMoments, NumericalFailure, Protocol,
+                                    _bob_measurement, _joint_for, asymptotic_rate)
 from twoway_cvqkd.rng import normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
                                     SimConfig, trajectories)
@@ -693,3 +696,49 @@ def materialised_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed:
                                   shots.mean(axis=0), np.cov(shots, rowvar=False),
                                   n_per_probe))
     return TomographyDataset(probes)
+
+
+# ---------------------------------------------------------------------------
+# Threshold solve by bisection
+# ---------------------------------------------------------------------------
+
+def bisect_threshold(protocol, reconciliation, T: float) -> float:
+    """Maximum tolerable excess noise N at transmission T, by bisection.
+
+    Bisects the asymptotic rate on W in [1, W_hi], expanding the bracket by
+    doubling until the rate changes sign, down to a width of W_TOL (read
+    when called). Raises NumericalFailure if the rate increases with W
+    during expansion or is still positive at the last bracket end below
+    W_HI_MAX (2^19), where adjacent doubles are still closer than W_TOL.
+    """
+    protocol, recon = thresholds._finite_pair(protocol, reconciliation)
+
+    def rate(w: float) -> float:
+        return asymptotic_rate(protocol, recon, AttackParams(T, w)).rate
+
+    r_lo = rate(1.0)
+    if r_lo <= 0.0:
+        return 0.0
+    lo, hi = 1.0, 2.0
+    r_prev = r_lo
+    while True:
+        r_hi = rate(hi)
+        if r_hi > r_prev + thresholds.MONOTONE_SLACK:
+            raise NumericalFailure(
+                f"rate not monotone in W for {protocol.value} {recon.value} at "
+                f"T={T}: rate({hi}) = {r_hi} > rate at smaller W = {r_prev}")
+        if r_hi <= 0.0:
+            break
+        lo, r_prev = hi, r_hi
+        hi *= 2.0
+        if hi > thresholds.W_HI_MAX:
+            raise NumericalFailure(
+                f"no sign change in W up to {lo} for {protocol.value} "
+                f"{recon.value} at T={T}")
+    while hi - lo > thresholds.W_TOL:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return excess_noise(AttackParams(T, 0.5 * (lo + hi)))

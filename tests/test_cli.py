@@ -11,7 +11,8 @@ import twoway_cvqkd
 from twoway_cvqkd import cli
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import (EXIT_FLAG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
-from twoway_cvqkd.key_rates import DIVERGENT_RR, Protocol, Reconciliation
+from twoway_cvqkd.key_rates import (DIVERGENT_RR, Protocol, Reconciliation,
+                                    asymptotic_rate)
 from twoway_cvqkd.rng import CHUNK
 from twoway_cvqkd.simulator import SimConfig
 
@@ -66,13 +67,30 @@ def test_threshold_command(capsys):
 
 
 def test_threshold_failure_names_the_last_bracket_end(capsys):
-    # the root lies near W = 5.3e5, beyond the last bracket end 2^19
+    # the root lies above W = 1e6, beyond the last bracket end W_HI_MAX
     code, out, err = run(capsys, "threshold", "--protocol", "hom", "--recon", "dr",
-                         "--T", "0.9999985")
+                         "--T", "0.9999994")
     assert code == EXIT_NUMERIC
     assert out == ""
-    assert err == ("error: numeric failure: no sign change in W up to 524288.0 "
-                   "for hom dr at T=0.9999985\n")
+    assert err == ("error: numeric failure: no sign change in W up to 1000000.0 "
+                   "for hom dr at T=0.9999994\n")
+
+
+def test_threshold_root_between_2_19_and_the_cap(capsys):
+    # the root lies near W = 5.3e5, in the last bracket [2^19, W_HI_MAX],
+    # where adjacent doubles are 1.16e-10 apart, wider than W_TOL
+    T = 0.9999985
+    code, out, err = run(capsys, "threshold", "--protocol", "hom", "--recon", "dr",
+                         "--T", str(T))
+    assert (code, err) == (EXIT_OK, "")
+    n = float(out.strip().splitlines()[1].split(",")[3])
+    w = AttackParams.from_excess(T, n).W
+    assert 2.0 ** 19 < w < 1e6
+
+    def rate(w):
+        return asymptotic_rate("hom", "dr", AttackParams(T, w)).rate
+
+    assert rate(w * (1.0 - 1e-9)) > 0.0 > rate(w * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("module", ["twoway_cvqkd", "twoway_cvqkd.cli"])
@@ -187,6 +205,26 @@ def test_simulate_rejects_zero_transmission_before_sampling(tmp_path, capsys, mo
     assert out == ""
     assert "T > 0" in err
     assert not path.exists()
+
+
+def test_simulate_rejects_a_transmission_with_infinite_excess_noise(capsys, monkeypatch):
+    def no_simulation(config):
+        raise AssertionError("simulated a run whose excess noise is not finite")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    # (W - 1)(1 - T)/T overflows at a subnormal T
+    code, out, err = run(capsys, "simulate", "--protocol", "het2", "--T", "1e-320",
+                         "--W", "1.5", "--V", "1e3", "--n", "2000", "--seed", "1")
+    assert code == EXIT_FLAG
+    assert out == ""
+    assert "excess noise (W - 1)(1 - T)/T it reports is finite" in err
+
+
+def test_simulate_runs_at_a_tiny_transmission(capsys):
+    code, out, err = run(capsys, "simulate", "--protocol", "het2", "--T", "1e-12",
+                         "--W", "1.5", "--V", "1e3", "--n", "2000", "--seed", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert "N=500000000000\n" in out
 
 
 def test_simulate_requires_seed(capsys):

@@ -48,6 +48,10 @@ def test_config_validation():
         SimConfig("hom", 10.0, params, MIN_SAMPLES - 1, 1)
     with pytest.raises(ValueError, match="T > 0"):
         SimConfig("hom", 10.0, AttackParams(0.0, 1.5), 10000, 1)
+    with pytest.raises(ValueError, match="is finite"):
+        SimConfig("hom", 10.0, AttackParams(1e-320, 1.5), 10000, 1)
+    # at W = 1 the excess noise is 0 however small T is
+    SimConfig("hom", 10.0, AttackParams(1e-320, 1.0), 10000, 1)
 
 
 def test_lossless_hom_mi():

@@ -7,13 +7,17 @@ from scipy.optimize import brentq
 from twoway_cvqkd import thresholds
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.gaussian import g_entropy
-from twoway_cvqkd.key_rates import (_RATES, DIVERGENT_RR, NumericalFailure, Protocol,
-                                    Reconciliation, asymptotic_rate)
+from twoway_cvqkd.key_rates import (_RATES, _SLOPES, DIVERGENT_RR, NumericalFailure,
+                                    Protocol, Reconciliation, asymptotic_rate)
 from twoway_cvqkd.thresholds import (Grid, crossover, solve_threshold,
                                      superadditivity_report, sweep_curve)
 
+from oracles import bisect_threshold
+
 FINITE_PAIRS = [(p, r) for p in Protocol for r in Reconciliation
                 if not (r is Reconciliation.RR and p in DIVERGENT_RR)]
+HET2_RR = (Protocol.HET2, Reconciliation.RR)
+CLOSED_FORM_PAIRS = [pair for pair in FINITE_PAIRS if pair != HET2_RR]
 
 
 def test_threshold_zero_at_3db_boundary():
@@ -186,3 +190,94 @@ def test_sweep_bracket_failures_match_scalar_solves(monkeypatch):
 def test_sweep_rejects_divergent_pair():
     with pytest.raises(ValueError):
         sweep_curve("coll_hom", "rr", Grid(0.3, 0.7, 3))
+
+
+def counting_rate(monkeypatch, pair):
+    """Wrap the closed form of `pair` in _RATES; returns a one-element list
+    holding the number of evaluations since the last reset."""
+    count, rate = [0], _RATES[pair]
+
+    def counted(T, W, xp):
+        count[0] += 1
+        return rate(T, W, xp)
+
+    monkeypatch.setitem(_RATES, pair, counted)
+    return count
+
+
+def oracle_points(protocol, recon, T):
+    return np.array([bisect_threshold(protocol, recon, t) for t in T.tolist()])
+
+
+# the default grid and 20 seeded grids of 25 points in (0.02, 0.98)
+ORACLE_GRIDS = [Grid()] + [Grid(*sorted(ends), 25) for ends in
+                           np.random.default_rng(20261018).uniform(0.02, 0.98, (20, 2))]
+
+
+@pytest.mark.parametrize("protocol, recon", CLOSED_FORM_PAIRS, ids=lambda v: v.value)
+def test_newton_lands_on_the_bisection_cell(protocol, recon):
+    for grid in ORACLE_GRIDS:
+        curve = sweep_curve(protocol, recon, grid)
+        expected = oracle_points(protocol, recon, curve.T)
+        assert not curve.errors
+        assert np.array_equal([solve_threshold(protocol, recon, t)
+                               for t in curve.T.tolist()], expected)
+        assert np.array_equal(curve.N, expected)
+
+
+def test_het2_rr_keeps_the_bisection_steps():
+    T = Grid(0.02, 0.98, 25).points()
+    expected = oracle_points(*HET2_RR, T)
+    assert np.array_equal([solve_threshold(*HET2_RR, t) for t in T.tolist()], expected)
+    assert np.array_equal(sweep_curve(*HET2_RR, Grid(0.02, 0.98, 25)).N, expected)
+
+
+def test_slopes_cover_the_closed_forms():
+    assert sorted(_SLOPES) == sorted(CLOSED_FORM_PAIRS)
+
+
+@pytest.mark.parametrize("protocol, recon", CLOSED_FORM_PAIRS, ids=lambda v: v.value)
+def test_slope_matches_central_difference(protocol, recon):
+    rate, slope = _RATES[protocol, recon], _SLOPES[protocol, recon]
+    T, W = (g.ravel() for g in np.meshgrid(np.linspace(0.05, 0.95, 19),
+                                           np.geomspace(1.001, 1e4, 40)))
+    step = 1e-5 * (W - 1.0)
+    difference = (rate(T, W + step, np) - rate(T, W - step, np)) / (2.0 * step)
+    assert np.allclose(slope(T, W, np), difference, rtol=1e-6, atol=0.0)
+    scalar = [slope(t, w, math) for t, w in zip(T.tolist(), W.tolist())]
+    assert np.allclose(scalar, difference, rtol=1e-6, atol=0.0)
+    # the pure-loss end W = 1 is on g's guard band: no division by zero
+    # (a RuntimeWarning fails the test)
+    assert math.isfinite(slope(0.5, 1.0, math))
+    assert np.isfinite(slope(T, np.ones(T.shape), np)).all()
+
+
+def test_rate_evaluations_of_one_solve(monkeypatch):
+    count = counting_rate(monkeypatch, (Protocol.HOM, Reconciliation.DR))
+    solve_threshold("hom", "dr", 0.7)
+    newton = count[0]
+    count[0] = 0
+    bisect_threshold("hom", "dr", 0.7)
+    assert (newton, count[0]) == (7, 36)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda s: 1e3 * s, lambda s: 1e-3 * s, lambda s: -s, lambda s: s - 0.5,
+    lambda s: s * 0.0 - 1e-300], ids=["x1e3", "x1e-3", "positive", "shifted", "tiny"])
+@pytest.mark.parametrize("protocol, recon", [("hom", "dr"), ("het", "rr"), ("coll_het2", "dr")])
+def test_a_wrong_slope_costs_steps_not_bits(monkeypatch, wrong, protocol, recon):
+    pair = (Protocol(protocol), Reconciliation(recon))
+    slope = _SLOPES[pair]
+    monkeypatch.setitem(_SLOPES, pair, lambda T, W, xp: wrong(slope(T, W, xp)))
+    count = counting_rate(monkeypatch, pair)
+    T = Grid(0.05, 0.95, 19).points()
+    for t in T.tolist():
+        count[0] = 0
+        expected = bisect_threshold(protocol, recon, t)
+        bisection = count[0]
+        count[0] = 0
+        assert solve_threshold(protocol, recon, t) == expected
+        assert count[0] <= 2 * bisection
+    curve = sweep_curve(protocol, recon, Grid(0.05, 0.95, 19))
+    assert not curve.errors
+    assert np.array_equal(curve.N, oracle_points(protocol, recon, T))
