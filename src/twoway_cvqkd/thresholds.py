@@ -207,10 +207,10 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> Threshold
     # each point's bracket is [lo + a h, lo + b h], with rates r_a > 0 >= r_b;
     # the points share a few distinct brackets, so _lattice runs once each
     idx = np.concatenate(bracketed)
-    _, first, which = np.unique(lo[idx], return_index=True, return_inverse=True)
-    cells = [_lattice(lo[i], hi[i]) for i in idx[first]]
-    h = np.array([c[0] for c in cells])[which]
-    b = np.array([c[1] for c in cells], dtype=np.int64)[which]
+    ends = list(zip(lo[idx].tolist(), hi[idx].tolist()))
+    cells = {end: _lattice(*end) for end in set(ends)}
+    h = np.array([cells[end][0] for end in ends])
+    b = np.array([cells[end][1] for end in ends], dtype=np.int64)
     t, lo, r_a, r_b = T[idx], lo[idx], r_a[idx], r_b[idx]
     a, halved = np.zeros(idx.shape, dtype=np.int64), np.ones(idx.shape, dtype=bool)
     while idx.size:
