@@ -90,8 +90,10 @@ class CorrelatedAttackParams:
             )
 
     def coupling(self) -> float:
-        wf, wb = self.forward.W, self.backward.W
-        return self.correlation * ((wf * wf - 1.0) * (wb * wb - 1.0)) ** 0.25
+        # (W^2 - 1)^(1/4) of each leg without forming W^2, so the coupling is
+        # finite (and 0 at correlation 0) for every finite W
+        return self.correlation * math.prod(
+            (w - 1.0) ** 0.25 * (w + 1.0) ** 0.25 for w in (self.forward.W, self.backward.W))
 
     def joint_ancilla_cm(self) -> np.ndarray:
         """Joint CM of the two injected ancillas (E_f, E_b)."""

@@ -7,8 +7,9 @@ callers that want nats convert once, at the output.
 
 Covariance matrices are plain symmetric numpy arrays. Displacements play no
 role in any entropic quantity, so they are tracked separately by the
-callers that need them. Measurement and classical conditioning are both
-Schur complements of a joint covariance (`conditional_cov`).
+callers that need them. Conditioning on a measurement is a Schur
+complement of a joint covariance (`conditional_cov`); conditioning on
+Alice's classical encoding needs none (`key_rates.JointMoments.given_alice`).
 """
 
 from __future__ import annotations
@@ -104,23 +105,6 @@ def g_entropy(nu: float | np.ndarray) -> float | np.ndarray:
     a = (nu + 1.0) / 2.0
     b = (nu - 1.0) / 2.0
     return math.log2(a) + b * math.log1p(1.0 / b) / _LN2
-
-
-def g_derivative(nu: float | np.ndarray) -> float | np.ndarray:
-    """Derivative of g_entropy, g'(nu) = (1/2) log2((nu+1)/(nu-1)), in bits.
-
-    Evaluated as log1p(2/(nu-1)) / (2 ln 2). On g_entropy's guard band
-    nu <= 1 + 1e-12, where g is held at 0, the derivative is 0 too, so no
-    division by zero happens at the pure-state limit. An ndarray gives the
-    elementwise array.
-    """
-    if isinstance(nu, np.ndarray):
-        pure = nu <= 1.0 + 1e-12
-        return np.where(pure, 0.0, np.log1p(2.0 / np.where(pure, 1.0, nu - 1.0))
-                        / (2.0 * _LN2))
-    if nu <= 1.0 + 1e-12:
-        return 0.0
-    return math.log1p(2.0 / (nu - 1.0)) / (2.0 * _LN2)
 
 
 def von_neumann_entropy(cm) -> float:

@@ -10,8 +10,6 @@ terms, with no asymptotic shortcuts.
 
 The closed forms are one table, (protocol, reconciliation) -> f(T, W, xp),
 read by `asymptotic_rate` (xp = math) and, on arrays, by threshold sweeps.
-A second table holds their derivatives in W, for the Newton steps of the
-threshold solver.
 
 The exact engine works on one joint second-moment matrix over Alice's
 classical encoding variables and all output quadratures. Marginals are its
@@ -34,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackParams
-from .gaussian import (conditional_cov, g_derivative, g_entropy,
+from .gaussian import (conditional_cov, g_entropy,
                        symplectic_eigenvalues, von_neumann_entropy)
 
 
@@ -197,66 +195,6 @@ _RATES = {
 }
 
 
-# d rate / dW of each finite closed form, with g'(nu) = (1/2) log2((nu+1)/(nu-1)),
-# for the Newton steps of threshold solves. Same (T, W, xp) convention as the
-# rates; het2 RR has no entry, its rate is numeric.
-_LOG2E = 1.0 / math.log(2.0)
-
-
-def _minus_g_slope(T, W, xp):
-    """Slope of every rate of the form c(T) - g(W)."""
-    return -g_derivative(W)
-
-
-def _dr_hom_slope(T, W, xp):
-    b1, e1 = (1 - T) * W + T, (1 - T) + T * W
-    nu = xp.sqrt(W * b1 / e1)
-    d_nu2 = ((b1 + (1 - T) * W) * e1 - T * W * b1) / (e1 * e1)
-    return (0.5 * _LOG2E * (T / e1 - (1 - T) / b1)
-            + g_derivative(nu) * d_nu2 / (2 * nu) - g_derivative(W))
-
-
-def _dr_het_slope(T, W, xp):
-    b1 = (1 - T) * W + T
-    return (1 - T) * (g_derivative(b1) - _LOG2E / (1 + b1)) - g_derivative(W)
-
-
-def _rr_coll_het_slope(T, W, xp):
-    return -(1 - T) * g_derivative((1 - T) * W + T) - g_derivative(W)
-
-
-def _rr_hom_slope(T, W, xp):
-    b1 = (1 - T) * W + T
-    return 0.5 * _LOG2E * (1 / W - (1 - T) / b1) - g_derivative(W)
-
-
-def _rr_het_slope(T, W, xp):
-    b1 = (1 - T) * W + T
-    return ((1 - T) * (g_derivative((1 - T + b1) / T) / T - _LOG2E / (1 + b1))
-            - g_derivative(W))
-
-
-def _dr_het2_slope(T, W, xp):
-    return (-_LOG2E * (1 - T * T) / (1 + T * T + (1 - T * T) * W)
-            - g_derivative(W))
-
-
-_SLOPES = {
-    (_P.HOM, _DR): _dr_hom_slope,
-    (_P.COLL_HOM, _DR): _dr_hom_slope,
-    (_P.HET, _DR): _dr_het_slope,
-    (_P.COLL_HET, _DR): _minus_g_slope,
-    (_P.HOM2, _DR): _minus_g_slope,
-    (_P.COLL_HOM2, _DR): _minus_g_slope,
-    (_P.HET2, _DR): _dr_het2_slope,
-    (_P.COLL_HET2, _DR): lambda T, W, xp: -2.0 * g_derivative(W),
-    (_P.HOM, _RR): _rr_hom_slope,
-    (_P.HET, _RR): _rr_het_slope,
-    (_P.COLL_HET, _RR): _rr_coll_het_slope,
-    (_P.HOM2, _RR): _minus_g_slope,
-}
-
-
 def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResult:
     """Closed-form asymptotic rate for any (protocol, reconciliation) pair.
 
@@ -277,9 +215,11 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
 
 
 HET2_RR_V = 1e8
+# Relative tolerance of the eigenvalue product check in het2_rr_finite_eigenvalues.
+HET2_RR_PRODUCT_TOL = 1e-6
 
 
-def het2_rr_finite_eigenvalues(T, W, rel_tol: float = 1e-6) -> np.ndarray:
+def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     """The three finite eigenvalues of Eve's CM conditioned on Bob's
     heterodyne estimators in the two-way protocol.
 
@@ -289,7 +229,7 @@ def het2_rr_finite_eigenvalues(T, W, rel_tol: float = 1e-6) -> np.ndarray:
     removed by Richardson extrapolation between V = HET2_RR_V/10 and
     HET2_RR_V. The product of the remaining three must match the closed
     form n1 n2 n3 = [1 + T^3 + (1-T)(1+T^2)W] W / (T(1+T)) within
-    `rel_tol`.
+    HET2_RR_PRODUCT_TOL.
 
     T and W are floats (one point) or equal-length 1-D arrays (k points).
     The points at both modulations are one stack of joints, conditioned
@@ -325,7 +265,7 @@ def het2_rr_finite_eigenvalues(T, W, rel_tol: float = 1e-6) -> np.ndarray:
     finite = np.clip((10.0 * nus[1, :, 1:] - nus[0, :, 1:]) / 9.0, 1.0, None)
     with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the check
         product = np.prod(finite, axis=-1)
-        deviates = ~(np.abs(product - expected) <= rel_tol * expected)
+        deviates = ~(np.abs(product - expected) <= HET2_RR_PRODUCT_TOL * expected)
     if not point:
         finite[broken.any(axis=0) | off.any(axis=0) | deviates] = np.nan
         return finite
@@ -341,7 +281,7 @@ def het2_rr_finite_eigenvalues(T, W, rel_tol: float = 1e-6) -> np.ndarray:
     if deviates[0]:
         raise NumericalFailure(
             f"eigenvalue product {product[0]} deviates from closed form {expected[0]} "
-            f"beyond relative tolerance {rel_tol}"
+            f"beyond relative tolerance {HET2_RR_PRODUCT_TOL}"
         )
     return finite[0]
 

@@ -9,15 +9,17 @@ limit W = 1 the threshold is 0.
 
 Inside the bracket it evaluates the rate only on the points lo + k h of
 bisection's lattice, h being the bracket width halved down to W_TOL, and
-stops at a lattice cell where the rate changes sign. Safeguarded Newton
-steps on the analytic slope of the closed forms pick the points, and reach
-the cell in a few rate evaluations instead of some forty. Where the rate
-changes by more than its rounding noise over one cell, the cell is unique
-and is bisection's final bracket, so N is bisection's to the bit. For the
-closed forms that holds below T = 0.9999; closer to 1, where W is large,
-two solves may stop in different cells of the noisy band and N differs in
-the 14th digit. het2 RR, whose rate is numeric and has no slope, takes
-bisection's own steps.
+stops at a lattice cell where the rate changes sign. Regula-falsi steps
+with Anderson-Bjorck scaling (Anderson & Bjorck, BIT 13, 253, 1973; the
+Illinois halving of Dowell & Jarratt, BIT 11, 168, 1971, as fallback), which
+read only the rates at the bracket ends, pick the points and reach the cell
+in a few rate evaluations instead of some forty. Where the rate changes by
+more than its rounding noise over one cell, the cell is unique and is
+bisection's final bracket, so N is bisection's to the bit. For the closed
+forms that holds below T = 0.9999; closer to 1, where W is large, two
+solves may stop in different cells of the noisy band and N differs in the
+14th digit. het2 RR, whose numeric rate is too noisy near the root for
+secant steps, takes bisection's own steps.
 
 Curve sweeps (all grid points solved at once), crossover location between
 curves and the one-way versus two-way dominance report are built on top.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackParams, excess_noise
-from .key_rates import (_RATES, _SLOPES, DIVERGENT_RR, NumericalFailure, Protocol,
+from .key_rates import (_RATES, DIVERGENT_RR, NumericalFailure, Protocol,
                         Reconciliation, asymptotic_rate)
 
 W_TOL = 1e-10
@@ -80,19 +82,20 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     Brackets the root of the asymptotic rate in W by doubling from [1, 2],
     with the last bracket end at W_HI_MAX, then narrows the bracket to one
     cell of bisection's lattice (see `_lattice`) and returns the N of the
-    cell's midpoint. A Newton step on the rate's analytic slope from the
-    bracket end whose rate is closer to 0, rounded to the nearest lattice
-    point strictly inside the bracket, picks each point. The bisection
-    midpoint is taken instead where the slope is not finite and negative,
-    after a step that did not halve the bracket, and for het2 RR, which
-    has no slope. So the cell is that of plain bisection, in at most about
-    twice its rate evaluations even with a wrong slope. Raises
+    cell's midpoint. Each point is the regula-falsi point of the bracket
+    ends, rounded to the nearest lattice point strictly inside the bracket.
+    When the same end is replaced twice in a row, the rate kept at the other
+    end is scaled by the Anderson-Bjorck factor 1 - r_new / r_replaced (or
+    by 1/2 where that is not positive), so that end moves too. The bisection
+    midpoint is taken instead when the last three steps did not halve the
+    bracket, when the scaled rates no longer differ (they can underflow, and
+    a lattice point's rate can be exactly 0), and for het2 RR. So the cell
+    is that of plain bisection, in at most 4x its steps. Raises
     NumericalFailure if the rate increases with W during expansion or is
     still positive at W_HI_MAX; raises ValueError for pairs whose rate
     diverges.
     """
     protocol, recon = _finite_pair(protocol, reconciliation)
-    slope = _SLOPES.get((protocol, recon))
 
     def rate(w: float) -> float:
         return asymptotic_rate(protocol, recon, AttackParams(T, w)).rate
@@ -115,24 +118,32 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
                 f"{recon.value} at T={T}")
         lo, r_prev = hi, r
         hi = min(2.0 * hi, W_HI_MAX)
-    # the bracket is [lo + a h, lo + b h], with rates r_a > 0 >= r_b
+    # the bracket is [lo + a h, lo + b h], with rates f_a > 0 >= f_b; f_a and
+    # f_b may be scaled down by Anderson-Bjorck steps, the signs are the rates'
     h, b = _lattice(lo, hi)
-    a, r_a, r_b, halved = 0, r_prev, r, True
+    a, f_a, f_b = 0, r_prev, r
+    secant = (protocol, recon) != (Protocol.HET2, Reconciliation.RR)
+    # the end the last step replaced (+1 a, -1 b, 0 none) and the bracket
+    # widths before the last three steps
+    side, widths = 0, [math.inf] * 3
     while b - a > 1:
-        k = (a + b) // 2
-        if slope is not None and halved:
-            # Newton from the end whose rate is closer to 0
-            x, r_x = (a, r_a) if r_a < -r_b else (b, r_b)
-            s = slope(T, lo + x * h, math)
-            if -math.inf < s < 0.0:
-                k = round(min(max(x - r_x / s / h, a + 1), b - 1))
-        r = rate(lo + k * h)
         width = b - a
-        if r > 0.0:
-            a, r_a = k, r
+        # a midpoint whenever the last three steps did not halve the bracket:
+        # at most 4x bisection's steps
+        if secant and 2 * width <= widths[0] and f_a - f_b > 0.0:
+            k = min(max(round(a + f_a / (f_a - f_b) * width), a + 1), b - 1)
         else:
-            b, r_b = k, r
-        halved = 2 * (b - a) <= width
+            k = (a + b) // 2
+        r = rate(lo + k * h)
+        if r > 0.0:
+            if side == 1:
+                f_b *= 1.0 - r / f_a if abs(r) < abs(f_a) else 0.5
+            a, f_a, side = k, r, 1
+        else:
+            if side == -1:
+                f_a *= 1.0 - r / f_b if abs(r) < abs(f_b) else 0.5
+            b, f_b, side = k, r, -1
+        widths = widths[1:] + [width]
     return excess_noise(AttackParams(T, 0.5 * ((lo + a * h) + (lo + b * h))))
 
 
@@ -171,7 +182,7 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> Threshold
     """Solve the threshold at every grid point, all points at once.
 
     The points take the steps of `solve_threshold` together, each step one
-    array evaluation of the closed form (and of its slope), on the same
+    array evaluation of the closed form, with the same step rule on the same
     lattice and up to a one-cell bracket, so their N is that of
     `solve_threshold` wherever that cell is unique (see the module
     docstring). A point that fails (a NaN rate, a rising rate, no sign
@@ -183,7 +194,7 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> Threshold
     if grid is None:
         grid = Grid()
     T = grid.points()
-    rates, slopes = _RATES[protocol, recon], _SLOPES.get((protocol, recon))
+    rates = _RATES[protocol, recon]
     idx = np.arange(T.size)
     r_prev = rates(T, np.ones(T.shape), np)
     N = np.where(r_prev <= 0.0, 0.0, np.nan)
@@ -204,32 +215,36 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> Threshold
         grow &= hi[idx] < W_HI_MAX
         idx, r_prev = idx[grow], r_hi[grow]
         lo[idx], hi[idx] = hi[idx], np.minimum(2.0 * hi[idx], W_HI_MAX)
-    # each point's bracket is [lo + a h, lo + b h], with rates r_a > 0 >= r_b;
+    # each point's bracket is [lo + a h, lo + b h], with rates f_a > 0 >= f_b;
     # the points share a few distinct brackets, so _lattice runs once each
     idx = np.concatenate(bracketed)
     ends = list(zip(lo[idx].tolist(), hi[idx].tolist()))
     cells = {end: _lattice(*end) for end in set(ends)}
     h = np.array([cells[end][0] for end in ends])
     b = np.array([cells[end][1] for end in ends], dtype=np.int64)
-    t, lo, r_a, r_b = T[idx], lo[idx], r_a[idx], r_b[idx]
-    a, halved = np.zeros(idx.shape, dtype=np.int64), np.ones(idx.shape, dtype=bool)
+    t, lo, f_a, f_b = T[idx], lo[idx], r_a[idx], r_b[idx]
+    a, side = np.zeros(idx.shape, dtype=np.int64), np.zeros(idx.shape, dtype=np.int64)
+    widths = [np.full(idx.shape, np.inf)] * 3
+    secant = (protocol, recon) != (Protocol.HET2, Reconciliation.RR)
     while idx.size:
+        # the step rule of solve_threshold, on arrays
+        width = b - a
         k = (a + b) // 2
-        if slopes is not None:
-            # Newton from the end whose rate is closer to 0
-            near_a = r_a < -r_b
-            x = np.where(near_a, a, b)
-            s = slopes(t, lo + x * h, np)
-            newton = halved & (s < 0.0) & (s > -np.inf)
-            with np.errstate(all="ignore"):   # only the Newton entries are kept
-                guess = np.rint(np.clip(x - np.where(near_a, r_a, r_b) / s / h,
-                                        a + 1, b - 1))
-            k = np.where(newton, guess, k).astype(np.int64)
+        if secant:
+            with np.errstate(all="ignore"):   # only the secant entries are kept
+                guess = np.clip(np.rint(a + f_a / (f_a - f_b) * width), a + 1, b - 1)
+            k = np.where((2 * width <= widths[0]) & (f_a - f_b > 0.0), guess, k)
+            k = k.astype(np.int64)
         r = rates(t, lo + k * h, np)
         up, down = r > 0.0, r <= 0.0
-        if slopes is not None:
-            r_a, r_b = np.where(up, r, r_a), np.where(down, r, r_b)
-            halved = 2 * (np.where(down, k, b) - np.where(up, k, a)) <= b - a
+        # the points whose rate is NaN are dropped below, so ~up is down
+        f = np.where(up, f_a, f_b)
+        with np.errstate(all="ignore"):   # r / f is not kept where f may be 0
+            m = np.where(np.abs(r) < np.abs(f), 1.0 - r / f, 0.5)
+        f_a = np.where(up, r, np.where(side == -1, f_a * m, f_a))
+        f_b = np.where(up, np.where(side == 1, f_b * m, f_b), r)
+        side = np.where(up, 1, -1)
+        widths = widths[1:] + [width]
         a, b = np.where(up, k, a), np.where(down, k, b)
         done = b - a <= 1
         if (keep := ~done & (up | down)).all():
@@ -237,8 +252,9 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> Threshold
         failed.append(idx[~(up | down)])
         W = 0.5 * ((lo[done] + a[done] * h[done]) + (lo[done] + b[done] * h[done]))
         N[idx[done]] = (W - 1.0) * (1.0 - t[done]) / t[done]
-        idx, t, lo, h, a, b, r_a, r_b, halved = (
-            v[keep] for v in (idx, t, lo, h, a, b, r_a, r_b, halved))
+        idx, t, lo, h, a, b, f_a, f_b, side = (
+            v[keep] for v in (idx, t, lo, h, a, b, f_a, f_b, side))
+        widths = [w[keep] for w in widths]
     errors: dict[int, str] = {}
     for i in np.sort(np.concatenate(failed)):
         try:

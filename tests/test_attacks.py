@@ -87,6 +87,15 @@ def test_correlated_params_validation():
     CorrelatedAttackParams(base, base, -1.0)
 
 
+def test_coupling_is_finite_at_huge_w():
+    # (W^2 - 1)^(1/4) per leg: W^2 overflows above 1.34e154, W itself does not
+    for w in (1.5, 1e100, 1e200, 1e308):
+        params = AttackParams(0.7, w)
+        assert CorrelatedAttackParams(params, params, 0.0).coupling() == 0.0
+        chi = CorrelatedAttackParams(params, params, 1.0).coupling()
+        assert chi == pytest.approx(np.sqrt(w - 1.0) * np.sqrt(w + 1.0), rel=1e-15)
+
+
 def test_uncorrelated_round_trip_composes_exactly():
     params = CorrelatedAttackParams(AttackParams(0.7, 1.5), AttackParams(0.7, 1.5), 0.0)
     fwd, bwd, rt = correlated_two_mode_channels(params)

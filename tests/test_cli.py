@@ -260,6 +260,25 @@ def test_tomo_check_irreducible(capsys):
     assert "verdict=irreducible" in out
 
 
+def test_tomo_check_at_huge_w(capsys):
+    code, out, err = run(capsys, "tomo-check", "--T", "0.7", "--W", "1e100",
+                         "--n", "2000", "--seed", "1")
+    assert (code, err) == (EXIT_OK, "")
+    values = dict(line.split("=") for line in out.splitlines())
+    assert sorted(values) == ["composition_deviation", "symmetry_deviation",
+                              "tolerance", "verdict"]
+    assert all(math.isfinite(float(v)) for k, v in values.items() if k != "verdict")
+
+
+def test_tomo_check_overflowing_deviation_exits_numeric(capsys):
+    # the composition of the estimated legs overflows; a RuntimeWarning
+    # fails the test
+    code, out, err = run(capsys, "tomo-check", "--T", "0.7", "--W", "1e200",
+                         "--n", "2000", "--seed", "1")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("error: numeric failure: channel deviations overflow")
+
+
 def test_output_io_failure(capsys):
     code, _, err = run(capsys, "rate", "--protocol", "hom", "--recon", "dr",
                        "--T", "0.5", "--out", "/nonexistent/dir/x.csv")

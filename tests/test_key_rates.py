@@ -123,14 +123,6 @@ def test_rr_het2_values():
     assert rate("het2", "rr", P(0.5, 1.2)) > rate("het", "rr", P(0.5, 1.2))
 
 
-def test_het2_eigenvalue_extraction_guard():
-    with pytest.raises(NumericalFailure, match="eigenvalue product"):
-        het2_rr_finite_eigenvalues(0.7, 1.5, rel_tol=1e-18)
-    stacked = het2_rr_finite_eigenvalues(np.array([0.3, 0.7]), np.array([1.0, 1.5]),
-                                         rel_tol=1e-18)
-    assert stacked.shape == (2, 3) and np.isnan(stacked).all()
-
-
 def test_het2_stack_matches_point_calls():
     # equal rows where a point call returns, NaN rows exactly where it
     # raises; the corners T = 0.999 and W = 1e5 fail their checks
