@@ -197,9 +197,18 @@ def _grid_flag(p) -> None:
     p.add_argument("--grid", default="0.02:0.98:193", help="lo:hi:steps")
 
 
+def _seed(text: str) -> int:
+    """A --seed value; the RNG's seed sequence takes non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, "
+                                         f"got {text!r}")
+    return int(text)
+
+
 def _seed_flag(p) -> None:
-    p.add_argument("--seed", type=int, required=True,
-                   help="RNG seed (required for stochastic commands)")
+    p.add_argument("--seed", type=_seed, required=True,
+                   help="RNG seed, a non-negative integer (required for "
+                        "stochastic commands)")
 
 
 def build_parser() -> argparse.ArgumentParser:

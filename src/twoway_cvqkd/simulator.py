@@ -7,6 +7,9 @@ sample the exact engine's joint: standard normals pass through its input
 factor (Alice's modulation, the vacuum and EPR inputs and Eve's ancillas),
 its input map and Bob's measurement rows, plus the heterodyne vacuum
 noise. The channel and the measurements are written once, in `key_rates`.
+The normals that only Bob's variables read are folded into one triangular
+factor per run, so a sample of d encoding and d decoding variables costs
+2d normals, whatever the number of modes behind it.
 
 A run streams: `trajectories` yields the per-sample pairs (X_A, X_B) of
 encoding and decoding variables one RNG chunk at a time, and
@@ -98,25 +101,37 @@ class SimRun:
 
 
 def _sampling_map(config: SimConfig) -> np.ndarray:
-    """(2d, k) map A from k standard normals to the d encoding variables
-    X_A that Alice reveals and Bob's d decoding variables X_B: the rows of
-    the protocol's joint at Alice's encoding and Bob's measurement rows,
-    applied to the joint's input map times its input factor, next to the
-    square root of Bob's (diagonal) measurement noise. Normals that no
-    output sees are left out."""
+    """(2d, 2d) map from 2d standard normals to the d encoding variables
+    X_A that Alice reveals and Bob's d decoding variables X_B.
+
+    The channel model is the (2d, k) map A: the rows of the protocol's
+    joint at Alice's encoding and Bob's measurement rows, applied to the
+    joint's input map times its input factor, next to the square root of
+    Bob's (diagonal) measurement noise. Each row of X_A reads one normal of
+    its own; the block B of X_B's rows on the k - d free normals is replaced
+    by R^T, R the triangular factor of B^T. Since B B^T = R^T R, the output
+    has the same Gaussian distribution from 2d normals instead of k, and
+    the own columns, which carry the modulation, are kept as they are: no
+    covariance is formed and nothing is subtracted, so X_A and X_B given
+    X_A stay exact at any V.
+    """
     joint = _joint_for(config.protocol, config.V, config.params)
     rows, noise, labels = _bob_measurement(config.protocol, joint, config.params)
     d = len(labels)
     out = joint.m @ joint.input_factor()
     A = np.block([[out[joint.ix["cl"][:d]], np.zeros((d, d))],
                   [rows @ out, np.sqrt(noise)]])
-    return A[:, A.any(axis=0)]
+    own = A[:d].any(axis=0)
+    R = np.linalg.qr(A[d:, ~own].T, mode="r")
+    return np.block([[A[:d, own], np.zeros((d, len(R)))],
+                     [A[d:, own], R.T]])
 
 
 def trajectories(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(X_A, X_B) sample blocks of a run, one per chunk of
-    `rng.normal_chunks`, as (rows, dims) arrays. Concatenated, they are the
-    run's n_samples samples; every call yields the same blocks."""
+    `rng.normal_chunks` of 2d columns mapped by `_sampling_map`, as
+    (rows, d) arrays. Concatenated, they are the run's n_samples samples;
+    every call yields the same blocks."""
     A = _sampling_map(config)
     d = len(A) // 2
     for z in normal_chunks(config.seed, config.n_samples, A.shape[1]):

@@ -77,12 +77,12 @@ def compose(first: GaussianChannel, middle: GaussianChannel,
 
 
 def channel_distance(a: GaussianChannel, b: GaussianChannel) -> float:
-    """Max-abs elementwise difference over gain, noise and displacement."""
-    return max(
-        float(np.abs(a.gain - b.gain).max()),
-        float(np.abs(a.noise - b.noise).max()),
-        float(np.abs(a.displacement - b.displacement).max()),
-    )
+    """Max-abs elementwise difference over gain, noise and displacement.
+    It is NaN if any difference is (inf - inf), without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(np.concatenate([
+            (a.gain - b.gain).ravel(), (a.noise - b.noise).ravel(),
+            a.displacement - b.displacement]))))
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,9 @@ def estimate_channel(data: TomographyDataset) -> GaussianChannel:
     Gain and displacement come from the affine fit of output means against
     input displacements; the additive noise is the probe-averaged residual
     output CM minus gain @ CM_in @ gain^T. Complete positivity is verified
-    within CP_SIGMA_FACTOR times the dataset's sampling error.
+    within CP_SIGMA_FACTOR times the dataset's sampling error. Where the
+    probe average overflows (output CMs near the largest double) the noise
+    holds inf, without a warning, and the CP check cannot fail on it.
     """
     data.validate()
     design = np.array([[*p.displacement, 1.0] for p in data.probes])
@@ -136,9 +138,10 @@ def estimate_channel(data: TomographyDataset) -> GaussianChannel:
     coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
     gain = coef[:2].T
     disp = coef[2]
-    noise = np.mean(
-        [p.output_cm - gain @ p.input_cm @ gain.T for p in data.probes], axis=0
-    )
+    with np.errstate(over="ignore"):
+        noise = np.mean(
+            [p.output_cm - gain @ p.input_cm @ gain.T for p in data.probes], axis=0
+        )
     channel = GaussianChannel(gain, noise, disp)
     sigma = data.statistical_sigma()
     if channel.cp_defect() < -(CP_SIGMA_FACTOR * sigma + CP_EIG_TOL):
@@ -173,8 +176,9 @@ def check_reducibility(e1: GaussianChannel, e2: GaussianChannel,
     irreducible if the round trip differs from e2 o e1 (Alice's publicized
     map in between is the identity) beyond `tol`; reducible otherwise. A NaN
     or infinite `tol` would call every attack reducible, so it is rejected.
-    Where the composition overflows (channels estimated at W ~ 1e200) its
-    deviation is inf or NaN, without a warning.
+    Where the composition overflows (channels estimated at W ~ 1e200), or
+    a fitted noise is already inf (W ~ 1e308), a deviation is inf or NaN,
+    without a warning.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -196,6 +200,28 @@ DEFAULT_PROBE_DISPLACEMENTS = np.array(
 )
 
 
+def _normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance of the (n, cols) standard normals of the
+    `rng.normal_chunks` stream, folded one chunk at a time into a column
+    sum s and a Gram matrix G = z^T z, so memory is flat in n.
+
+    The covariance is (G - s s^T / n) / (n - 1). This is as exact as a
+    triangular-factor fold because the z are unit normals: the entries of
+    G, like those of R^T R, carry rounding of order eps * sqrt(n) relative
+    to their size, and centring subtracts s s^T / n, which is O(1), from
+    entries that are O(n) on the diagonal and O(sqrt(n)) off it, so
+    nothing cancels. Data of large scale, like X_A of scale sqrt(V) in
+    `simulator.empirical_mi`, would lose its residual this way and keeps a
+    QR fold.
+    """
+    total, gram = np.zeros(cols), np.zeros((cols, cols))
+    for z in normal_chunks(seed, n, cols):
+        total += z.sum(axis=0)
+        gram += z.T @ z
+    mean = total / n
+    return mean, (gram - np.outer(total, mean)) / (n - 1)
+
+
 def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int,
                            displacements: np.ndarray | None = None) -> TomographyDataset:
     """Sample coherent-state probes through a known channel.
@@ -204,9 +230,9 @@ def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int
     `displacements`; the output moments are sample estimates over
     `n_per_probe` shots mean_k + L z: L is the Cholesky factor of the output
     CM all probes share (physical, so positive definite), and the z of all
-    probes are one `rng.normal_chunks` stream, folded into the factor R of
-    [1, z] (streaming TSQR) in memory flat in n. Row 0 of R gives the means
-    of z, the rows below it their centred cross products.
+    probes are one `rng.normal_chunks` stream, two columns per probe, whose
+    sample mean and covariance are folded chunk by chunk in memory flat in
+    n (`_normal_moments`).
     """
     if displacements is None:
         displacements = DEFAULT_PROBE_DISPLACEMENTS
@@ -214,12 +240,8 @@ def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int
         raise ValueError(f"probe with n={n_per_probe} < {TomographyDataset.MIN_SAMPLES}")
     m = len(displacements)
     chol = np.linalg.cholesky(channel.apply(np.zeros(2), I2)[1])
-    R = None
-    for z in normal_chunks(seed, n_per_probe, 2 * m):
-        z = np.column_stack([np.ones(len(z)), z])
-        R = np.linalg.qr(z if R is None else np.vstack([R, z]), mode="r")
-    z_mean = (R[0, 1:] / R[0, 0]).reshape(m, 2)
-    z_cov = (R[1:, 1:].T @ R[1:, 1:]).reshape(m, 2, m, 2) / (n_per_probe - 1)
+    z_mean, z_cov = _normal_moments(seed, n_per_probe, 2 * m)
+    z_mean, z_cov = z_mean.reshape(m, 2), z_cov.reshape(m, 2, m, 2)
     return TomographyDataset([
         ProbeRecord(displacement=np.asarray(d, dtype=float), input_cm=I2.copy(),
                     output_mean=channel.apply(d, I2)[0] + chol @ z_mean[k],

@@ -22,7 +22,9 @@ None of this is used by the package itself:
 - the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
   reference for the streamed estimator;
 - the tomography probe moments on whole shot arrays, by `np.mean` and
-  `np.cov`, the reference for the streamed probe sampler;
+  `np.cov`, the reference for the streamed probe sampler, and the streamed
+  triangular-factor fold of the probe normals, the reference for its Gram
+  fold;
 - the threshold solve by plain bisection, the reference for the lattice
   Newton solver.
 """
@@ -42,7 +44,7 @@ from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
                                    symplectic_eigenvalues, von_neumann_entropy)
 from twoway_cvqkd.key_rates import (JointMoments, NumericalFailure, Protocol,
                                     _bob_measurement, _joint_for, asymptotic_rate)
-from twoway_cvqkd.rng import normal_matrix
+from twoway_cvqkd.rng import normal_chunks, normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
                                     SimConfig, trajectories)
 from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS, GaussianChannel,
@@ -696,6 +698,18 @@ def materialised_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed:
                                   shots.mean(axis=0), np.cov(shots, rowvar=False),
                                   n_per_probe))
     return TomographyDataset(probes)
+
+
+def qr_normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance of the `normal_chunks` stream by streaming
+    TSQR: each chunk is folded into the triangular factor R of [1, z]. Row 0
+    of R gives the means of z, the rows below it their centred cross
+    products."""
+    R = None
+    for z in normal_chunks(seed, n, cols):
+        z = np.column_stack([np.ones(len(z)), z])
+        R = np.linalg.qr(z if R is None else np.vstack([R, z]), mode="r")
+    return R[0, 1:] / R[0, 0], R[1:, 1:].T @ R[1:, 1:] / (n - 1)
 
 
 # ---------------------------------------------------------------------------

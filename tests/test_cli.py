@@ -279,6 +279,31 @@ def test_tomo_check_overflowing_deviation_exits_numeric(capsys):
     assert err.startswith("error: numeric failure: channel deviations overflow")
 
 
+@pytest.mark.parametrize("W", ["1e308", "1.7e308"])
+def test_tomo_check_overflowing_noise_fit_exits_numeric(capsys, W):
+    # the probe-averaged noise overflows; the NaN deviation it leads to is
+    # not dropped, and a RuntimeWarning fails the test
+    code, out, err = run(capsys, "tomo-check", "--T", "0.7", "--W", W,
+                         "--n", "2000", "--seed", "1")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("error: numeric failure: channel deviations overflow")
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--protocol", "het2", "--V", "1000"],
+    ["tomo-check", "--correlation", "0.9"],
+], ids=lambda c: c[0])
+def test_negative_seed_is_a_flag_error(capsys, monkeypatch, command):
+    # rejected while parsing: sampling would call None and fail the test
+    monkeypatch.setattr(cli, "simulate", None)
+    monkeypatch.setattr(cli, "simulate_probe_dataset", None)
+    code, out, err = run(capsys, *command, "--T", "0.7", "--N", "0.1",
+                         "--n", "2000", "--seed", "-1")
+    assert (code, out) == (EXIT_FLAG, "")
+    assert "argument --seed: seed must be a non-negative integer, got '-1'" in err
+
+
 def test_output_io_failure(capsys):
     code, _, err = run(capsys, "rate", "--protocol", "hom", "--recon", "dr",
                        "--T", "0.5", "--out", "/nonexistent/dir/x.csv")

@@ -133,7 +133,8 @@ def test_sampling_map_draws_only_the_normals_it_uses():
     params = AttackParams.from_excess(0.7, 0.1)
     widths = {proto: _sampling_map(SimConfig(proto, 1e3, params, MIN_SAMPLES, 1)).shape
               for proto in ("hom", "het", "hom2", "het2")}
-    assert widths == {"hom": (2, 3), "het": (4, 8), "hom2": (2, 5), "het2": (4, 12)}
+    # (X_A, X_B) is 2d-dimensional Gaussian: 2d normals per sample
+    assert widths == {"hom": (2, 2), "het": (4, 4), "hom2": (2, 2), "het2": (4, 4)}
 
 
 def test_two_way_signal_gain():

@@ -10,11 +10,12 @@ from twoway_cvqkd.cli import EXIT_OK, main
 from twoway_cvqkd.rng import CHUNK
 from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS,
                                      GaussianChannel, ProbeRecord,
-                                     TomographyDataset, channel_distance,
-                                     check_reducibility, compose,
-                                     estimate_channel, simulate_probe_dataset)
+                                     TomographyDataset, _normal_moments,
+                                     channel_distance, check_reducibility,
+                                     compose, estimate_channel,
+                                     simulate_probe_dataset)
 
-from oracles import materialised_probe_dataset
+from oracles import materialised_probe_dataset, qr_normal_moments
 
 I2 = np.eye(2)
 
@@ -177,6 +178,16 @@ def test_streamed_probe_moments_match_materialised_shots():
         assert np.array_equal(s.displacement, r.displacement)
         np.testing.assert_allclose(s.output_mean, r.output_mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(s.output_cm, r.output_cm, rtol=1e-12, atol=0)
+
+
+def test_gram_probe_fold_matches_triangular_factor_fold():
+    # the unit-normal probe moments lose nothing to the Gram fold's
+    # centring: off-diagonal covariances are O(1/sqrt(n)), and still agree
+    n = 3 * CHUNK + 17
+    mean, cov = _normal_moments(11, n, 12)
+    want_mean, want_cov = qr_normal_moments(11, n, 12)
+    np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
 
 
 def test_probe_sampling_memory_is_flat_in_n():
