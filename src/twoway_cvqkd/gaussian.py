@@ -28,6 +28,10 @@ I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])
 
 
+class NumericalFailure(RuntimeError):
+    """A numeric check failed: bracket, monotonicity, spectrum or fit."""
+
+
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form: direct sum of n [[0, 1], [-1, 0]] blocks."""
     if n_modes < 1:

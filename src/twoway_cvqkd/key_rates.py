@@ -32,12 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackParams
-from .gaussian import (conditional_cov, g_entropy,
+from .gaussian import (NumericalFailure, conditional_cov, g_entropy,
                        symplectic_eigenvalues, von_neumann_entropy)
-
-
-class NumericalFailure(RuntimeError):
-    """A numeric consistency check failed (bracket, monotonicity, spectrum)."""
 
 
 class Protocol(str, Enum):

@@ -29,6 +29,27 @@ def normal_chunks(seed: int, n: int, cols: int) -> Iterator[np.ndarray]:
         yield generator(seed, chunk_index).standard_normal((min(CHUNK, n - start), cols))
 
 
+def normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance of the (n, cols) standard normals of the
+    `normal_chunks` stream, folded chunk by chunk into a column sum s and a
+    Gram matrix G = z^T z, both BLAS products, so memory is flat in n.
+
+    The covariance is (G - s s^T / n) / (n - 1). This is as exact as a
+    triangular-factor fold because the z are unit normals: the entries of
+    G, like those of R^T R, carry rounding of order eps * sqrt(n) relative
+    to their size, and centring subtracts s s^T / n, which is O(1), from
+    entries that are O(n) on the diagonal and O(sqrt(n)) off it. Samples
+    of scale sqrt(V) would lose their residual in such a fold, so
+    `simulator.empirical_mi` applies the scale after it.
+    """
+    total, gram = np.zeros(cols), np.zeros((cols, cols))
+    for z in normal_chunks(seed, n, cols):
+        total += np.ones(len(z)) @ z
+        gram += z.T @ z
+    mean = total / n
+    return mean, (gram - np.outer(total, mean)) / (n - 1)
+
+
 def normal_matrix(seed: int, n: int, cols: int) -> np.ndarray:
     """(n, cols) standard normals: the blocks of `normal_chunks` stacked."""
     out = np.empty((n, cols))

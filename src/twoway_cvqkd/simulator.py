@@ -11,22 +11,22 @@ The normals that only Bob's variables read are folded into one triangular
 factor per run, so a sample of d encoding and d decoding variables costs
 2d normals, whatever the number of modes behind it.
 
-A run streams: `trajectories` yields the per-sample pairs (X_A, X_B) of
-encoding and decoding variables one RNG chunk at a time, and
-`empirical_mi` folds each block into a small triangular factor and drops
-it, so memory stays constant in the number of samples. The output is the
+The samples (X_A, X_B) = A z of a run are 2d unit normals z through its
+fixed (2d, 2d) sampling map A, so all the estimator reads is the normals'
+sample covariance, which `rng.normal_moments` folds one RNG chunk at a
+time: no sample is formed and memory is constant in their number.
+`empirical_mi` maps that covariance through A. The output is the
 empirical variances and residual variances of X_B and a Gaussian
 mutual-information estimate in bits, next to the analytic values from the
-exact covariance engine. The samples themselves are not kept; callers that
-want them iterate `trajectories(config)` again, which regenerates them
-bit for bit. Everything is keyed by a single 64-bit seed and is
+exact covariance engine. `trajectories(config)` yields the samples one
+chunk at a time. Everything is keyed by a single 64-bit seed and is
 bit-identical across repeated or parallel invocations.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from .attacks import AttackParams
 from .key_rates import (Protocol, _bob_measurement, _joint_for, mi_from_terms,
                         shannon_terms)
-from .rng import normal_chunks
+from .rng import normal_chunks, normal_moments
 
 MIN_SAMPLES = 1000
 # Per-dimension ceiling for the MI estimate when the residual variance
@@ -83,8 +83,8 @@ class MiEstimate:
 @dataclass(frozen=True)
 class SimRun:
     """Moments and MI of one run, per dimension of X_B, empirical next to
-    analytic. The samples were streamed through the estimator and are not
-    kept: `trajectories(run.config)` yields them again."""
+    analytic. They come from the normals' covariance, and no sample is
+    formed: `trajectories(run.config)` yields the samples."""
 
     config: SimConfig
     labels: tuple
@@ -139,38 +139,36 @@ def trajectories(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield x[:, :d], x[:, d:]
 
 
-def empirical_mi(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> MiEstimate:
-    """Gaussian MI estimate in bits from (X_A, X_B) sample blocks.
+def empirical_mi(A: np.ndarray, cov: np.ndarray, n: int) -> MiEstimate:
+    """Gaussian MI estimate in bits of n samples (X_A, X_B) = A z, from the
+    (2d, 2d) sampling map A and the sample covariance `cov` of the n
+    standard normals z (`rng.normal_moments`).
 
     Per scalar dimension of X_B: half the log-ratio of the sample variance
     to the residual variance of a least-squares fit on [1, X_A], summed over
-    dimensions. Each block, a (rows,) or (rows, dims) array per side, is
-    folded in order into the triangular factor R of the design
-    Z = [1, X_A, X_B] and then dropped (streaming TSQR), so memory does not
-    grow with the number of samples. In column j of R, the entries below
-    row 0 hold X_B's centred sum of squares and those below [1, X_A] its
-    residual one. R keeps the residual accurate where the moment matrix
-    Z^T Z would lose it to cancellation against a much larger Var(X_A).
+    dimensions. The samples' covariance A cov A^T is R^T R, R the
+    triangular factor of L^T A^T, L L^T = cov: column j >= d of R holds
+    X_B's variance in all its rows and, times (n - 1) / (n - d - 1), the
+    residual one in the rows below d. This is as exact as a QR fold of the
+    samples: cov, of unit normals, has a well-conditioned Cholesky factor,
+    and Householder QR of the small L^T A^T is column-wise backward stable,
+    so the residual is not lost to cancellation against a much larger
+    Var(X_A), as it would be in A cov A^T.
 
     A vanishing residual is capped at MI_CAP_BITS per dimension and
-    flagged. Both variances are returned with the estimate, so callers
-    that report them need no second pass.
+    flagged. Both variances are returned with the estimate.
     """
-    R, n, d_a = None, 0, 0
-    for x_a, x_b in blocks:
-        d_a = 1 if np.ndim(x_a) == 1 else np.shape(x_a)[1]
-        z = np.column_stack([np.ones(len(x_a)), x_a, x_b])
-        R = np.linalg.qr(z if R is None else np.vstack([R, z]), mode="r")
-        n += len(z)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    d = len(A) // 2
+    R = np.linalg.qr(np.linalg.cholesky(cov).T @ A.T, mode="r")
     bits, capped = 0.0, False
     var, cond_var = [], []
-    for j in range(1 + d_a, R.shape[1]):
-        total = float(R[1:, j] @ R[1:, j]) / (n - 1)
+    for j in range(d, 2 * d):
+        total = float(R[:, j] @ R[:, j])
         if total <= 0.0:
             raise ValueError("degenerate sample variance in X_B")
-        cond = float(R[1 + d_a:, j] @ R[1 + d_a:, j]) / (n - d_a - 1)
+        cond = float(R[d:, j] @ R[d:, j]) * (n - 1) / (n - d - 1)
         term = 0.5 * math.log2(total / cond) if cond > 0.0 else math.inf
         if term > MI_CAP_BITS:
             term, capped = MI_CAP_BITS, True
@@ -188,7 +186,8 @@ def simulate(config: SimConfig) -> SimRun:
     """
     terms = shannon_terms(config.protocol, config.V, config.params)
     mi_analytic = mi_from_terms(terms)
-    mi = empirical_mi(trajectories(config))
+    cov = normal_moments(config.seed, config.n_samples, 2 * len(terms))[1]
+    mi = empirical_mi(_sampling_map(config), cov, config.n_samples)
     return SimRun(
         config=config,
         labels=tuple(lab for lab, _, _ in terms),

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import I2, omega
-from .rng import normal_chunks
+from .gaussian import I2, NumericalFailure, omega
+from .rng import normal_moments
 
 CP_EIG_TOL = 1e-9
 # A fitted channel may miss complete positivity by this many sampling sigmas.
@@ -128,9 +128,8 @@ def estimate_channel(data: TomographyDataset) -> GaussianChannel:
     Gain and displacement come from the affine fit of output means against
     input displacements; the additive noise is the probe-averaged residual
     output CM minus gain @ CM_in @ gain^T. Complete positivity is verified
-    within CP_SIGMA_FACTOR times the dataset's sampling error. Where the
-    probe average overflows (output CMs near the largest double) the noise
-    holds inf, without a warning, and the CP check cannot fail on it.
+    within CP_SIGMA_FACTOR times the dataset's sampling error; a fit that is
+    not finite, whose CP defect is NaN, raises NumericalFailure before that.
     """
     data.validate()
     design = np.array([[*p.displacement, 1.0] for p in data.probes])
@@ -142,6 +141,9 @@ def estimate_channel(data: TomographyDataset) -> GaussianChannel:
         noise = np.mean(
             [p.output_cm - gain @ p.input_cm @ gain.T for p in data.probes], axis=0
         )
+    if not all(np.isfinite(a).all() for a in (gain, disp, noise)):
+        raise NumericalFailure(f"fitted channel is not finite: gain {gain.tolist()}, "
+                               f"displacement {disp.tolist()}, noise {noise.tolist()}")
     channel = GaussianChannel(gain, noise, disp)
     sigma = data.statistical_sigma()
     if channel.cp_defect() < -(CP_SIGMA_FACTOR * sigma + CP_EIG_TOL):
@@ -200,28 +202,6 @@ DEFAULT_PROBE_DISPLACEMENTS = np.array(
 )
 
 
-def _normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and covariance of the (n, cols) standard normals of the
-    `rng.normal_chunks` stream, folded one chunk at a time into a column
-    sum s and a Gram matrix G = z^T z, so memory is flat in n.
-
-    The covariance is (G - s s^T / n) / (n - 1). This is as exact as a
-    triangular-factor fold because the z are unit normals: the entries of
-    G, like those of R^T R, carry rounding of order eps * sqrt(n) relative
-    to their size, and centring subtracts s s^T / n, which is O(1), from
-    entries that are O(n) on the diagonal and O(sqrt(n)) off it, so
-    nothing cancels. Data of large scale, like X_A of scale sqrt(V) in
-    `simulator.empirical_mi`, would lose its residual this way and keeps a
-    QR fold.
-    """
-    total, gram = np.zeros(cols), np.zeros((cols, cols))
-    for z in normal_chunks(seed, n, cols):
-        total += z.sum(axis=0)
-        gram += z.T @ z
-    mean = total / n
-    return mean, (gram - np.outer(total, mean)) / (n - 1)
-
-
 def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int,
                            displacements: np.ndarray | None = None) -> TomographyDataset:
     """Sample coherent-state probes through a known channel.
@@ -232,7 +212,7 @@ def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int
     CM all probes share (physical, so positive definite), and the z of all
     probes are one `rng.normal_chunks` stream, two columns per probe, whose
     sample mean and covariance are folded chunk by chunk in memory flat in
-    n (`_normal_moments`).
+    n (`rng.normal_moments`).
     """
     if displacements is None:
         displacements = DEFAULT_PROBE_DISPLACEMENTS
@@ -240,7 +220,7 @@ def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int
         raise ValueError(f"probe with n={n_per_probe} < {TomographyDataset.MIN_SAMPLES}")
     m = len(displacements)
     chol = np.linalg.cholesky(channel.apply(np.zeros(2), I2)[1])
-    z_mean, z_cov = _normal_moments(seed, n_per_probe, 2 * m)
+    z_mean, z_cov = normal_moments(seed, n_per_probe, 2 * m)
     z_mean, z_cov = z_mean.reshape(m, 2), z_cov.reshape(m, 2, m, 2)
     return TomographyDataset([
         ProbeRecord(displacement=np.asarray(d, dtype=float), input_cm=I2.copy(),

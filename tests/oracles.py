@@ -20,7 +20,7 @@ None of this is used by the package itself:
 - the individual protocols as phase-space beam-splitter relations on
   standard normals, the reference for the simulator's sampling map;
 - the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
-  reference for the streamed estimator;
+  reference for the estimator on the normals' covariance;
 - the tomography probe moments on whole shot arrays, by `np.mean` and
   `np.cov`, the reference for the streamed probe sampler, and the streamed
   triangular-factor fold of the probe normals, the reference for its Gram

@@ -281,12 +281,12 @@ def test_tomo_check_overflowing_deviation_exits_numeric(capsys):
 
 @pytest.mark.parametrize("W", ["1e308", "1.7e308"])
 def test_tomo_check_overflowing_noise_fit_exits_numeric(capsys, W):
-    # the probe-averaged noise overflows; the NaN deviation it leads to is
-    # not dropped, and a RuntimeWarning fails the test
+    # the probe-averaged noise overflows, and the fit is rejected before it
+    # reaches a deviation; a RuntimeWarning fails the test
     code, out, err = run(capsys, "tomo-check", "--T", "0.7", "--W", W,
                          "--n", "2000", "--seed", "1")
     assert (code, out) == (EXIT_NUMERIC, "")
-    assert err.startswith("error: numeric failure: channel deviations overflow")
+    assert err.startswith("error: numeric failure: fitted channel is not finite")
     assert "Warning" not in err
 
 

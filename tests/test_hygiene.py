@@ -1,6 +1,8 @@
-"""Static checks on the source tree, with the standard library only."""
+"""Static checks on the source tree, with the standard library only; the
+check of the benchmark tracer's names imports the package to resolve them."""
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -113,3 +115,23 @@ def test_checker_sees_unused_knobs():
 def test_no_unused_knobs():
     definitions = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
     assert unused_knobs(definitions, [p.read_text() for p in CALLERS]) == []
+
+
+def traced_names(source: str) -> list[tuple[str, str]]:
+    """(module, function) of each entry of the `TRACED` list in `source`."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets)):
+            return [(module, func) for module, func, _ in ast.literal_eval(node.value)]
+    raise AssertionError("no TRACED list")
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches these by name and stops at the first
+    # one that is missing, in a traced run only
+    names = traced_names((ROOT / "benchmark" / "child.py").read_text())
+    assert names
+    missing = [f"{module}.{func}" for module, func in names
+               if not callable(getattr(importlib.import_module(f"twoway_cvqkd.{module}"),
+                                       func, None))]
+    assert missing == []

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from twoway_cvqkd.attacks import AttackParams
-from twoway_cvqkd.rng import CHUNK, generator, normal_chunks, normal_matrix
+from twoway_cvqkd.rng import (CHUNK, generator, normal_chunks, normal_matrix,
+                              normal_moments)
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, SimConfig,
                                     _sampling_map, dump_samples, empirical_mi,
-                                    mi_sigma_bits, simulate, summary_text,
-                                    trajectories)
+                                    mi_sigma_bits, simulate, summary_text)
 
 from oracles import lstsq_mi, phase_space_map, sample_arrays
 
@@ -147,16 +147,17 @@ def test_two_way_signal_gain():
 
 
 def test_empirical_mi_capped_on_deterministic_data():
-    x = np.linspace(-1, 1, 2000)[:, None]
-    est = empirical_mi([(x, 2.0 * x)])
+    # X_B = 2 X_A
+    A = np.array([[1.0, 0.0], [2.0, 0.0]])
+    est = empirical_mi(A, normal_moments(1, 2000, 2)[1], 2000)
     assert est.capped
 
 
 def test_empirical_mi_flags_zero_residual():
     # at this scale the fit's rounding residue squares to an exact 0.0,
     # while the sample variance is still a normal number
-    x = 1e-150 * np.linspace(-1, 1, 2000)
-    est = empirical_mi([(x, 2.0 * x)])
+    A = 1e-150 * np.array([[1.0, 0.0], [2.0, 0.0]])
+    est = empirical_mi(A, normal_moments(1, 2000, 2)[1], 2000)
     assert est.cond_var == (0.0,)
     assert est.var[0] > 0.0
     assert est.capped
@@ -164,11 +165,12 @@ def test_empirical_mi_flags_zero_residual():
 
 
 @pytest.mark.parametrize("n", [1000, 3 * CHUNK + 17])
-@pytest.mark.parametrize("V", [2.5, 1e3, 1e6, 1e10])
+@pytest.mark.parametrize("V", [2.5, 1e3, 1e6, 1e10, 1e12])
 @pytest.mark.parametrize("proto", ["hom", "het", "hom2", "het2"])
 def test_streamed_estimator_matches_lstsq(proto, V, n):
     config = SimConfig(proto, V, AttackParams.from_excess(0.7, 0.1), n, 5)
-    got = empirical_mi(trajectories(config))
+    A = _sampling_map(config)
+    got = empirical_mi(A, normal_moments(config.seed, n, len(A))[1], n)
     want = lstsq_mi(*sample_arrays(config))
     assert got.capped == want.capped
     assert got.bits == pytest.approx(want.bits, rel=1e-10, abs=0.0)
@@ -177,9 +179,7 @@ def test_streamed_estimator_matches_lstsq(proto, V, n):
 
 
 def test_empirical_mi_independent_data():
-    rng = np.random.default_rng(17)
-    est = empirical_mi([(rng.standard_normal((100000, 1)),
-                         rng.standard_normal((100000, 1)))])
+    est = empirical_mi(np.eye(2), normal_moments(17, 100000, 2)[1], 100000)
     assert abs(est.bits) < 1e-3
     assert not est.capped
 
@@ -187,12 +187,10 @@ def test_empirical_mi_independent_data():
 def test_empirical_mi_known_correlation():
     rho = 0.8
     n = 100000
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal(n)
-    y = rho * x + math.sqrt(1 - rho * rho) * rng.standard_normal(n)
+    A = np.array([[1.0, 0.0], [rho, math.sqrt(1 - rho * rho)]])
     expect = -0.5 * math.log2(1 - rho * rho)
     sigma = rho / (math.sqrt(n) * math.log(2.0))
-    assert abs(empirical_mi([(x[:, None], y[:, None])]).bits - expect) < 3 * sigma
+    assert abs(empirical_mi(A, normal_moments(23, n, 2)[1], n).bits - expect) < 3 * sigma
 
 
 def test_fixed_seed_reproducibility():

@@ -7,10 +7,11 @@ import pytest
 from twoway_cvqkd.attacks import AttackParams, CorrelatedAttackParams, \
     correlated_two_mode_channels
 from twoway_cvqkd.cli import EXIT_OK, main
-from twoway_cvqkd.rng import CHUNK
+from twoway_cvqkd.key_rates import NumericalFailure
+from twoway_cvqkd.rng import CHUNK, normal_moments
 from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS,
                                      GaussianChannel, ProbeRecord,
-                                     TomographyDataset, _normal_moments,
+                                     TomographyDataset,
                                      channel_distance, check_reducibility,
                                      compose, estimate_channel,
                                      simulate_probe_dataset)
@@ -99,6 +100,15 @@ def test_cp_check():
     assert not bad.is_cp()
 
 
+def test_estimate_channel_rejects_a_non_finite_fit():
+    # the probe average of output CMs near the largest double overflows to
+    # inf; the CP defect of such a fit is NaN, which the CP check passes
+    probes = [ProbeRecord(d, I2.copy(), 0.8 * d, 1.7e308 * I2, 2000)
+              for d in DEFAULT_PROBE_DISPLACEMENTS]
+    with pytest.raises(NumericalFailure, match="fitted channel is not finite"):
+        estimate_channel(TomographyDataset(probes))
+
+
 def test_dataset_validation():
     good = simulate_probe_dataset(GaussianChannel.identity(), 2000, 5)
     good.validate()
@@ -184,7 +194,7 @@ def test_gram_probe_fold_matches_triangular_factor_fold():
     # the unit-normal probe moments lose nothing to the Gram fold's
     # centring: off-diagonal covariances are O(1/sqrt(n)), and still agree
     n = 3 * CHUNK + 17
-    mean, cov = _normal_moments(11, n, 12)
+    mean, cov = normal_moments(11, n, 12)
     want_mean, want_cov = qr_normal_moments(11, n, 12)
     np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
