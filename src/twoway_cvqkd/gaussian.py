@@ -5,11 +5,11 @@ quadrature commutator is [Y_l, Y_m] = 2i Omega_lm. Quadratures are ordered
 (Q1, P1, ..., Qn, Pn). Entropic quantities are in bits (base-2 logarithms);
 callers that want nats convert once, at the output.
 
-Covariance matrices are plain symmetric numpy arrays. Displacements play no
-role in any entropic quantity, so they are tracked separately by the
-callers that need them. Conditioning on a measurement is a Schur
-complement of a joint covariance (`conditional_cov`); conditioning on
-Alice's classical encoding needs none (`key_rates.JointMoments.given_alice`).
+Covariance matrices are plain symmetric numpy arrays, one per spectrum: the
+het2 RR sweeps' stacked spectra are `key_rates`' own. Displacements play no
+role in any entropic quantity, so the callers that need them track them.
+Conditioning on a measurement is a Schur complement (`conditional_cov`); on
+Alice's encoding it needs none (`key_rates.JointMoments.given_alice`).
 """
 
 from __future__ import annotations
@@ -44,45 +44,32 @@ def omega(n_modes: int) -> np.ndarray:
 
 
 def symplectic_eigenvalues(cm) -> np.ndarray:
-    """Williamson eigenvalues of a covariance matrix, descending order.
+    """Williamson eigenvalues of one 2n x 2n covariance matrix, descending.
 
     Computed as the moduli of the eigenvalues of Omega @ V, which come in
-    +/- pairs for a symmetric V; the pairs are deduplicated. A failure of
-    the +/- pairing beyond tolerance signals a broken covariance matrix.
-    A stack of matrices (..., 2n, 2n) gives the stack of spectra (..., n),
-    each matrix checked on its own: one that is not finite and symmetric,
-    or fails the pairing, gets a NaN row instead of raising.
+    +/- pairs for a symmetric V; the pairs are deduplicated. Omega @ V is V
+    with each (Q, P) row pair swapped and the P rows negated, zeros as +0.0
+    like a matrix product's. A matrix that is not finite and symmetric, or
+    fails the +/- pairing beyond tolerance (a broken CM), raises ValueError.
     """
     mat = np.asarray(cm, dtype=float)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] % 2:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise ValueError(f"covariance matrix must be 2n x 2n, got {mat.shape}")
-    mat_t = np.swapaxes(mat, -1, -2)
-    atol = SYMMETRY_TOL * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), keepdims=True))
-    with np.errstate(invalid="ignore"):
-        # np.allclose(mat, mat_t, atol=atol), matrix by matrix
-        close = ((np.abs(mat - mat_t) <= atol + 1e-5 * np.abs(mat_t))
-                 & np.isfinite(mat_t) | (mat == mat_t))
-    broken = ~close.all(axis=(-2, -1))
-    if mat.ndim == 2:
-        if broken:
-            raise ValueError("covariance matrix is not symmetric")
-    else:
-        # a non-finite matrix would make eigvals fail the whole stack
-        broken |= ~np.isfinite(mat).all(axis=(-2, -1))
-        if broken.any():
-            mat = np.where(broken[..., None, None], 0.0, mat)
-    n = mat.shape[-1] // 2
-    moduli = np.sort(np.abs(np.linalg.eigvals(omega(n) @ mat)), axis=-1)[..., ::-1]
-    a, b = moduli[..., ::2], moduli[..., 1::2]
-    scale = np.maximum(1.0, moduli[..., :1])
-    unpaired = np.abs(a - b) > PAIRING_TOL * np.maximum(1.0, a) + PAIRING_TOL * scale
-    if mat.ndim == 2:
-        if unpaired.any():
-            k = int(np.argmax(unpaired))
-            raise ValueError(f"eigenvalues of Omega V fail +/- pairing "
-                             f"({a[k]} vs {b[k]}): broken CM")
-        return a
-    return np.where((broken | unpaired.any(axis=-1))[..., None], np.nan, a)
+    amax = np.abs(mat).max()   # NaN or inf unless the matrix is finite
+    atol = SYMMETRY_TOL * max(1.0, amax)
+    if not (amax < math.inf and (np.abs(mat - mat.T) <= atol + 1e-5 * np.abs(mat.T)).all()):
+        raise ValueError("covariance matrix is not symmetric or not finite")
+    om_v = np.empty_like(mat)
+    om_v[::2], om_v[1::2] = mat[1::2] + 0.0, 0.0 - mat[::2]
+    moduli = np.sort(np.abs(np.linalg.eigvals(om_v)))[::-1]
+    a, b = moduli[::2], moduli[1::2]
+    unpaired = (np.abs(a - b) > PAIRING_TOL * np.maximum(1.0, a)
+                + PAIRING_TOL * max(1.0, moduli[0]))
+    if unpaired.any():
+        k = int(np.argmax(unpaired))
+        raise ValueError(f"eigenvalues of Omega V fail +/- pairing "
+                         f"({a[k]} vs {b[k]}): broken CM")
+    return a
 
 
 def g_entropy(nu: float | np.ndarray) -> float | np.ndarray:
@@ -117,7 +104,7 @@ def von_neumann_entropy(cm) -> float:
     Eigenvalues marginally below 1 from floating-point noise are clamped.
     """
     nus = symplectic_eigenvalues(cm)
-    return float(sum(g_entropy(max(nu, 1.0)) for nu in nus))
+    return float(sum(g_entropy(max(nu, 1.0)) for nu in nus.tolist()))
 
 
 def conditional_cov(sigma: np.ndarray, keep, obs_rows: np.ndarray,

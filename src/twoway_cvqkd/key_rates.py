@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackParams
-from .gaussian import (NumericalFailure, conditional_cov, g_entropy,
-                       symplectic_eigenvalues, von_neumann_entropy)
+from .gaussian import (PAIRING_TOL, SYMMETRY_TOL, NumericalFailure, conditional_cov,
+                       g_entropy, omega, von_neumann_entropy)
 
 
 class Protocol(str, Enum):
@@ -248,8 +248,7 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     joint = two_way_joint(np.repeat(modulations, k), stack)
     rows, noise, _ = _bob_measurement(Protocol.HET2, joint, stack)
     cond = conditional_cov(joint.sigma, joint.ix["E"], rows, noise)
-    nus = symplectic_eigenvalues(cond)
-    nus = nus.reshape((2, k) + nus.shape[1:])   # [coarse, fine]
+    nus = _stacked_symplectic_eigenvalues(cond).reshape(2, k, 4)   # [coarse, fine], Eve's 4 modes
     # The closed-form reference values in Python floats, as for one point:
     # numpy's power and the C library's pow part in the last bit for some T.
     t_w = list(zip(T.tolist(), W.tolist()))
@@ -280,6 +279,26 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
             f"beyond relative tolerance {HET2_RR_PRODUCT_TOL}"
         )
     return finite[0]
+
+
+def _stacked_symplectic_eigenvalues(cms: np.ndarray) -> np.ndarray:
+    """`symplectic_eigenvalues` of each matrix of a (k, 2n, 2n) stack in one
+    eigen-solve, as a (k, n) array. A matrix that is not finite and symmetric,
+    or fails the +/- pairing, gets a NaN row instead of raising."""
+    cms_t = np.swapaxes(cms, -1, -2)
+    atol = SYMMETRY_TOL * np.maximum(1.0, np.abs(cms).max(axis=(-2, -1), keepdims=True))
+    with np.errstate(invalid="ignore"):
+        # np.allclose(cm, cm.T, atol=atol), matrix by matrix
+        close = ((np.abs(cms - cms_t) <= atol + 1e-5 * np.abs(cms_t))
+                 & np.isfinite(cms_t) | (cms == cms_t))
+    # a non-finite matrix would make eigvals fail the whole stack
+    broken = ~close.all(axis=(-2, -1)) | ~np.isfinite(cms).all(axis=(-2, -1))
+    mat = np.where(broken[:, None, None], 0.0, cms)
+    moduli = np.sort(np.abs(np.linalg.eigvals(omega(cms.shape[-1] // 2) @ mat)), axis=-1)[:, ::-1]
+    a, b = moduli[:, ::2], moduli[:, 1::2]
+    scale = np.maximum(1.0, moduli[:, :1])
+    unpaired = np.abs(a - b) > PAIRING_TOL * np.maximum(1.0, a) + PAIRING_TOL * scale
+    return np.where((broken | unpaired.any(axis=-1))[:, None], np.nan, a)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +509,15 @@ def shannon_terms(protocol, V: float,
     protocol = Protocol(protocol)
     if protocol.collective:
         raise ValueError("Shannon terms are defined for individual protocols only")
-    return _shannon_terms(protocol, _joint_for(protocol, V, params), params)
+    joint = _joint_for(protocol, V, params)
+    return _shannon_terms(protocol, joint, joint.given_alice(protocol), params)
 
 
-def _shannon_terms(protocol: Protocol, joint: JointMoments,
+def _shannon_terms(protocol: Protocol, joint: JointMoments, given: np.ndarray,
                    params: AttackParams) -> list[tuple[str, float, float]]:
     rows, noise, labels = _bob_measurement(protocol, joint, params)
     total = rows @ joint.sigma @ rows.T + noise
-    cond = rows @ joint.given_alice(protocol) @ rows.T + noise
+    cond = rows @ given @ rows.T + noise
     return [(lab, float(total[i, i]), float(cond[i, i]))
             for i, lab in enumerate(labels)]
 
@@ -538,13 +558,15 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
                           params, V)
     joint = _joint_for(protocol, V, params)
     ix = joint.ix
+    given = joint.given_alice(protocol)
 
     def entropy(sigma: np.ndarray, name: str) -> float:
-        return von_neumann_entropy(sigma[np.ix_(ix[name], ix[name])])
+        # the "B", "E" and "BE" blocks are contiguous index ranges
+        block = slice(ix[name][0], ix[name][-1] + 1)
+        return von_neumann_entropy(sigma[block, block])
 
     s_e = entropy(joint.sigma, "E")
     if protocol.collective:
-        given = joint.given_alice(protocol)
         s_b = entropy(joint.sigma, "B")
         i_ab = s_b - entropy(given, "B")
         if recon is Reconciliation.DR:
@@ -552,10 +574,10 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
         else:  # only COLL_HET reaches this branch
             rate = i_ab - (s_b + s_e - entropy(joint.sigma, "BE"))
     else:
-        i_ab = mi_from_terms(_shannon_terms(protocol, joint, params))
+        i_ab = mi_from_terms(_shannon_terms(protocol, joint, given, params))
         # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
         if recon is Reconciliation.DR:
-            s_e_given = entropy(joint.given_alice(protocol), "E")
+            s_e_given = entropy(given, "E")
         else:
             rows, noise, _ = _bob_measurement(protocol, joint, params)
             s_e_given = von_neumann_entropy(

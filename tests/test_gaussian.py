@@ -10,6 +10,7 @@ from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_FLAG, EXIT_OK, main
 from twoway_cvqkd.gaussian import (I2, PHYSICALITY_TOL, conditional_cov, g_entropy,
                                    omega, symplectic_eigenvalues, von_neumann_entropy)
+from twoway_cvqkd.key_rates import _stacked_symplectic_eigenvalues
 
 from oracles import (beam_splitter, direct_sum, epr_cm, is_symplectic,
                      one_way_cm, random_symplectic)
@@ -143,13 +144,15 @@ def test_symplectic_eigenvalues_on_a_stack():
     asymmetric[0, 1] += 1e-3
     non_finite = cms[1].copy()
     non_finite[2, 2] = np.nan
-    nus = symplectic_eigenvalues(np.array(cms + [asymmetric, non_finite]))
+    nus = _stacked_symplectic_eigenvalues(np.array(cms + [asymmetric, non_finite]))
     assert nus.shape == (6, 4)
     for cm, row in zip(cms, nus):
         assert np.array_equal(row, symplectic_eigenvalues(cm))
     assert np.isnan(nus[4:]).all()
     with pytest.raises(ValueError, match="not symmetric"):
         symplectic_eigenvalues(asymmetric)
+    with pytest.raises(ValueError, match="2n x 2n"):
+        symplectic_eigenvalues(np.array(cms))
 
 
 def test_conditional_cov_on_a_stack():

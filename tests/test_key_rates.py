@@ -245,6 +245,15 @@ def test_two_way_joint_matches_closed_form_blocks():
                        two_way_cm("E", vbar, vbar, V, params), atol=1e-12)
 
 
+@pytest.mark.parametrize("build", [one_way_joint, two_way_joint])
+def test_entropy_blocks_are_contiguous_ranges(build):
+    # exact_rate reads these blocks as slices, so a reordered joint must
+    # fail here rather than have it read the wrong block
+    ix = build(6.0, P(0.6, 1.4)).ix
+    for name in ("B", "E", "BE"):
+        assert ix[name] == list(range(ix[name][0], ix[name][-1] + 1)), name
+
+
 # (first, second) input halves of each EPR pair, W pairs last
 _EPR_PAIRS = {one_way_joint: [(4, 6), (5, 7)],
               two_way_joint: [(2, 4), (3, 5), (6, 8), (7, 9), (10, 12), (11, 13)]}
@@ -310,7 +319,7 @@ def test_given_alice_matches_schur_conditioning(protocol, V):
                      for k in ("B", "E")]
             if not protocol.collective:
                 pairs.append((np.array([c for _, _, c in
-                                        _shannon_terms(protocol, joint, params)]),
+                                        _shannon_terms(protocol, joint, given, params)]),
                               schur_shannon_variances(protocol, joint, params)))
             for got, want in pairs:
                 worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
