@@ -1,16 +1,16 @@
 """Secret-key rates and security thresholds for one-way and two-way
 continuous-variable protocols under collective Gaussian attacks."""
 
-from .attacks import (AttackParams, CorrelatedAttackParams,
-                      correlated_two_mode_channels, excess_noise, w_from_excess)
+from .attacks import AttackParams, excess_noise, w_from_excess
 from .gaussian import g_entropy, symplectic_eigenvalues, von_neumann_entropy
 from .key_rates import (DIVERGENT_RR, NumericalFailure, Protocol, RATE_DIVERGENT,
                         RateResult, Reconciliation, asymptotic_rate, exact_rate)
 from .simulator import SimConfig, SimRun, empirical_mi, simulate
 from .thresholds import (Grid, SuperadditivityReport, ThresholdCurve, crossover,
                          solve_threshold, superadditivity_report, sweep_curve)
-from .tomography import (GaussianChannel, ReducibilityVerdict, TomographyDataset,
-                         check_reducibility, compose, estimate_channel,
+from .tomography import (CorrelatedAttackParams, GaussianChannel, ReducibilityVerdict,
+                         TomographyDataset, check_reducibility, compose,
+                         correlated_two_mode_channels, estimate_channel,
                          simulate_probe_dataset)
 
 __version__ = "0.1.0"

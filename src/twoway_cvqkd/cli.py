@@ -18,13 +18,14 @@ import argparse
 import math
 import sys
 
-from .attacks import AttackParams, CorrelatedAttackParams, correlated_two_mode_channels
-from .key_rates import (DIVERGENT_RR, DIVERGENT_RR_REASON, NumericalFailure,
-                        Protocol, Reconciliation, asymptotic_rate, exact_rate,
-                        mi_from_terms, shannon_terms)
+from .attacks import AttackParams
+from .key_rates import (NumericalFailure, Protocol, Reconciliation, asymptotic_rate,
+                        exact_rate, finite_pair, mi_from_terms, shannon_terms)
 from .simulator import SimConfig, dump_samples, simulate, summary_text
 from .thresholds import Grid, crossover, solve_threshold, sweep_curve
-from .tomography import check_reducibility, estimate_channel, simulate_probe_dataset
+from .tomography import (CorrelatedAttackParams, check_reducibility,
+                         correlated_two_mode_channels, estimate_channel,
+                         require_tolerance, simulate_probe_dataset)
 
 EXIT_OK = 0
 EXIT_FLAG = 2
@@ -36,11 +37,7 @@ EXIT_IO = 4
 # either diverge or, for coll_het, are not part of the individual
 # comparison).
 DR_BUNDLE = ["hom", "het", "coll_het", "hom2", "het2", "coll_hom2", "coll_het2"]
-RR_BUNDLE = ["hom", "het", "hom2", "het2"]
-
-
-class FlagError(ValueError):
-    """A flag value the command cannot use; exits 2 like any ValueError."""
+RR_BUNDLE = [p.value for p in Protocol if not p.collective]
 
 
 def _fmt(x: float) -> str:
@@ -53,7 +50,7 @@ def _lines(lines) -> str:
 
 def _params(args) -> AttackParams:
     if args.W is not None and args.N is not None:
-        raise FlagError("--W and --N are mutually exclusive")
+        raise ValueError("--W and --N are mutually exclusive")
     if args.W is not None:
         return AttackParams(args.T, args.W)
     if args.N is not None:
@@ -61,22 +58,16 @@ def _params(args) -> AttackParams:
     return AttackParams(args.T, 1.0)
 
 
-def _pair(args) -> tuple[Protocol, Reconciliation]:
-    protocol, recon = Protocol(args.protocol), Reconciliation(args.recon)
-    if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
-        raise FlagError(f"unsupported pair {protocol.value}/{recon.value}: "
-                        f"{DIVERGENT_RR_REASON}")
-    return protocol, recon
-
-
 def _grid(args) -> Grid:
+    if isinstance(args.grid, Grid):   # the default
+        return args.grid
     parts = args.grid.split(":")
     if len(parts) != 3:
-        raise FlagError(f"grid must be lo:hi:steps, got {args.grid!r}")
+        raise ValueError(f"grid must be lo:hi:steps, got {args.grid!r}")
     try:
         return Grid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
-        raise FlagError(f"bad grid {args.grid!r}: {exc}") from exc
+        raise ValueError(f"bad grid {args.grid!r}: {exc}") from exc
 
 
 def _sweep_status(curves) -> int:
@@ -96,7 +87,7 @@ def _sweep_status(curves) -> int:
 
 
 def cmd_rate(args) -> tuple[str, int]:
-    protocol, recon = _pair(args)
+    protocol, recon = finite_pair(args.protocol, args.recon)
     params = _params(args)
     if args.V is not None:
         result = exact_rate(protocol, recon, args.V, params)
@@ -114,16 +105,15 @@ def cmd_rate(args) -> tuple[str, int]:
 
 
 def cmd_threshold(args) -> tuple[str, int]:
-    protocol, recon = _pair(args)
-    n = solve_threshold(protocol, recon, args.T)
+    n = solve_threshold(args.protocol, args.recon, args.T)   # rejects a divergent pair
     return _lines([
         "protocol,recon,T,N_threshold",
-        f"{protocol.value},{recon.value},{_fmt(args.T)},{_fmt(n)}",
+        f"{args.protocol},{args.recon},{_fmt(args.T)},{_fmt(n)}",
     ]), EXIT_OK
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    protocol, recon = _pair(args)
+    protocol, recon = finite_pair(args.protocol, args.recon)
     grid = _grid(args)
     curve = sweep_curve(protocol, recon, grid)
     lines = []
@@ -162,8 +152,7 @@ def cmd_simulate(args) -> tuple[str, int]:
 
 
 def cmd_tomo_check(args) -> tuple[str, int]:
-    if not 0.0 < args.tol < math.inf:
-        raise FlagError(f"tolerance must be positive and finite, got {args.tol}")
+    require_tolerance(args.tol)
     forward = _params(args)
     cparams = CorrelatedAttackParams(forward, forward, args.correlation)
     channels = correlated_two_mode_channels(cparams)
@@ -194,7 +183,7 @@ def _attack_flags(p) -> None:
 
 
 def _grid_flag(p) -> None:
-    p.add_argument("--grid", default="0.02:0.98:193", help="lo:hi:steps")
+    p.add_argument("--grid", default=Grid(), help="lo:hi:steps")
 
 
 def _seed(text: str) -> int:
@@ -240,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recon", choices=["dr", "rr"], required=True)
     p = command("simulate", cmd_simulate, "Monte-Carlo protocol run",
                 _attack_flags, _seed_flag)
-    p.add_argument("--protocol", choices=["hom", "het", "hom2", "het2"],
+    p.add_argument("--protocol", choices=[q.value for q in Protocol if not q.collective],
                    required=True)
     p.add_argument("--V", type=float, required=True)
     p.add_argument("--n", type=int, required=True)

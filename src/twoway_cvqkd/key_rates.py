@@ -82,6 +82,16 @@ DIVERGENT_RR_REASON = ("reverse reconciliation diverges for this collective "
                        "large a bound on Eve's information")
 
 
+def finite_pair(protocol, reconciliation) -> tuple[Protocol, Reconciliation]:
+    """The (Protocol, Reconciliation) members of a pair whose rate is finite;
+    a pair in DIVERGENT_RR under RR raises ValueError with the reason."""
+    protocol, recon = Protocol(protocol), Reconciliation(reconciliation)
+    if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
+        raise ValueError(f"unsupported pair {protocol.value}/{recon.value}: "
+                         f"{DIVERGENT_RR_REASON}")
+    return protocol, recon
+
+
 class RateResult(NamedTuple):
     """One rate and what it was computed for. A named tuple rather than a
     frozen dataclass: as immutable, and about three times cheaper to build,

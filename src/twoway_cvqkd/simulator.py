@@ -41,8 +41,6 @@ MIN_SAMPLES = 1000
 # underflows (X_B a deterministic function of X_A).
 MI_CAP_BITS = 30.0
 
-_INDIVIDUAL = (Protocol.HOM, Protocol.HET, Protocol.HOM2, Protocol.HET2)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -54,7 +52,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "protocol", Protocol(self.protocol))
-        if self.protocol not in _INDIVIDUAL:
+        if self.protocol.collective:
             raise ValueError(f"simulation covers individual protocols only, "
                              f"got {self.protocol.value}")
         if self.params.T == 0.0 or not math.isfinite(self.params.N):

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackParams, excess_noise
-from .key_rates import (_RATES, DIVERGENT_RR, NumericalFailure, Protocol,
-                        Reconciliation, asymptotic_rate)
+from .key_rates import (_RATES, NumericalFailure, Protocol, Reconciliation,
+                        asymptotic_rate, finite_pair)
 
 W_TOL = 1e-10
 # Bracket ends double from 2 up to this cap, which is the last end tried.
@@ -51,15 +51,6 @@ CROSSOVER_T_TOL = 1e-4
 def default_threads() -> int:
     """Number of workers a sweep uses: always 1, sweeps run serially."""
     return 1
-
-
-def _finite_pair(protocol, reconciliation) -> tuple[Protocol, Reconciliation]:
-    protocol = Protocol(protocol)
-    recon = Reconciliation(reconciliation)
-    if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
-        raise ValueError(f"no threshold for {protocol.value} {recon.value}: "
-                         "the rate diverges to -inf")
-    return protocol, recon
 
 
 def _lattice(lo: float, hi: float) -> tuple[float, int]:
@@ -93,9 +84,9 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     is that of plain bisection, in at most 4x its steps. Raises
     NumericalFailure if the rate increases with W during expansion or is
     still positive at W_HI_MAX; raises ValueError for pairs whose rate
-    diverges.
+    diverges (`key_rates.finite_pair`).
     """
-    protocol, recon = _finite_pair(protocol, reconciliation)
+    protocol, recon = finite_pair(protocol, reconciliation)
 
     def rate(w: float) -> float:
         return asymptotic_rate(protocol, recon, AttackParams(T, w)).rate
@@ -190,7 +181,7 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> Threshold
     raises, the point is NaN and `errors` holds its message (grid index ->
     message, in grid order).
     """
-    protocol, recon = _finite_pair(protocol, reconciliation)
+    protocol, recon = finite_pair(protocol, reconciliation)
     if grid is None:
         grid = Grid()
     T = grid.points()

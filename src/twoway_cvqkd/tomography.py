@@ -6,7 +6,8 @@ first and second statistical moments of the outputs, so probing with a few
 displaced inputs and fitting least squares reconstructs it. The hybrid
 two-way protocol uses this to check that the round-trip channel factors as
 backward o (displacement) o forward with identical forward and backward
-legs; failure of either condition flags a correlated two-path attack.
+legs; failure of either condition flags a correlated two-path attack, such
+as `CorrelatedAttackParams`, which is modelled here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import I2, NumericalFailure, omega
+from .attacks import AttackParams
+from .gaussian import I2, PHYSICALITY_TOL, Z2, NumericalFailure, omega
 from .rng import normal_moments
 
 CP_EIG_TOL = 1e-9
@@ -83,6 +85,73 @@ def channel_distance(a: GaussianChannel, b: GaussianChannel) -> float:
         return float(np.max(np.abs(np.concatenate([
             (a.gain - b.gain).ravel(), (a.noise - b.noise).ravel(),
             a.displacement - b.displacement]))))
+
+
+@dataclass(frozen=True)
+class CorrelatedAttackParams:
+    """Two entangling cloners with EPR-like coupling c between their ancillas.
+
+    The injected ancillas keep their thermal marginals W_f, W_b; their
+    cross-covariance is c * ((W_f^2-1)(W_b^2-1))**(1/4) with the Z sign
+    pattern (Q correlated, P anti-correlated). c = +-1 saturates the
+    physicality bound when W_f = W_b.
+    """
+
+    forward: AttackParams
+    backward: AttackParams
+    correlation: float = 0.0
+
+    def __post_init__(self):
+        if not -1.0 <= self.correlation <= 1.0:
+            raise ValueError(f"correlation must be in [-1, 1], got {self.correlation}")
+        nu_min = self.min_symplectic_eigenvalue()
+        if nu_min < 1.0 - PHYSICALITY_TOL:
+            raise ValueError(
+                f"unphysical correlation {self.correlation} for W_f={self.forward.W}, "
+                f"W_b={self.backward.W} (min symplectic eigenvalue {nu_min})"
+            )
+
+    def coupling(self) -> float:
+        # (W^2 - 1)^(1/4) of each leg without forming W^2, so the coupling is
+        # finite (and 0 at correlation 0) for every finite W
+        return self.correlation * math.prod(
+            (w - 1.0) ** 0.25 * (w + 1.0) ** 0.25 for w in (self.forward.W, self.backward.W))
+
+    def min_symplectic_eigenvalue(self) -> float:
+        """Smaller symplectic eigenvalue of the ancillas' joint CM, in closed
+        form: D / (sqrt(k^2 + D) + k), k = |W_f - W_b| / 2, D = W_f W_b - chi^2
+        = (1 - c^2) W_f W_b + c^2 E, E = (W_f^2 + W_b^2 - 1) / (W_f W_b +
+        sqrt((W_f^2 - 1)(W_b^2 - 1))), each over W_f W_b: none cancels or overflows."""
+        hi, lo = max(self.forward.W, self.backward.W), min(self.forward.W, self.backward.W)
+        root = math.sqrt(math.prod((w - 1.0) / w * ((w + 1.0) / w) for w in (hi, lo)))
+        e = (hi / lo + (lo - 1.0) / hi * ((lo + 1.0) / lo)) / (1.0 + root)
+        c = self.correlation
+        sqrt_d = math.hypot(math.sqrt((1.0 - c) * (1.0 + c)) * math.sqrt(hi) * math.sqrt(lo),
+                            abs(c) * math.sqrt(e))
+        k = 0.5 * (hi - lo)
+        return sqrt_d * (sqrt_d / (math.hypot(k, sqrt_d) + k))
+
+
+def correlated_two_mode_channels(
+        params: CorrelatedAttackParams) -> tuple[GaussianChannel, GaussianChannel, GaussianChannel]:
+    """Forward, backward and actual round-trip channels of the two-path attack.
+
+    The forward and backward legs are ordinary cloner channels with gain
+    sqrt(T) I and noise (1-T) W I. The round trip picks up an extra
+    Z-patterned noise term 2 sqrt(T_b (1-T_f)(1-T_b)) chi from the ancilla
+    coupling, so for c = 0 it equals the composition of the legs exactly and
+    for c != 0 it does not.
+    """
+    tf, wf = params.forward.T, params.forward.W
+    tb, wb = params.backward.T, params.backward.W
+    forward = GaussianChannel(math.sqrt(tf) * I2, (1.0 - tf) * wf * I2)
+    backward = GaussianChannel(math.sqrt(tb) * I2, (1.0 - tb) * wb * I2)
+    cross = 2.0 * math.sqrt(tb * (1.0 - tf) * (1.0 - tb)) * params.coupling()
+    round_trip = GaussianChannel(
+        math.sqrt(tf * tb) * I2,
+        tb * (1.0 - tf) * wf * I2 + (1.0 - tb) * wb * I2 + cross * Z2,
+    )
+    return forward, backward, round_trip
 
 
 @dataclass(frozen=True)
@@ -170,20 +239,24 @@ class ReducibilityVerdict:
     tolerance: float
 
 
+def require_tolerance(tol: float) -> None:
+    """ValueError unless `tol` is positive and finite: NaN or inf passes every attack."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def check_reducibility(e1: GaussianChannel, e2: GaussianChannel,
                        e_roundtrip: GaussianChannel, tol: float) -> ReducibilityVerdict:
     """Classify a two-path attack as reducible, asymmetric or irreducible.
 
     Asymmetric if the forward and backward channels differ beyond `tol`;
     irreducible if the round trip differs from e2 o e1 (Alice's publicized
-    map in between is the identity) beyond `tol`; reducible otherwise. A NaN
-    or infinite `tol` would call every attack reducible, so it is rejected.
-    Where the composition overflows (channels estimated at W ~ 1e200), or
-    a fitted noise is already inf (W ~ 1e308), a deviation is inf or NaN,
-    without a warning.
+    map in between is the identity) beyond `tol`; reducible otherwise. `tol`
+    must pass `require_tolerance`. Where the composition overflows (channels
+    estimated at W ~ 1e200), or a fitted noise is already inf (W ~ 1e308), a
+    deviation is inf or NaN, without a warning.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    require_tolerance(tol)
     sym_dev = channel_distance(e1, e2)
     with np.errstate(over="ignore", invalid="ignore"):
         comp_dev = channel_distance(e_roundtrip,

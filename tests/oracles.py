@@ -43,7 +43,8 @@ from twoway_cvqkd.attacks import AttackParams, excess_noise
 from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
                                    symplectic_eigenvalues, von_neumann_entropy)
 from twoway_cvqkd.key_rates import (JointMoments, NumericalFailure, Protocol,
-                                    _bob_measurement, _joint_for, asymptotic_rate)
+                                    _bob_measurement, _joint_for, asymptotic_rate,
+                                    finite_pair)
 from twoway_cvqkd.rng import normal_chunks, normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
                                     SimConfig, trajectories)
@@ -725,7 +726,7 @@ def bisect_threshold(protocol, reconciliation, T: float) -> float:
     during expansion or is still positive at the last bracket end below
     W_HI_MAX (2^19), where adjacent doubles are still closer than W_TOL.
     """
-    protocol, recon = thresholds._finite_pair(protocol, reconciliation)
+    protocol, recon = finite_pair(protocol, reconciliation)
 
     def rate(w: float) -> float:
         return asymptotic_rate(protocol, recon, AttackParams(T, w)).rate

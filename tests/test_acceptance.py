@@ -9,8 +9,7 @@ import time
 
 import numpy as np
 
-from twoway_cvqkd.attacks import AttackParams, CorrelatedAttackParams, \
-    correlated_two_mode_channels
+from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, Protocol, Reconciliation,
                                     asymptotic_rate, exact_rate,
                                     het2_rr_finite_eigenvalues)
@@ -18,8 +17,8 @@ from twoway_cvqkd.simulator import SimConfig, mi_sigma_bits, simulate, \
     summary_text
 from twoway_cvqkd.thresholds import Grid, crossover, superadditivity_report, \
     sweep_curve
-from twoway_cvqkd.tomography import check_reducibility, estimate_channel, \
-    simulate_probe_dataset
+from twoway_cvqkd.tomography import CorrelatedAttackParams, check_reducibility, \
+    correlated_two_mode_channels, estimate_channel, simulate_probe_dataset
 
 from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
                      sample_arrays, spectrum_matches)

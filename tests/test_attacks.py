@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from twoway_cvqkd.attacks import (AttackParams, CorrelatedAttackParams,
-                                  correlated_two_mode_channels, excess_noise,
-                                  w_from_excess)
+from twoway_cvqkd.attacks import AttackParams, excess_noise, w_from_excess
 from twoway_cvqkd.gaussian import conditional_cov
 from twoway_cvqkd.key_rates import one_way_joint
-from twoway_cvqkd.tomography import channel_distance, compose, GaussianChannel
+from twoway_cvqkd.tomography import (CorrelatedAttackParams, GaussianChannel,
+                                     channel_distance, compose,
+                                     correlated_two_mode_channels)
 
 from oracles import (OneWayCoefficients, cloner_output_cm, cloner_transform,
                      is_symplectic)

@@ -4,17 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twoway_cvqkd.attacks import AttackParams, CorrelatedAttackParams, \
-    correlated_two_mode_channels
+from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_OK, main
 from twoway_cvqkd.key_rates import NumericalFailure
 from twoway_cvqkd.rng import CHUNK, normal_moments
 from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS,
-                                     GaussianChannel, ProbeRecord,
-                                     TomographyDataset,
+                                     CorrelatedAttackParams, GaussianChannel,
+                                     ProbeRecord, TomographyDataset,
                                      channel_distance, check_reducibility,
-                                     compose, estimate_channel,
-                                     simulate_probe_dataset)
+                                     compose, correlated_two_mode_channels,
+                                     estimate_channel, simulate_probe_dataset)
 
 from oracles import materialised_probe_dataset, qr_normal_moments
 
