@@ -58,3 +58,10 @@ def w_from_excess(T: float, N: float) -> float:
         raise ValueError(f"excess noise must be finite and >= 0, got {N}")
     return 1.0 + N * T / (1.0 - T)
 
+
+def require_finite_excess_noise(params: AttackParams, user: str) -> None:
+    """ValueError naming `user` unless T > 0 and N is finite (N overflows at
+    a subnormal T)."""
+    if params.T == 0.0 or not math.isfinite(params.N):
+        raise ValueError(f"{user} needs a transmission T > 0 at which the excess noise "
+                         f"(W - 1)(1 - T)/T it reports is finite, got T={params.T}, W={params.W}")

@@ -18,7 +18,7 @@ import argparse
 import math
 import sys
 
-from .attacks import AttackParams
+from .attacks import AttackParams, require_finite_excess_noise
 from .key_rates import (NumericalFailure, Protocol, Reconciliation, asymptotic_rate,
                         exact_rate, finite_pair, mi_from_terms, shannon_terms)
 from .simulator import SimConfig, dump_samples, simulate, summary_text
@@ -93,6 +93,7 @@ def cmd_rate(args) -> tuple[str, int]:
         result = exact_rate(protocol, recon, args.V, params)
     else:
         result = asymptotic_rate(protocol, recon, params)
+    require_finite_excess_noise(params, "rate")
     # the library computes in bits; nats are converted here, at the output
     rate, unit = result.rate, "bits"
     if args.log_base == "e":
@@ -118,8 +119,7 @@ def cmd_sweep(args) -> tuple[str, int]:
     curve = sweep_curve(protocol, recon, grid)
     lines = []
     if protocol.two_way:
-        one_way = Protocol.HOM if protocol in (Protocol.HOM2, Protocol.COLL_HOM2) \
-            else Protocol.HET
+        one_way = Protocol.HET if protocol.joint_decoding else Protocol.HOM
         base = sweep_curve(one_way, recon, grid)
         lines += [f"# crossover with {one_way.value} {recon.value} at T={_fmt(t)}"
                   for t in crossover(curve, base)]

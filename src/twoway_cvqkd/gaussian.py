@@ -29,7 +29,9 @@ Z2 = np.diag([1.0, -1.0])
 
 
 class NumericalFailure(RuntimeError):
-    """A numeric check failed: bracket, monotonicity, spectrum or fit."""
+    """A numeric check failed on valid arguments (a bracket, monotonicity, a
+    closed form, a spectrum of the exact engine's own matrices, or a fit):
+    the CLI exits 3, and 2 on a ValueError, a bad argument."""
 
 
 def omega(n_modes: int) -> np.ndarray:

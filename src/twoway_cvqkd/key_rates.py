@@ -205,14 +205,19 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
     """Closed-form asymptotic rate for any (protocol, reconciliation) pair.
 
     Divergent collective RR combinations return the -inf sentinel. A NaN
-    rate (W so large that the formula overflows) raises NumericalFailure.
+    rate (W so large that the formula overflows) raises NumericalFailure, as
+    does a logarithm whose argument underflows to 0 (T near 1e-320).
     """
     # members pass as they are: an Enum call costs about a tenth of one
     # rate evaluation of a threshold solve
     if type(protocol) is not Protocol or type(reconciliation) is not Reconciliation:
         protocol, reconciliation = Protocol(protocol), Reconciliation(reconciliation)
     _require_rate_params(params)
-    rate = _RATES[protocol, reconciliation](params.T, params.W, math)
+    try:
+        rate = _RATES[protocol, reconciliation](params.T, params.W, math)
+    except ValueError as exc:
+        raise NumericalFailure(f"{protocol.value} {reconciliation.value} closed form at "
+                               f"T={params.T}, W={params.W}: {exc}") from exc
     if math.isnan(rate):
         raise NumericalFailure(f"{protocol.value} {reconciliation.value} rate is NaN "
                                f"at T={params.T}, W={params.W}: the closed form "
@@ -520,12 +525,12 @@ def shannon_terms(protocol, V: float,
     if protocol.collective:
         raise ValueError("Shannon terms are defined for individual protocols only")
     joint = _joint_for(protocol, V, params)
-    return _shannon_terms(protocol, joint, joint.given_alice(protocol), params)
+    return _shannon_terms(joint, joint.given_alice(protocol),
+                          *_bob_measurement(protocol, joint, params))
 
 
-def _shannon_terms(protocol: Protocol, joint: JointMoments, given: np.ndarray,
-                   params: AttackParams) -> list[tuple[str, float, float]]:
-    rows, noise, labels = _bob_measurement(protocol, joint, params)
+def _shannon_terms(joint: JointMoments, given: np.ndarray, rows: np.ndarray,
+                   noise: np.ndarray, labels: list) -> list[tuple[str, float, float]]:
     total = rows @ joint.sigma @ rows.T + noise
     cond = rows @ given @ rows.T + noise
     return [(lab, float(total[i, i]), float(cond[i, i]))
@@ -558,7 +563,8 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
     reconciliation conditions Eve on Bob's measured variables by a Schur
     complement. Divergent collective RR combinations return the -inf
     sentinel. V must be in (1, EXACT_V_MAX]; a larger V raises
-    NumericalFailure.
+    NumericalFailure, as does a spectrum of the engine's own matrices that
+    fails its checks (at extreme T, W or V).
     """
     protocol = Protocol(protocol)
     recon = Reconciliation(reconciliation)
@@ -575,22 +581,26 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
         block = slice(ix[name][0], ix[name][-1] + 1)
         return von_neumann_entropy(sigma[block, block])
 
-    s_e = entropy(joint.sigma, "E")
-    if protocol.collective:
-        s_b = entropy(joint.sigma, "B")
-        i_ab = s_b - entropy(given, "B")
-        if recon is Reconciliation.DR:
-            rate = i_ab - (s_e - entropy(given, "E"))
-        else:  # only COLL_HET reaches this branch
-            rate = i_ab - (s_b + s_e - entropy(joint.sigma, "BE"))
-    else:
-        i_ab = mi_from_terms(_shannon_terms(protocol, joint, given, params))
-        # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
-        if recon is Reconciliation.DR:
-            s_e_given = entropy(given, "E")
+    try:
+        s_e = entropy(joint.sigma, "E")
+        if protocol.collective:
+            s_b = entropy(joint.sigma, "B")
+            i_ab = s_b - entropy(given, "B")
+            if recon is Reconciliation.DR:
+                rate = i_ab - (s_e - entropy(given, "E"))
+            else:  # only COLL_HET reaches this branch
+                rate = i_ab - (s_b + s_e - entropy(joint.sigma, "BE"))
         else:
-            rows, noise, _ = _bob_measurement(protocol, joint, params)
-            s_e_given = von_neumann_entropy(
-                conditional_cov(joint.sigma, ix["E"], rows, noise))
-        rate = i_ab - (s_e - s_e_given)
+            rows, noise, labels = _bob_measurement(protocol, joint, params)
+            i_ab = mi_from_terms(_shannon_terms(joint, given, rows, noise, labels))
+            # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
+            if recon is Reconciliation.DR:
+                s_e_given = entropy(given, "E")
+            else:
+                s_e_given = von_neumann_entropy(
+                    conditional_cov(joint.sigma, ix["E"], rows, noise))
+            rate = i_ab - (s_e - s_e_given)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailure(f"{protocol.value} {recon.value} spectrum at T={params.T}, "
+                               f"W={params.W}, V={V}: {exc}") from exc
     return RateResult(protocol, recon, float(rate), Method.EXACT_FINITE_V, params, V)

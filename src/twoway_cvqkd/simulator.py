@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackParams
+from .attacks import AttackParams, require_finite_excess_noise
 from .key_rates import (Protocol, _bob_measurement, _joint_for, mi_from_terms,
                         shannon_terms)
 from .rng import normal_chunks, normal_moments
@@ -55,10 +55,7 @@ class SimConfig:
         if self.protocol.collective:
             raise ValueError(f"simulation covers individual protocols only, "
                              f"got {self.protocol.value}")
-        if self.params.T == 0.0 or not math.isfinite(self.params.N):
-            raise ValueError(f"simulation needs a transmission T > 0 at which the "
-                             f"excess noise (W - 1)(1 - T)/T it reports is finite, "
-                             f"got T={self.params.T}, W={self.params.W}")
+        require_finite_excess_noise(self.params, "simulation")
         if not 1.0 < self.V < math.inf:
             raise ValueError(f"modulation variance must be finite and exceed 1, "
                              f"got V={self.V}")

@@ -169,7 +169,7 @@ class ThresholdCurve:
     errors: dict = field(default_factory=dict)
 
 
-def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> ThresholdCurve:
+def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
     """Solve the threshold at every grid point, all points at once.
 
     The points take the steps of `solve_threshold` together, each step one
@@ -182,8 +182,6 @@ def sweep_curve(protocol, reconciliation, grid: Grid | None = None) -> Threshold
     message, in grid order).
     """
     protocol, recon = finite_pair(protocol, reconciliation)
-    if grid is None:
-        grid = Grid()
     T = grid.points()
     rates = _RATES[protocol, recon]
     idx = np.arange(T.size)

@@ -87,6 +87,20 @@ def channel_distance(a: GaussianChannel, b: GaussianChannel) -> float:
             a.displacement - b.displacement]))))
 
 
+def _ancilla_nu_min(w_f: float, w_b: float, c: float) -> float:
+    """Smaller symplectic eigenvalue of the ancillas' joint CM, in closed
+    form: D / (sqrt(k^2 + D) + k), k = |W_f - W_b| / 2, D = W_f W_b - chi^2
+    = (1 - c^2) W_f W_b + c^2 E, E = (W_f^2 + W_b^2 - 1) / (W_f W_b +
+    sqrt((W_f^2 - 1)(W_b^2 - 1))), each over W_f W_b: none cancels or overflows."""
+    hi, lo = max(w_f, w_b), min(w_f, w_b)
+    root = math.sqrt(math.prod((w - 1.0) / w * ((w + 1.0) / w) for w in (hi, lo)))
+    e = (hi / lo + (lo - 1.0) / hi * ((lo + 1.0) / lo)) / (1.0 + root)
+    sqrt_d = math.hypot(math.sqrt((1.0 - c) * (1.0 + c)) * math.sqrt(hi) * math.sqrt(lo),
+                        abs(c) * math.sqrt(e))
+    k = 0.5 * (hi - lo)
+    return sqrt_d * (sqrt_d / (math.hypot(k, sqrt_d) + k))
+
+
 @dataclass(frozen=True)
 class CorrelatedAttackParams:
     """Two entangling cloners with EPR-like coupling c between their ancillas.
@@ -104,7 +118,7 @@ class CorrelatedAttackParams:
     def __post_init__(self):
         if not -1.0 <= self.correlation <= 1.0:
             raise ValueError(f"correlation must be in [-1, 1], got {self.correlation}")
-        nu_min = self.min_symplectic_eigenvalue()
+        nu_min = _ancilla_nu_min(self.forward.W, self.backward.W, self.correlation)
         if nu_min < 1.0 - PHYSICALITY_TOL:
             raise ValueError(
                 f"unphysical correlation {self.correlation} for W_f={self.forward.W}, "
@@ -116,20 +130,6 @@ class CorrelatedAttackParams:
         # finite (and 0 at correlation 0) for every finite W
         return self.correlation * math.prod(
             (w - 1.0) ** 0.25 * (w + 1.0) ** 0.25 for w in (self.forward.W, self.backward.W))
-
-    def min_symplectic_eigenvalue(self) -> float:
-        """Smaller symplectic eigenvalue of the ancillas' joint CM, in closed
-        form: D / (sqrt(k^2 + D) + k), k = |W_f - W_b| / 2, D = W_f W_b - chi^2
-        = (1 - c^2) W_f W_b + c^2 E, E = (W_f^2 + W_b^2 - 1) / (W_f W_b +
-        sqrt((W_f^2 - 1)(W_b^2 - 1))), each over W_f W_b: none cancels or overflows."""
-        hi, lo = max(self.forward.W, self.backward.W), min(self.forward.W, self.backward.W)
-        root = math.sqrt(math.prod((w - 1.0) / w * ((w + 1.0) / w) for w in (hi, lo)))
-        e = (hi / lo + (lo - 1.0) / hi * ((lo + 1.0) / lo)) / (1.0 + root)
-        c = self.correlation
-        sqrt_d = math.hypot(math.sqrt((1.0 - c) * (1.0 + c)) * math.sqrt(hi) * math.sqrt(lo),
-                            abs(c) * math.sqrt(e))
-        k = 0.5 * (hi - lo)
-        return sqrt_d * (sqrt_d / (math.hypot(k, sqrt_d) + k))
 
 
 def correlated_two_mode_channels(
@@ -240,7 +240,8 @@ class ReducibilityVerdict:
 
 
 def require_tolerance(tol: float) -> None:
-    """ValueError unless `tol` is positive and finite: NaN or inf passes every attack."""
+    """ValueError unless `tol` is positive and finite: a NaN or infinite one
+    would call every attack reducible."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 

@@ -566,6 +566,20 @@ def mp_one_way_dr_rate(protocol, V: float, params: AttackParams) -> float:
         return float(i_ab - i_ae)
 
 
+def mp_ancilla_nu_min(w_f: float, w_b: float, c: float) -> float:
+    """Smaller symplectic eigenvalue of the two-path attack's ancilla CM
+    [[W_f I, chi Z], [chi Z, W_b I]], chi^2 = c^2 sqrt((W_f^2-1)(W_b^2-1)),
+    from its two-mode invariants Delta = W_f^2 + W_b^2 - 2 chi^2 and
+    det = (W_f W_b - chi^2)^2: nu^2 = 2 det / (Delta + sqrt(Delta^2 - 4 det)).
+    Both invariants cancel terms of size W^2, so the digits grow with W."""
+    with mpmath.workdps(int(2 * math.log10(max(w_f, w_b))) + 40):
+        a, b, c = mpmath.mpf(w_f), mpmath.mpf(w_b), mpmath.mpf(c)
+        chi2 = c * c * mpmath.sqrt((a * a - 1) * (b * b - 1))
+        delta = a * a + b * b - 2 * chi2
+        det = (a * b - chi2) ** 2
+        return float(mpmath.sqrt(2 * det / (delta + mpmath.sqrt(delta * delta - 4 * det))))
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo phase-space reference
 # ---------------------------------------------------------------------------

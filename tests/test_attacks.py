@@ -5,11 +5,11 @@ from twoway_cvqkd.attacks import AttackParams, excess_noise, w_from_excess
 from twoway_cvqkd.gaussian import conditional_cov
 from twoway_cvqkd.key_rates import one_way_joint
 from twoway_cvqkd.tomography import (CorrelatedAttackParams, GaussianChannel,
-                                     channel_distance, compose,
+                                     _ancilla_nu_min, channel_distance, compose,
                                      correlated_two_mode_channels)
 
 from oracles import (OneWayCoefficients, cloner_output_cm, cloner_transform,
-                     is_symplectic)
+                     is_symplectic, mp_ancilla_nu_min)
 
 
 def test_excess_noise_values():
@@ -82,9 +82,32 @@ def test_correlated_params_validation():
     # very unequal thermal marginals cannot support full coupling strength
     with pytest.raises(ValueError):
         CorrelatedAttackParams(AttackParams(0.7, 1.01), AttackParams(0.7, 5.0), 1.0)
-    # equal marginals are physical all the way to |c| = 1
-    CorrelatedAttackParams(base, base, 1.0)
-    CorrelatedAttackParams(base, base, -1.0)
+    # equal marginals are physical all the way to |c| = 1, at any W
+    for w in (1.5, 1e6, 1e8, 1e300):
+        params = AttackParams(0.7, w)
+        CorrelatedAttackParams(params, params, 1.0)
+        CorrelatedAttackParams(params, params, -1.0)
+
+
+def test_ancilla_spectrum_matches_mpmath():
+    # W_f - 1 and W_b - 1 log-uniform in [1e-8, 1e300], c uniform in [-1, 1];
+    # every third point has equal marginals, where |c| = 1 sits on nu = 1
+    rng = np.random.default_rng(16)
+    tol = 1.0 - 1e-9
+    for i in range(600):
+        w_f, w_b = (1.0 + 10.0 ** rng.uniform(-8.0, 300.0, size=2)).tolist()
+        if i % 3 == 0:
+            w_b = w_f
+        c = float(rng.uniform(-1.0, 1.0)) if i % 5 else float(rng.choice([-1.0, 1.0]))
+        want = mp_ancilla_nu_min(w_f, w_b, c)
+        assert _ancilla_nu_min(w_f, w_b, c) == pytest.approx(want, rel=1e-12, abs=0.0)
+        if abs(want - tol) < 1e-11:
+            continue
+        if want < tol:
+            with pytest.raises(ValueError, match="unphysical correlation"):
+                CorrelatedAttackParams(AttackParams(0.7, w_f), AttackParams(0.7, w_b), c)
+        else:
+            CorrelatedAttackParams(AttackParams(0.7, w_f), AttackParams(0.7, w_b), c)
 
 
 def test_coupling_is_finite_at_huge_w():

@@ -260,6 +260,14 @@ def test_tomo_check_irreducible(capsys):
     assert "verdict=irreducible" in out
 
 
+@pytest.mark.parametrize("W", ["1e6", "1e8"])
+def test_tomo_check_takes_full_correlation_at_large_w(capsys, W):
+    # equal marginals are physical up to |c| = 1 at any W
+    code, _, _ = run(capsys, "tomo-check", "--T", "0.7", "--W", W, "--correlation", "1",
+                     "--n", "2000", "--seed", "1")
+    assert code == EXIT_OK
+
+
 def test_tomo_check_at_huge_w(capsys):
     code, out, err = run(capsys, "tomo-check", "--T", "0.7", "--W", "1e100",
                          "--n", "2000", "--seed", "1")
@@ -352,6 +360,9 @@ def test_log_base_switch(capsys):
       "--seed", "7", "--tol", "nan"], "tolerance must be positive and finite"),
     (["tomo-check", "--T", "0.7", "--W", "1.5", "--correlation", "0.9", "--n", "2000",
       "--seed", "7", "--tol", "inf"], "tolerance must be positive and finite"),
+    # N = (W - 1)(1 - T)/T overflows at a subnormal T, though the rate is finite
+    (["rate", "--protocol", "coll_het", "--recon", "dr", "--T", "1e-320", "--W", "1e6"],
+     "excess noise (W - 1)(1 - T)/T it reports is finite"),
 ])
 def test_non_finite_inputs_are_flag_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -436,6 +447,18 @@ def test_rate_keeps_its_sign_at_huge_w(capsys):
       "--V", "1e200"], "exact engine's limit"),
     (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1.5",
       "--V", "1e13"], "exact engine's limit"),
+    # a spectrum of the exact engine's own matrices that fails its pairing check
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.9999999", "--W", "1e100",
+      "--V", "2"], "broken CM"),
+    (["rate", "--protocol", "coll_het2", "--recon", "dr", "--T", "0.99999999999",
+      "--W", "1.5", "--V", "1e12"], "broken CM"),
+    # a closed form whose logarithm's argument underflows to 0 at a tiny T
+    (["rate", "--protocol", "het", "--recon", "rr", "--T", "1e-300", "--W", "1e100"],
+     "math domain error"),
+    (["rate", "--protocol", "het", "--recon", "dr", "--T", "1e-200", "--W", "1e200"],
+     "math domain error"),
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "1e-320", "--W", "1e6"],
+     "math domain error"),
 ])
 def test_numeric_edges_exit_numeric(capsys, argv, message):
     # a numpy RuntimeWarning on the way fails the test: pytest makes it an error
@@ -469,6 +492,8 @@ def test_rate_at_the_exact_engine_limit_is_finite(capsys, protocol, recon):
       "--seed", "1"], EXIT_NUMERIC),
     (["tomo-check", "--T", "0.7", "--W", "1.5", "--n", "2000", "--seed", "7",
       "--tol", "nan"], EXIT_FLAG),
+    # an argument the exact engine rejects is still a flag error
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--V", "1"], EXIT_FLAG),
 ])
 def test_failed_command_creates_no_out_file(tmp_path, capsys, argv, expected):
     path = tmp_path / "out.csv"

@@ -4,6 +4,7 @@ check of the benchmark tracer's names imports the package to resolve them."""
 import ast
 import importlib
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,17 @@ def test_checker_sees_unused_and_reexported_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_attacks_imports_only_the_standard_library():
+    # the attack parameters load without numpy or any other package module
+    tree = ast.parse((ROOT / "src" / "twoway_cvqkd" / "attacks.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules
+    assert [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def _defaulted(fn, method: bool) -> list[tuple[int | None, str]]:

@@ -9,7 +9,8 @@ from twoway_cvqkd.gaussian import (conditional_cov, g_entropy, symplectic_eigenv
                                    von_neumann_entropy)
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
                                     Protocol, RATE_DIVERGENT, Reconciliation, _RATES,
-                                    _joint_for, _shannon_terms, asymptotic_rate,
+                                    _bob_measurement, _joint_for, _shannon_terms,
+                                    asymptotic_rate,
                                     exact_rate, het2_rr_finite_eigenvalues,
                                     mi_from_terms, one_way_joint, shannon_terms,
                                     two_way_joint)
@@ -319,7 +320,7 @@ def test_given_alice_matches_schur_conditioning(protocol, V):
                      for k in ("B", "E")]
             if not protocol.collective:
                 pairs.append((np.array([c for _, _, c in
-                                        _shannon_terms(protocol, joint, given, params)]),
+                                        _shannon_terms(joint, given, *_bob_measurement(protocol, joint, params))]),
                               schur_shannon_variances(protocol, joint, params)))
             for got, want in pairs:
                 worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))

@@ -188,7 +188,7 @@ def test_sweep_bracket_failures_match_scalar_solves(monkeypatch):
 
 
 def test_sweep_rejects_divergent_pair():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unsupported pair coll_hom/rr: reverse reconciliation"):
         sweep_curve("coll_hom", "rr", Grid(0.3, 0.7, 3))
 
 
