@@ -10,8 +10,7 @@ from twoway_cvqkd.gaussian import (conditional_cov, g_entropy, symplectic_eigenv
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
                                     Protocol, RATE_DIVERGENT, Reconciliation, _RATES,
                                     _bob_measurement, _joint_for, _shannon_terms,
-                                    asymptotic_rate,
-                                    exact_rate, het2_rr_finite_eigenvalues,
+                                    asymptotic_rate, exact_rate, het2_rr_finite_eigenvalues,
                                     mi_from_terms, one_way_joint, shannon_terms,
                                     two_way_joint)
 
@@ -319,8 +318,9 @@ def test_given_alice_matches_schur_conditioning(protocol, V):
                       symplectic_eigenvalues(schur_given_alice(protocol, joint, k)))
                      for k in ("B", "E")]
             if not protocol.collective:
+                measurement = _bob_measurement(protocol, joint, params)
                 pairs.append((np.array([c for _, _, c in
-                                        _shannon_terms(joint, given, *_bob_measurement(protocol, joint, params))]),
+                                        _shannon_terms(joint, given, *measurement)]),
                               schur_shannon_variances(protocol, joint, params)))
             for got, want in pairs:
                 worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
