@@ -159,10 +159,6 @@ def cmd_tomo_check(args) -> tuple[str, int]:
     e1, e2, e_rt = (estimate_channel(simulate_probe_dataset(ch, args.n, args.seed + k))
                     for k, ch in enumerate(channels))
     verdict = check_reducibility(e1, e2, e_rt, args.tol)
-    deviations = (verdict.symmetry_deviation, verdict.composition_deviation)
-    if not all(map(math.isfinite, deviations)):
-        raise NumericalFailure(f"channel deviations overflow: symmetry "
-                               f"{deviations[0]}, composition {deviations[1]}")
     return _lines([
         f"verdict={verdict.kind}",
         f"symmetry_deviation={_fmt(verdict.symmetry_deviation)}",

@@ -15,12 +15,13 @@ The samples (X_A, X_B) = A z of a run are 2d unit normals z through its
 fixed (2d, 2d) sampling map A, so all the estimator reads is the normals'
 sample covariance, which `rng.normal_moments` folds one RNG chunk at a
 time: no sample is formed and memory is constant in their number.
-`empirical_mi` maps that covariance through A. The output is the
-empirical variances and residual variances of X_B and a Gaussian
-mutual-information estimate in bits, next to the analytic values from the
-exact covariance engine. `trajectories(config)` yields the samples one
-chunk at a time. Everything is keyed by a single 64-bit seed and is
-bit-identical across repeated or parallel invocations.
+`empirical_mi` maps that covariance through A into one `MiEstimate`: a
+Gaussian mutual-information estimate in bits with the empirical variances
+and residual variances of X_B it was computed from. A `SimRun` holds it
+next to the analytic values from the exact covariance engine.
+`trajectories(config)` yields the samples one chunk at a time. Everything
+is keyed by a single 64-bit seed and is bit-identical across repeated or
+parallel invocations.
 """
 
 from __future__ import annotations
@@ -77,22 +78,17 @@ class MiEstimate:
 
 @dataclass(frozen=True)
 class SimRun:
-    """Moments and MI of one run, per dimension of X_B, empirical next to
-    analytic. They come from the normals' covariance, and no sample is
-    formed: `trajectories(run.config)` yields the samples."""
+    """Moments and MI of one run, per dimension of X_B: the empirical ones
+    in `mi_empirical`, next to the analytic ones. They come from the
+    normals' covariance, and no sample is formed: `trajectories(run.config)`
+    yields the samples."""
 
     config: SimConfig
     labels: tuple
-    empirical_var: np.ndarray
-    empirical_cond_var: np.ndarray
     analytic_var: np.ndarray
     analytic_cond_var: np.ndarray
     mi_empirical: MiEstimate
     mi_analytic_bits: float
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
 
 def _sampling_map(config: SimConfig) -> np.ndarray:
@@ -186,8 +182,6 @@ def simulate(config: SimConfig) -> SimRun:
     return SimRun(
         config=config,
         labels=tuple(lab for lab, _, _ in terms),
-        empirical_var=np.array(mi.var),
-        empirical_cond_var=np.array(mi.cond_var),
         analytic_var=np.array([v for _, v, _ in terms]),
         analytic_cond_var=np.array([c for _, _, c in terms]),
         mi_empirical=mi,
@@ -223,9 +217,9 @@ def summary_text(run: SimRun) -> str:
     ]
     for j, lab in enumerate(run.labels):
         lines += [
-            f"var_{lab}_empirical={run.empirical_var[j]:.12g}",
+            f"var_{lab}_empirical={run.mi_empirical.var[j]:.12g}",
             f"var_{lab}_analytic={run.analytic_var[j]:.12g}",
-            f"cond_var_{lab}_empirical={run.empirical_cond_var[j]:.12g}",
+            f"cond_var_{lab}_empirical={run.mi_empirical.cond_var[j]:.12g}",
             f"cond_var_{lab}_analytic={run.analytic_cond_var[j]:.12g}",
         ]
     lines += [

@@ -150,8 +150,8 @@ class Grid:
         if not 0.0 < self.T_min <= self.T_max < 1.0:
             raise ValueError(f"grid must sit inside (0, 1), got "
                              f"[{self.T_min}, {self.T_max}]")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.T_min, self.T_max, self.steps)

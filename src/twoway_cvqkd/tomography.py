@@ -3,11 +3,12 @@
 A one-mode Gaussian channel acts on means as m -> G m + d and on covariance
 matrices as V -> G V G^T + N. The channel is completely determined by the
 first and second statistical moments of the outputs, so probing with a few
-displaced inputs and fitting least squares reconstructs it. The hybrid
-two-way protocol uses this to check that the round-trip channel factors as
-backward o (displacement) o forward with identical forward and backward
-legs; failure of either condition flags a correlated two-path attack, such
-as `CorrelatedAttackParams`, which is modelled here too.
+displaced coherent states (a `TomographyDataset` of probe arrays) and
+fitting least squares reconstructs it. The hybrid two-way protocol uses
+this to check that the round-trip channel factors as backward o forward
+with identical forward and backward legs; failure of either condition
+flags a correlated two-path attack, such as `CorrelatedAttackParams`,
+which is modelled here too.
 """
 
 from __future__ import annotations
@@ -37,18 +38,14 @@ class GaussianChannel:
     def __post_init__(self):
         object.__setattr__(self, "gain", np.asarray(self.gain, dtype=float).reshape(2, 2))
         noise = np.asarray(self.noise, dtype=float).reshape(2, 2)
-        object.__setattr__(self, "noise", 0.5 * (noise + noise.T))
+        # halves, not half the sum, which overflows near the largest double
+        object.__setattr__(self, "noise", 0.5 * noise + 0.5 * noise.T)
         object.__setattr__(self, "displacement",
                            np.asarray(self.displacement, dtype=float).reshape(2))
 
     @classmethod
     def identity(cls) -> "GaussianChannel":
         return cls(np.eye(2), np.zeros((2, 2)))
-
-    @classmethod
-    def displacement_map(cls, d) -> "GaussianChannel":
-        """Unit-gain, noiseless channel that only displaces (Alice's map)."""
-        return cls(np.eye(2), np.zeros((2, 2)), d)
 
     def cp_defect(self) -> float:
         """Most negative eigenvalue of N + i(Omega - G Omega G^T), 0 if CP."""
@@ -59,18 +56,11 @@ class GaussianChannel:
     def is_cp(self) -> bool:
         return self.cp_defect() >= -CP_EIG_TOL
 
-    def apply(self, mean, cov):
-        """Push a Gaussian state (mean, covariance) through the channel."""
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
-        return self.gain @ mean + self.displacement, self.gain @ cov @ self.gain.T + self.noise
 
-
-def compose(first: GaussianChannel, middle: GaussianChannel,
-            last: GaussianChannel) -> GaussianChannel:
-    """Composition last o middle o first at the moment level."""
+def compose(*channels: GaussianChannel) -> GaussianChannel:
+    """Composition of `channels` at the moment level, the first applied first."""
     chain = GaussianChannel.identity()
-    for ch in (first, middle, last):
+    for ch in channels:
         gain = ch.gain @ chain.gain
         noise = ch.gain @ chain.noise @ ch.gain.T + ch.noise
         disp = ch.gain @ chain.displacement + ch.displacement
@@ -140,76 +130,63 @@ def correlated_two_mode_channels(
     sqrt(T) I and noise (1-T) W I. The round trip picks up an extra
     Z-patterned noise term 2 sqrt(T_b (1-T_f)(1-T_b)) chi from the ancilla
     coupling, so for c = 0 it equals the composition of the legs exactly and
-    for c != 0 it does not.
+    for c != 0 it does not. A round-trip noise beyond the largest double is
+    inf, without a warning.
     """
     tf, wf = params.forward.T, params.forward.W
     tb, wb = params.backward.T, params.backward.W
     forward = GaussianChannel(math.sqrt(tf) * I2, (1.0 - tf) * wf * I2)
     backward = GaussianChannel(math.sqrt(tb) * I2, (1.0 - tb) * wb * I2)
     cross = 2.0 * math.sqrt(tb * (1.0 - tf) * (1.0 - tb)) * params.coupling()
-    round_trip = GaussianChannel(
-        math.sqrt(tf * tb) * I2,
-        tb * (1.0 - tf) * wf * I2 + (1.0 - tb) * wb * I2 + cross * Z2,
-    )
-    return forward, backward, round_trip
+    with np.errstate(over="ignore"):
+        rt_noise = tb * (1.0 - tf) * wf * I2 + (1.0 - tb) * wb * I2 + cross * Z2
+    return forward, backward, GaussianChannel(math.sqrt(tf * tb) * I2, rt_noise)
 
 
 @dataclass(frozen=True)
-class ProbeRecord:
-    """Moments observed for one probe input."""
-
-    displacement: np.ndarray
-    input_cm: np.ndarray
-    output_mean: np.ndarray
-    output_cm: np.ndarray
-    n_samples: int
-
-
-@dataclass
 class TomographyDataset:
-    probes: list[ProbeRecord]
+    """Moments of m coherent-state probes (input CM = I): the input
+    `displacements` (m, 2), the output sample `means` (m, 2) and covariance
+    matrices `cms` (m, 2, 2), each over the same `n` shots."""
+
+    displacements: np.ndarray
+    means: np.ndarray
+    cms: np.ndarray
+    n: int
 
     MIN_SAMPLES = 1000
 
     def validate(self) -> None:
-        if len(self.probes) < 3:
-            raise ValueError("need at least 3 probe displacements")
-        design = np.array([[*p.displacement, 1.0] for p in self.probes])
+        design = np.column_stack([self.displacements, np.ones(len(self.displacements))])
         if np.linalg.matrix_rank(design) < 3:
             raise ValueError("probe displacements are rank deficient: "
                              "need 3 affinely independent inputs")
-        for p in self.probes:
-            if p.n_samples < self.MIN_SAMPLES:
-                raise ValueError(f"probe with n={p.n_samples} < {self.MIN_SAMPLES}")
+        if self.n < self.MIN_SAMPLES:
+            raise ValueError(f"probe with n={self.n} < {self.MIN_SAMPLES}")
 
     def statistical_sigma(self) -> float:
         """Rough one-sigma sampling error of the fitted moment estimates."""
-        per_probe = [
-            float(np.abs(p.output_cm).max()) * math.sqrt(2.0 / p.n_samples)
-            for p in self.probes
-        ]
-        return max(per_probe) / math.sqrt(len(self.probes))
+        return (float(np.abs(self.cms).max()) * math.sqrt(2.0 / self.n)
+                / math.sqrt(len(self.cms)))
 
 
 def estimate_channel(data: TomographyDataset) -> GaussianChannel:
     """Least-squares Gaussian-channel fit from probe moments.
 
     Gain and displacement come from the affine fit of output means against
-    input displacements; the additive noise is the probe-averaged residual
-    output CM minus gain @ CM_in @ gain^T. Complete positivity is verified
-    within CP_SIGMA_FACTOR times the dataset's sampling error; a fit that is
-    not finite, whose CP defect is NaN, raises NumericalFailure before that.
+    input displacements; the additive noise is the probe average of the
+    output CM minus gain @ gain^T, the image of the coherent input CM.
+    Complete positivity is verified within CP_SIGMA_FACTOR times the
+    dataset's sampling error; a fit that is not finite, whose CP defect is
+    NaN, raises NumericalFailure before that.
     """
     data.validate()
-    design = np.array([[*p.displacement, 1.0] for p in data.probes])
-    targets = np.array([p.output_mean for p in data.probes])
-    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    design = np.column_stack([data.displacements, np.ones(len(data.displacements))])
+    coef, *_ = np.linalg.lstsq(design, data.means, rcond=None)
     gain = coef[:2].T
     disp = coef[2]
     with np.errstate(over="ignore"):
-        noise = np.mean(
-            [p.output_cm - gain @ p.input_cm @ gain.T for p in data.probes], axis=0
-        )
+        noise = np.mean(data.cms - gain @ gain.T, axis=0)
     if not all(np.isfinite(a).all() for a in (gain, disp, noise)):
         raise NumericalFailure(f"fitted channel is not finite: gain {gain.tolist()}, "
                                f"displacement {disp.tolist()}, noise {noise.tolist()}")
@@ -253,21 +230,19 @@ def check_reducibility(e1: GaussianChannel, e2: GaussianChannel,
     Asymmetric if the forward and backward channels differ beyond `tol`;
     irreducible if the round trip differs from e2 o e1 (Alice's publicized
     map in between is the identity) beyond `tol`; reducible otherwise. `tol`
-    must pass `require_tolerance`. Where the composition overflows (channels
-    estimated at W ~ 1e200), or a fitted noise is already inf (W ~ 1e308), a
-    deviation is inf or NaN, without a warning.
+    must pass `require_tolerance`. A deviation that is inf or NaN, where the
+    composition overflows (channels estimated at W ~ 1e200) or a channel is
+    already inf, compares with no tolerance: it raises NumericalFailure.
     """
     require_tolerance(tol)
     sym_dev = channel_distance(e1, e2)
     with np.errstate(over="ignore", invalid="ignore"):
-        comp_dev = channel_distance(e_roundtrip,
-                                    compose(e1, GaussianChannel.identity(), e2))
-    if sym_dev > tol:
-        kind = "asymmetric"
-    elif comp_dev > tol:
-        kind = "irreducible"
-    else:
-        kind = "reducible"
+        comp_dev = channel_distance(e_roundtrip, compose(e1, e2))
+    if not (math.isfinite(sym_dev) and math.isfinite(comp_dev)):
+        raise NumericalFailure(f"channel deviations overflow: symmetry "
+                               f"{sym_dev}, composition {comp_dev}")
+    kind = ("asymmetric" if sym_dev > tol
+            else "irreducible" if comp_dev > tol else "reducible")
     return ReducibilityVerdict(kind, sym_dev, comp_dev, tol)
 
 
@@ -277,27 +252,29 @@ DEFAULT_PROBE_DISPLACEMENTS = np.array(
 
 
 def simulate_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed: int,
-                           displacements: np.ndarray | None = None) -> TomographyDataset:
+                           displacements=DEFAULT_PROBE_DISPLACEMENTS) -> TomographyDataset:
     """Sample coherent-state probes through a known channel.
 
-    Each probe sends a coherent state (input CM = I) displaced by one row of
-    `displacements`; the output moments are sample estimates over
-    `n_per_probe` shots mean_k + L z: L is the Cholesky factor of the output
-    CM all probes share (physical, so positive definite), and the z of all
-    probes are one `rng.normal_chunks` stream, two columns per probe, whose
-    sample mean and covariance are folded chunk by chunk in memory flat in
-    n (`rng.normal_moments`).
+    Each probe sends a coherent state (input CM = I) displaced by one row d
+    of `displacements`; the output moments are sample estimates over
+    `n_per_probe` shots G d + d0 + L z: L is the Cholesky factor of the
+    output CM G G^T + N all probes share (physical, so positive definite),
+    and the z of all probes are one `rng.normal_chunks` stream, two columns
+    per probe, whose sample mean and covariance are folded chunk by chunk in
+    memory flat in n (`rng.normal_moments`). Moments beyond the largest double
+    are inf or NaN, without a warning; `estimate_channel` rejects them.
     """
-    if displacements is None:
-        displacements = DEFAULT_PROBE_DISPLACEMENTS
     if n_per_probe < TomographyDataset.MIN_SAMPLES:
         raise ValueError(f"probe with n={n_per_probe} < {TomographyDataset.MIN_SAMPLES}")
+    displacements = np.asarray(displacements, dtype=float)
     m = len(displacements)
-    chol = np.linalg.cholesky(channel.apply(np.zeros(2), I2)[1])
+    gain = channel.gain
     z_mean, z_cov = normal_moments(seed, n_per_probe, 2 * m)
-    z_mean, z_cov = z_mean.reshape(m, 2), z_cov.reshape(m, 2, m, 2)
-    return TomographyDataset([
-        ProbeRecord(displacement=np.asarray(d, dtype=float), input_cm=I2.copy(),
-                    output_mean=channel.apply(d, I2)[0] + chol @ z_mean[k],
-                    output_cm=chol @ z_cov[k, :, k] @ chol.T, n_samples=n_per_probe)
-        for k, d in enumerate(displacements)])
+    k = np.arange(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chol = np.linalg.cholesky(gain @ gain.T + channel.noise)
+        # (2, 1) columns: each mean rounds as its probe's matrix-vector product
+        means = (gain @ displacements[:, :, None] + channel.displacement[:, None]
+                 + chol @ z_mean.reshape(m, 2, 1))[:, :, 0]
+        cms = chol @ z_cov.reshape(m, 2, m, 2)[k, :, k] @ chol.T
+    return TomographyDataset(displacements, means, cms, n_per_probe)

@@ -49,7 +49,7 @@ from twoway_cvqkd.rng import normal_chunks, normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
                                     SimConfig, trajectories)
 from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS, GaussianChannel,
-                                     ProbeRecord, TomographyDataset)
+                                     TomographyDataset)
 
 
 # ---------------------------------------------------------------------------
@@ -704,15 +704,15 @@ def materialised_probe_dataset(channel: GaussianChannel, n_per_probe: int, seed:
     taken by `np.mean` and `np.cov`.
     """
     z = normal_matrix(seed, n_per_probe, 2 * len(displacements))
-    chol = np.linalg.cholesky(channel.apply(np.zeros(2), I2)[1])
-    probes = []
+    gain = channel.gain
+    chol = np.linalg.cholesky(gain @ gain.T + channel.noise)
+    means, cms = [], []
     for k, d in enumerate(displacements):
-        mean, _ = channel.apply(d, I2)
-        shots = mean + z[:, 2 * k:2 * k + 2] @ chol.T
-        probes.append(ProbeRecord(np.asarray(d, dtype=float), I2.copy(),
-                                  shots.mean(axis=0), np.cov(shots, rowvar=False),
-                                  n_per_probe))
-    return TomographyDataset(probes)
+        shots = gain @ d + channel.displacement + z[:, 2 * k:2 * k + 2] @ chol.T
+        means.append(shots.mean(axis=0))
+        cms.append(np.cov(shots, rowvar=False))
+    return TomographyDataset(np.asarray(displacements, dtype=float), np.array(means),
+                             np.array(cms), n_per_probe)
 
 
 def qr_normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:

@@ -134,10 +134,12 @@ def test_figure_bundle_headers(capsys):
 
 
 def test_figure_bundle_empty_grid(capsys):
-    code, out, _ = run(capsys, "figure-bundle", "--recon", "rr",
-                       "--grid", "0.3:0.7:0")
-    assert code == EXIT_OK
-    assert out.strip().splitlines() == ["T,hom,het,hom2,het2"]
+    # a grid of no points is a flag error, not a header-only CSV
+    for command in (["figure-bundle", "--recon", "rr"],
+                    ["sweep", "--protocol", "hom", "--recon", "dr"]):
+        code, out, err = run(capsys, *command, "--grid", "0.3:0.7:0")
+        assert (code, out) == (EXIT_FLAG, "")
+        assert "steps must be >= 1, got 0" in err
 
 
 def test_bad_grid_flag(capsys):
@@ -289,13 +291,15 @@ def test_tomo_check_overflowing_deviation_exits_numeric(capsys):
 
 @pytest.mark.parametrize("W", ["1e308", "1.7e308"])
 def test_tomo_check_overflowing_noise_fit_exits_numeric(capsys, W):
-    # the probe-averaged noise overflows, and the fit is rejected before it
-    # reaches a deviation; a RuntimeWarning fails the test
-    code, out, err = run(capsys, "tomo-check", "--T", "0.7", "--W", W,
-                         "--n", "2000", "--seed", "1")
-    assert (code, out) == (EXIT_NUMERIC, "")
-    assert err.startswith("error: numeric failure: fitted channel is not finite")
-    assert "Warning" not in err
+    # the probe-averaged noise, the probes' output CMs or the round trip's
+    # noise overflow, and the fit is rejected before it reaches a deviation;
+    # a RuntimeWarning fails the test
+    for flags in (["--T", "0.7"], ["--T", "0.7", "--correlation", "0.9"], ["--T", "0.01"]):
+        code, out, err = run(capsys, "tomo-check", *flags, "--W", W,
+                             "--n", "2000", "--seed", "1")
+        assert (code, out) == (EXIT_NUMERIC, ""), flags
+        assert err.startswith("error: numeric failure: fitted channel is not finite")
+        assert "Warning" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -77,10 +77,10 @@ def test_all_protocols_match_analytics():
         for j in range(len(run.labels)):
             v = run.analytic_var[j]
             tol = 5 * v * math.sqrt(2.0 / run.config.n_samples)
-            assert abs(run.empirical_var[j] - v) < tol, (proto, j)
+            assert abs(run.mi_empirical.var[j] - v) < tol, (proto, j)
             c = run.analytic_cond_var[j]
             tol = 5 * c * math.sqrt(2.0 / run.config.n_samples)
-            assert abs(run.empirical_cond_var[j] - c) < tol, (proto, j)
+            assert abs(run.mi_empirical.cond_var[j] - c) < tol, (proto, j)
 
 
 def test_hom2_conditional_variance_value():
@@ -92,7 +92,7 @@ def test_hom2_conditional_variance_value():
     expect = (1 - T * T) * W
     assert run.analytic_cond_var[0] == pytest.approx(expect, rel=0.01)
     tol = 5 * run.analytic_cond_var[0] * math.sqrt(2.0 / run.config.n_samples)
-    assert abs(run.empirical_cond_var[0] - run.analytic_cond_var[0]) < tol
+    assert abs(run.mi_empirical.cond_var[0] - run.analytic_cond_var[0]) < tol
 
 
 def test_large_modulation_epr_pair():

@@ -65,6 +65,8 @@ def test_grid_validation():
         Grid(0.0, 0.9, 10)
     with pytest.raises(ValueError):
         Grid(0.5, 0.4, 10)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        Grid(0.1, 0.2, 0)
     assert len(Grid(0.1, 0.9, 17).points()) == 17
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from twoway_cvqkd.key_rates import NumericalFailure
 from twoway_cvqkd.rng import CHUNK, normal_moments
 from twoway_cvqkd.tomography import (DEFAULT_PROBE_DISPLACEMENTS,
                                      CorrelatedAttackParams, GaussianChannel,
-                                     ProbeRecord, TomographyDataset,
+                                     TomographyDataset,
                                      channel_distance, check_reducibility,
                                      compose, correlated_two_mode_channels,
                                      estimate_channel, simulate_probe_dataset)
@@ -84,7 +85,7 @@ def test_compose_associativity():
 
 
 def test_displacement_map_bookkeeping():
-    alice = GaussianChannel.displacement_map([1.5, -0.5])
+    alice = GaussianChannel(I2, np.zeros((2, 2)), [1.5, -0.5])
     leg = cloner_channel(0.64, 1.0)
     total = compose(leg, alice, leg)
     # the displacement applied between the legs is scaled by the second gain
@@ -102,26 +103,28 @@ def test_cp_check():
 def test_estimate_channel_rejects_a_non_finite_fit():
     # the probe average of output CMs near the largest double overflows to
     # inf; the CP defect of such a fit is NaN, which the CP check passes
-    probes = [ProbeRecord(d, I2.copy(), 0.8 * d, 1.7e308 * I2, 2000)
-              for d in DEFAULT_PROBE_DISPLACEMENTS]
+    d = DEFAULT_PROBE_DISPLACEMENTS
+    probes = TomographyDataset(d, 0.8 * d, np.broadcast_to(1.7e308 * I2, (len(d), 2, 2)),
+                               2000)
     with pytest.raises(NumericalFailure, match="fitted channel is not finite"):
-        estimate_channel(TomographyDataset(probes))
+        estimate_channel(probes)
 
 
 def test_dataset_validation():
     good = simulate_probe_dataset(GaussianChannel.identity(), 2000, 5)
     good.validate()
     with pytest.raises(ValueError):
-        TomographyDataset(good.probes[:2]).validate()
+        TomographyDataset(good.displacements[:2], good.means[:2], good.cms[:2],
+                          good.n).validate()
     with pytest.raises(ValueError):
         # collinear displacements are rank deficient
         collinear = simulate_probe_dataset(
             GaussianChannel.identity(), 2000, 5,
             displacements=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
         collinear.validate()
-    short = ProbeRecord(np.zeros(2), I2.copy(), np.zeros(2), I2.copy(), 10)
+    short = dataclasses.replace(good, n=10)
     with pytest.raises(ValueError):
-        TomographyDataset([short] * 6).validate()
+        short.validate()
 
 
 def test_check_reducibility_verdicts():
@@ -141,6 +144,19 @@ def test_check_reducibility_verdicts():
     for bad_tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             check_reducibility(fwd, bwd, rt, bad_tol)
+
+
+def test_check_reducibility_rejects_non_finite_deviations():
+    # NaN > tol is false: without the check, overflowing channels would
+    # compare as reducible
+    inf_ch = GaussianChannel(I2, np.diag([math.inf, math.inf]))
+    with pytest.raises(NumericalFailure,
+                       match="channel deviations overflow: symmetry nan, composition nan"):
+        check_reducibility(inf_ch, inf_ch, inf_ch, 0.05)
+    ident = GaussianChannel.identity()
+    with pytest.raises(NumericalFailure,
+                       match="channel deviations overflow: symmetry 0.0, composition inf"):
+        check_reducibility(ident, ident, inf_ch, 0.05)
 
 
 def test_verdict_invariant_under_probe_choice():
@@ -182,11 +198,10 @@ def test_streamed_probe_moments_match_materialised_shots():
     n = 3 * CHUNK + 17
     streamed = simulate_probe_dataset(channel, n, 11)
     reference = materialised_probe_dataset(channel, n, 11)
-    for s, r in zip(streamed.probes, reference.probes, strict=True):
-        assert s.n_samples == r.n_samples == n
-        assert np.array_equal(s.displacement, r.displacement)
-        np.testing.assert_allclose(s.output_mean, r.output_mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(s.output_cm, r.output_cm, rtol=1e-12, atol=0)
+    assert streamed.n == reference.n == n
+    assert np.array_equal(streamed.displacements, reference.displacements)
+    np.testing.assert_allclose(streamed.means, reference.means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(streamed.cms, reference.cms, rtol=1e-12, atol=0)
 
 
 def test_gram_probe_fold_matches_triangular_factor_fold():
