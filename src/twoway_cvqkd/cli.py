@@ -7,9 +7,10 @@ whole output and returns it with its exit code; `main` writes it once, to
 stdout or `--out`, and maps exceptions to exit codes: 0 success, 2 flag
 error, 3 numeric failure, 4 I/O error. A failed command writes nothing and
 creates no `--out` file, except a sweep, which writes failed grid points as
-`nan` and exits 3. `simulate --dump-samples` opens its file after the
-analytic check and before drawing any sample, so an unwritable path fails
-at once and a numeric failure leaves no file.
+`nan` and exits 3. `simulate` formats the simulator's data. Its
+`--dump-samples` file opens after the analytic check and before any sample
+is drawn, so an unwritable path fails at once and a numeric failure leaves
+no file; the trajectories then go to it as CSV, one block at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from .attacks import AttackParams, require_finite_excess_noise
 from .key_rates import (NumericalFailure, Protocol, Reconciliation, asymptotic_rate,
                         exact_rate, finite_pair, mi_from_terms, shannon_terms)
-from .simulator import SimConfig, dump_samples, simulate, summary_text
+from .simulator import SimConfig, simulate, trajectories
 from .thresholds import Grid, crossover, solve_threshold, sweep_curve
 from .tomography import (CorrelatedAttackParams, check_reducibility,
                          correlated_two_mode_channels, estimate_channel,
@@ -140,15 +141,31 @@ def cmd_figure_bundle(args) -> tuple[str, int]:
 
 
 def cmd_simulate(args) -> tuple[str, int]:
-    config = SimConfig(Protocol(args.protocol), args.V, _params(args), args.n, args.seed)
+    config = SimConfig(args.protocol, args.V, _params(args), args.n, args.seed)
     if not args.dump_samples:
-        return summary_text(simulate(config)), EXIT_OK
-    # the analytic check `simulate` starts with, run before the file exists
-    mi_from_terms(shannon_terms(config.protocol, config.V, config.params))
-    with open(args.dump_samples, "w", newline="") as f:
         run = simulate(config)
-        dump_samples(config, f)
-    return summary_text(run), EXIT_OK
+    else:
+        # the analytic check `simulate` starts with, run before the file exists
+        mi_from_terms(shannon_terms(config.protocol, config.V, config.params))
+        with open(args.dump_samples, "w", newline="") as f:
+            run = simulate(config)
+            # one column per X_A and X_B dimension, written block by block
+            f.write(_lines([",".join(f"x_{s}_{lab}" for s in "ab" for lab in run.labels)]))
+            for x_a, x_b in trajectories(config):
+                f.write(_lines(",".join(map(_fmt, a + b))
+                               for a, b in zip(x_a.tolist(), x_b.tolist())))
+    params, mi = config.params, run.mi_empirical
+    lines = [f"protocol={config.protocol.value}", f"T={_fmt(params.T)}", f"W={_fmt(params.W)}",
+             f"N={_fmt(params.N)}", f"V={_fmt(config.V)}", f"n={config.n_samples}",
+             f"seed={config.seed}"]
+    for j, lab in enumerate(run.labels):
+        lines += [f"var_{lab}_empirical={_fmt(mi.var[j])}",
+                  f"var_{lab}_analytic={_fmt(run.analytic_var[j])}",
+                  f"cond_var_{lab}_empirical={_fmt(mi.cond_var[j])}",
+                  f"cond_var_{lab}_analytic={_fmt(run.analytic_cond_var[j])}"]
+    lines += [f"mi_empirical_bits={_fmt(mi.bits)}", f"mi_capped={str(mi.capped).lower()}",
+              f"mi_analytic_bits={_fmt(run.mi_analytic_bits)}"]
+    return _lines(lines), EXIT_OK
 
 
 def cmd_tomo_check(args) -> tuple[str, int]:

@@ -242,7 +242,8 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     form n1 n2 n3 = [1 + T^3 + (1-T)(1+T^2)W] W / (T(1+T)) within
     HET2_RR_PRODUCT_TOL.
 
-    T and W are floats (one point) or equal-length 1-D arrays (k points).
+    T in (0, 1) and W in [1, inf) are floats (one point) or equal-length
+    1-D arrays (k points), checked by the callers.
     The points at both modulations are one stack of joints, conditioned
     and diagonalised together; every check is still made point by point.
     One point gives its three eigenvalues or raises NumericalFailure for
@@ -253,10 +254,6 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     """
     point = np.ndim(T) == 0
     T, W = np.atleast_1d(np.asarray(T, dtype=float), np.asarray(W, dtype=float))
-    if not ((0.0 < T) & (T < 1.0)).all():
-        raise ValueError(f"rates require T strictly in (0, 1), got T={T}")
-    if not ((1.0 <= W) & (W < math.inf)).all():
-        raise ValueError(f"EPR variance must be finite and >= 1, got {W}")
     k = T.size
     modulations = (HET2_RR_V / 10.0, HET2_RR_V)
     stack = SimpleNamespace(T=np.tile(T, 2), W=np.tile(W, 2))
@@ -352,15 +349,19 @@ class JointMoments:
     m: np.ndarray
     sigma_in: np.ndarray
 
+    @staticmethod
+    def revealed(protocol: Protocol) -> list[int]:
+        """Inputs, and their "cl" outputs, that `protocol` reveals of Alice's
+        encoding: Q_A for homodyne decoding, Q_A and P_A for heterodyne."""
+        return [0, 1] if protocol.joint_decoding else [0]
+
     def given_alice(self, protocol: Protocol) -> np.ndarray:
-        """The joint covariance conditioned on the part of Alice's encoding
-        that `protocol` reveals: Q_A for homodyne decoding, Q_A and P_A for
-        heterodyne. Those inputs are independent of all others, so this is
-        the same map with their variance set to 0."""
-        revealed = [0, 1] if protocol.joint_decoding else [0]
+        """A single joint's covariance given the inputs Alice reveals: they
+        are independent of all others, so their variance is set to 0."""
+        revealed = self.revealed(protocol)
         sigma_in = self.sigma_in.copy()
-        sigma_in[..., revealed, revealed] = 0.0
-        return self.m @ sigma_in @ np.swapaxes(self.m, -1, -2)
+        sigma_in[revealed, revealed] = 0.0
+        return self.m @ sigma_in @ self.m.T
 
     def input_factor(self) -> np.ndarray:
         """Lower-triangular L with L @ L.T = sigma_in, for a single joint.
@@ -386,8 +387,6 @@ def one_way_joint(V: float, params: AttackParams) -> JointMoments:
     cloner beam splitter. A W whose EPR correlation overflows raises
     NumericalFailure.
     """
-    if not 1.0 < V < math.inf:
-        raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     T, W = params.T, params.W
     vbar = V - 1.0
     t, r = math.sqrt(T), math.sqrt(1.0 - T)
@@ -424,8 +423,6 @@ def two_way_joint(V, params) -> JointMoments:
     stack of joints (sigma of shape (k, 14, 14)). A V or W whose EPR
     correlation overflows raises NumericalFailure, for a whole stack.
     """
-    if not np.asarray((1.0 < V) & (V < math.inf)).all():
-        raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     T, W = params.T, params.W
     vbar = V - 1.0
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
@@ -472,10 +469,11 @@ EXACT_V_MAX = 1e12
 
 
 def _joint_for(protocol: Protocol, V: float, params: AttackParams) -> JointMoments:
-    """The protocol's joint moments. A V above EXACT_V_MAX raises
-    NumericalFailure, checked after the build so that a V the joint itself
-    rejects (not finite, or an overflowing EPR correlation) keeps its own
-    error."""
+    """The protocol's joint moments. A V outside (1, inf) raises ValueError.
+    A V above EXACT_V_MAX raises NumericalFailure, checked after the build
+    so that a V whose EPR correlation overflows keeps that error."""
+    if not 1.0 < V < math.inf:
+        raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     joint = two_way_joint(V, params) if protocol.two_way else one_way_joint(V, params)
     if V > EXACT_V_MAX:
         raise NumericalFailure(f"modulation variance V={V:g} is above the exact "

@@ -18,10 +18,10 @@ time: no sample is formed and memory is constant in their number.
 `empirical_mi` maps that covariance through A into one `MiEstimate`: a
 Gaussian mutual-information estimate in bits with the empirical variances
 and residual variances of X_B it was computed from. A `SimRun` holds it
-next to the analytic values from the exact covariance engine.
+next to the analytic values, from the same build of the protocol's joint.
 `trajectories(config)` yields the samples one chunk at a time. Everything
 is keyed by a single 64-bit seed and is bit-identical across repeated or
-parallel invocations.
+parallel invocations. The command line formats a run and its samples.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackParams, require_finite_excess_noise
-from .key_rates import (Protocol, _bob_measurement, _joint_for, mi_from_terms,
-                        shannon_terms)
+from .key_rates import (Protocol, _bob_measurement, _joint_for, _shannon_terms,
+                        mi_from_terms)
 from .rng import normal_chunks, normal_moments
 
 MIN_SAMPLES = 1000
@@ -91,31 +91,31 @@ class SimRun:
     mi_analytic_bits: float
 
 
-def _sampling_map(config: SimConfig) -> np.ndarray:
+def _sampling_map(config: SimConfig) -> tuple[np.ndarray, list]:
     """(2d, 2d) map from 2d standard normals to the d encoding variables
-    X_A that Alice reveals and Bob's d decoding variables X_B.
+    X_A that Alice reveals and Bob's d decoding variables X_B, and Bob's
+    Shannon terms (`key_rates.shannon_terms`), both from one joint.
 
-    The channel model is the (2d, k) map A: the rows of the protocol's
-    joint at Alice's encoding and Bob's measurement rows, applied to the
-    joint's input map times its input factor, next to the square root of
-    Bob's (diagonal) measurement noise. Each row of X_A reads one normal of
-    its own; the block B of X_B's rows on the k - d free normals is replaced
-    by R^T, R the triangular factor of B^T. Since B B^T = R^T R, the output
-    has the same Gaussian distribution from 2d normals instead of k, and
-    the own columns, which carry the modulation, are kept as they are: no
+    The channel model is the joint's input map times its input factor,
+    read at Alice's revealed encoding (`JointMoments.revealed`) and through
+    Bob's measurement rows, next to the square root of Bob's (diagonal)
+    measurement noise. Each row of X_A reads the normal of its own input;
+    the block B of X_B's rows on the other normals, noise included, is
+    replaced by R^T, R the triangular factor of B^T. Since B B^T = R^T R,
+    the output has the same Gaussian distribution from 2d normals, and the
+    own columns, which carry the modulation, are kept as they are: no
     covariance is formed and nothing is subtracted, so X_A and X_B given
     X_A stay exact at any V.
     """
     joint = _joint_for(config.protocol, config.V, config.params)
     rows, noise, labels = _bob_measurement(config.protocol, joint, config.params)
-    d = len(labels)
+    terms = _shannon_terms(joint, joint.given_alice(config.protocol), rows, noise, labels)
+    own = joint.revealed(config.protocol)
     out = joint.m @ joint.input_factor()
-    A = np.block([[out[joint.ix["cl"][:d]], np.zeros((d, d))],
-                  [rows @ out, np.sqrt(noise)]])
-    own = A[:d].any(axis=0)
-    R = np.linalg.qr(A[d:, ~own].T, mode="r")
-    return np.block([[A[:d, own], np.zeros((d, len(R)))],
-                     [A[d:, own], R.T]])
+    x_b = rows @ out
+    R = np.linalg.qr(np.hstack([np.delete(x_b, own, 1), np.sqrt(noise)]).T, mode="r")
+    return np.block([[out[np.ix_(own, own)], np.zeros((len(own), len(R)))],
+                     [x_b[:, own], R.T]]), terms
 
 
 def trajectories(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -123,7 +123,7 @@ def trajectories(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     `rng.normal_chunks` of 2d columns mapped by `_sampling_map`, as
     (rows, d) arrays. Concatenated, they are the run's n_samples samples;
     every call yields the same blocks."""
-    A = _sampling_map(config)
+    A, _ = _sampling_map(config)
     d = len(A) // 2
     for z in normal_chunks(config.seed, config.n_samples, A.shape[1]):
         x = z @ A.T
@@ -175,10 +175,10 @@ def simulate(config: SimConfig) -> SimRun:
     The analytic terms come first, so a modulation at which they fail
     raises NumericalFailure before any sample is drawn.
     """
-    terms = shannon_terms(config.protocol, config.V, config.params)
+    A, terms = _sampling_map(config)
     mi_analytic = mi_from_terms(terms)
-    cov = normal_moments(config.seed, config.n_samples, 2 * len(terms))[1]
-    mi = empirical_mi(_sampling_map(config), cov, config.n_samples)
+    cov = normal_moments(config.seed, config.n_samples, len(A))[1]
+    mi = empirical_mi(A, cov, config.n_samples)
     return SimRun(
         config=config,
         labels=tuple(lab for lab, _, _ in terms),
@@ -203,38 +203,3 @@ def mi_sigma_bits(run: SimRun) -> float:
         var += max(rho_sq, 0.5) / (n * math.log(2.0) ** 2)
     return math.sqrt(var)
 
-
-def summary_text(run: SimRun) -> str:
-    """Flat key=value summary, one entry per line."""
-    lines = [
-        f"protocol={run.config.protocol.value}",
-        f"T={run.config.params.T:.12g}",
-        f"W={run.config.params.W:.12g}",
-        f"N={run.config.params.N:.12g}",
-        f"V={run.config.V:.12g}",
-        f"n={run.config.n_samples}",
-        f"seed={run.config.seed}",
-    ]
-    for j, lab in enumerate(run.labels):
-        lines += [
-            f"var_{lab}_empirical={run.mi_empirical.var[j]:.12g}",
-            f"var_{lab}_analytic={run.analytic_var[j]:.12g}",
-            f"cond_var_{lab}_empirical={run.mi_empirical.cond_var[j]:.12g}",
-            f"cond_var_{lab}_analytic={run.analytic_cond_var[j]:.12g}",
-        ]
-    lines += [
-        f"mi_empirical_bits={run.mi_empirical.bits:.12g}",
-        f"mi_capped={str(run.mi_empirical.capped).lower()}",
-        f"mi_analytic_bits={run.mi_analytic_bits:.12g}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def dump_samples(config: SimConfig, f) -> None:
-    """Write the raw per-sample CSV, one column per X_A / X_B dimension, to
-    the open text file `f`, block by block from regenerated trajectories."""
-    labels = [lab for lab, _, _ in shannon_terms(config.protocol, config.V, config.params)]
-    f.write(",".join([f"x_a_{lab}" for lab in labels]
-                     + [f"x_b_{lab}" for lab in labels]) + "\n")
-    for x_a, x_b in trajectories(config):
-        np.savetxt(f, np.column_stack([x_a, x_b]), fmt="%.12g", delimiter=",")

@@ -140,7 +140,7 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform transmission grid, endpoints included, inside (0, 1)."""
+    """Uniform transmission grid inside (0, 1), both ends included."""
 
     T_min: float = 0.02
     T_max: float = 0.98
@@ -152,6 +152,9 @@ class Grid:
                              f"[{self.T_min}, {self.T_max}]")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.steps == 1 and self.T_min < self.T_max:
+            raise ValueError(f"steps must be >= 2 to include both ends of "
+                             f"[{self.T_min}, {self.T_max}], got 1")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.T_min, self.T_max, self.steps)
@@ -169,6 +172,7 @@ class ThresholdCurve:
     errors: dict = field(default_factory=dict)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
     """Solve the threshold at every grid point, all points at once.
 
@@ -176,10 +180,9 @@ def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
     array evaluation of the closed form, with the same step rule on the same
     lattice and up to a one-cell bracket, so their N is that of
     `solve_threshold` wherever that cell is unique (see the module
-    docstring). A point that fails (a NaN rate, a rising rate, no sign
-    change up to W_HI_MAX) is solved again by `solve_threshold`; if that
-    raises, the point is NaN and `errors` holds its message (grid index ->
-    message, in grid order).
+    docstring). A point that fails (a NaN rate, overflows included, a rising
+    rate, no sign change up to W_HI_MAX) is solved again by `solve_threshold`;
+    if that raises, the point is NaN and `errors` maps its index to the message.
     """
     protocol, recon = finite_pair(protocol, reconciliation)
     T = grid.points()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import twoway_cvqkd
-from twoway_cvqkd import cli
+from twoway_cvqkd import cli, key_rates, simulator
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import (EXIT_FLAG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, Protocol, Reconciliation,
@@ -192,6 +192,26 @@ def test_simulate_dump_samples(tmp_path, capsys, monkeypatch):
     assert code == EXIT_NUMERIC
     assert out == ""
     assert not path.exists()
+
+
+def test_simulate_builds_one_joint_per_pass(tmp_path, capsys, monkeypatch):
+    # the summary needs one joint; a dump adds the analytic check before
+    # the file opens and the regenerated trajectories
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return joint_for(*args)
+
+    joint_for = key_rates._joint_for
+    monkeypatch.setattr(key_rates, "_joint_for", counted)
+    monkeypatch.setattr(simulator, "_joint_for", counted)
+    args = ["simulate", "--protocol", "het2", "--T", "0.7", "--N", "0.1",
+            "--V", "1000", "--n", "1000", "--seed", "3"]
+    assert run(capsys, *args)[0] == EXIT_OK
+    assert len(builds) == 1
+    assert run(capsys, *args, "--dump-samples", str(tmp_path / "s.csv"))[0] == EXIT_OK
+    assert len(builds) == 1 + 3
 
 
 def test_simulate_rejects_zero_transmission_before_sampling(tmp_path, capsys, monkeypatch):

@@ -9,8 +9,15 @@ The grid spans T from 1e-300 to 1 - 1e-6, W from 1 to 1.7e308 (next to the
 largest double), the full range of the two-path correlation and V from 2
 to 1e12; each rate, threshold and sweep case draws its protocol pair, and
 each sampling case its protocol and seed, from one seeded generator.
+
+A hypothesis strategy then drives `rate`, `threshold` and 3-point
+`sweep` commands between the grid's values: T log-uniform towards 0 and
+towards 1, W log-uniform in [1, 1e307] and V absent or in (1, EXACT_V_MAX].
+There, an exit 2 must also be one of the documented domain checks.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import random
@@ -18,9 +25,10 @@ import re
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoway_cvqkd.cli import EXIT_FLAG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from twoway_cvqkd.key_rates import DIVERGENT_RR, Protocol
+from twoway_cvqkd.key_rates import DIVERGENT_RR, EXACT_V_MAX, Protocol
 
 T_VALUES = ["1e-300", "0.01", "0.7", "0.999999"]
 W_VALUES = ["1", "1e8", "1e154", "1e300", "1e308", "1.7e308"]
@@ -68,12 +76,16 @@ def _numbers(text: str) -> list[float]:
     return numbers
 
 
-@pytest.mark.parametrize("argv", _cases(), ids=" ".join)
-def test_exit_contract(capsys, argv):
-    with warnings.catch_warnings():
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
         warnings.simplefilter("error", RuntimeWarning)
         code = main(argv)
-    out = capsys.readouterr().out
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_exit(argv: list[str], code: int, out: str) -> None:
     assert code in (EXIT_OK, EXIT_FLAG, EXIT_NUMERIC, EXIT_IO)
     numbers = _numbers(out)
     if code == EXIT_OK:
@@ -83,3 +95,47 @@ def test_exit_contract(capsys, argv):
         assert all(math.isfinite(x) or math.isnan(x) for x in numbers)
     else:
         assert out == ""
+
+
+@pytest.mark.parametrize("argv", _cases(), ids=" ".join)
+def test_exit_contract(argv):
+    code, out, _ = _run(argv)
+    _check_exit(argv, code, out)
+
+
+# The domain checks an exit 2 of the drawn commands may report: at a tiny T
+# with a large W the excess noise that `rate` prints overflows.
+DOMAIN_MESSAGES = (
+    "error: rate needs a transmission T > 0 at which the excess noise "
+    "(W - 1)(1 - T)/T it reports is finite",
+)
+
+# 10^-u tends to 0 and 1 - 10^-u to 1, both strictly inside (0, 1)
+transmissions = st.one_of(st.floats(0.3, 320.0).map(lambda u: 10.0 ** -u),
+                          st.floats(0.3, 15.9).map(lambda u: 1.0 - 10.0 ** -u))
+attack_variances = st.floats(0.0, 307.0).map(lambda e: 10.0 ** e)
+modulations = st.floats(-15.0, 12.0).map(lambda e: min(1.0 + 10.0 ** e, EXACT_V_MAX))
+
+
+@st.composite
+def commands(draw) -> list[str]:
+    protocol, recon = draw(st.sampled_from(FINITE_PAIRS))
+    pair = ["--protocol", protocol, "--recon", recon]
+    kind = draw(st.sampled_from(["rate", "threshold", "sweep"]))
+    if kind == "threshold":
+        return ["threshold", *pair, "--T", repr(draw(transmissions))]
+    if kind == "sweep":
+        lo, hi = sorted([draw(transmissions), draw(transmissions)])
+        return ["sweep", *pair, "--grid", f"{lo!r}:{hi!r}:3"]
+    V = draw(st.none() | modulations)
+    return ["rate", *pair, "--T", repr(draw(transmissions)),
+            "--W", repr(draw(attack_variances)), *([] if V is None else ["--V", repr(V)])]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(commands())
+def test_exit_contract_between_the_grid_values(argv):
+    code, out, err = _run(argv)
+    _check_exit(argv, code, out)
+    if code == EXIT_FLAG and not err.startswith("usage: "):
+        assert all(line.startswith(DOMAIN_MESSAGES) for line in err.splitlines()), err

@@ -6,9 +6,10 @@ import pytest
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.rng import (CHUNK, generator, normal_chunks, normal_matrix,
                               normal_moments)
+from twoway_cvqkd.key_rates import shannon_terms
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, SimConfig,
-                                    _sampling_map, dump_samples, empirical_mi,
-                                    mi_sigma_bits, simulate, summary_text)
+                                    _sampling_map, empirical_mi, mi_sigma_bits,
+                                    simulate)
 
 from oracles import lstsq_mi, phase_space_map, sample_arrays
 
@@ -121,9 +122,12 @@ def _moments(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("V", [2.5, 1e3, 1e6, 95754019.12279658, 1e10])
 @pytest.mark.parametrize("proto", ["hom", "het", "hom2", "het2"])
 def test_sampling_map_matches_phase_space_reference(proto, V, T, W):
-    # the joint-based map against the beam-splitter relations it replaced
+    # the joint-based map against the beam-splitter relations it replaced;
+    # its analytic terms come from the same joint
     config = SimConfig(proto, V, AttackParams(T, W), MIN_SAMPLES, 1)
-    got_cov, got_cond = _moments(_sampling_map(config))
+    A, terms = _sampling_map(config)
+    assert terms == shannon_terms(proto, V, config.params)
+    got_cov, got_cond = _moments(A)
     want_cov, want_cond = _moments(phase_space_map(config))
     np.testing.assert_allclose(got_cov, want_cov, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(got_cond, want_cond, rtol=1e-13, atol=0.0)
@@ -131,7 +135,7 @@ def test_sampling_map_matches_phase_space_reference(proto, V, T, W):
 
 def test_sampling_map_draws_only_the_normals_it_uses():
     params = AttackParams.from_excess(0.7, 0.1)
-    widths = {proto: _sampling_map(SimConfig(proto, 1e3, params, MIN_SAMPLES, 1)).shape
+    widths = {proto: _sampling_map(SimConfig(proto, 1e3, params, MIN_SAMPLES, 1))[0].shape
               for proto in ("hom", "het", "hom2", "het2")}
     # (X_A, X_B) is 2d-dimensional Gaussian: 2d normals per sample
     assert widths == {"hom": (2, 2), "het": (4, 4), "hom2": (2, 2), "het2": (4, 4)}
@@ -169,7 +173,7 @@ def test_empirical_mi_flags_zero_residual():
 @pytest.mark.parametrize("proto", ["hom", "het", "hom2", "het2"])
 def test_streamed_estimator_matches_lstsq(proto, V, n):
     config = SimConfig(proto, V, AttackParams.from_excess(0.7, 0.1), n, 5)
-    A = _sampling_map(config)
+    A = _sampling_map(config)[0]
     got = empirical_mi(A, normal_moments(config.seed, n, len(A))[1], n)
     want = lstsq_mi(*sample_arrays(config))
     assert got.capped == want.capped
@@ -199,7 +203,10 @@ def test_fixed_seed_reproducibility():
     (a_x_a, a_x_b), (b_x_a, b_x_b) = sample_arrays(cfg), sample_arrays(cfg)
     assert np.array_equal(a_x_a, b_x_a)
     assert np.array_equal(a_x_b, b_x_b)
-    assert summary_text(a) == summary_text(b)
+    assert (a.labels, a.mi_empirical, a.mi_analytic_bits) == (b.labels, b.mi_empirical,
+                                                               b.mi_analytic_bits)
+    assert np.array_equal(a.analytic_var, b.analytic_var)
+    assert np.array_equal(a.analytic_cond_var, b.analytic_cond_var)
 
 
 def test_error_shrinks_with_samples():
@@ -216,12 +223,3 @@ def test_error_shrinks_with_samples():
 
     assert mean_abs_err(4000) > 1.4 * mean_abs_err(64000)
 
-
-def test_dump_samples(tmp_path):
-    config = SimConfig("het", 5.0, AttackParams(0.8, 1.2), 1000, 3)
-    path = tmp_path / "samples.csv"
-    with open(path, "w", newline="") as f:
-        dump_samples(config, f)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (1000, 4)
-    assert np.allclose(data[:, :2], sample_arrays(config)[0], atol=1e-10)

@@ -67,7 +67,22 @@ def test_grid_validation():
         Grid(0.5, 0.4, 10)
     with pytest.raises(ValueError, match="steps must be >= 1"):
         Grid(0.1, 0.2, 0)
+    # one step would keep T_min and silently drop T_max
+    with pytest.raises(ValueError, match="steps must be >= 2"):
+        Grid(0.1, 0.9, 1)
     assert len(Grid(0.1, 0.9, 17).points()) == 17
+    assert Grid(0.5, 0.5, 1).points().tolist() == [0.5]
+
+
+def test_sweep_overflowing_closed_form_is_a_failed_point():
+    # het RR's (1 - T + b1)/T overflows at T = 1e-320; a RuntimeWarning
+    # fails the test
+    curve = sweep_curve("het", "rr", Grid(1e-320, 0.5, 3))
+    assert list(curve.errors) == [0]
+    assert "closed form overflows" in curve.errors[0]
+    assert np.isnan(curve.N[0])
+    for i in (1, 2):
+        assert curve.N[i] == solve_threshold("het", "rr", curve.T[i])
 
 
 def test_rr_curves_strictly_positive():
