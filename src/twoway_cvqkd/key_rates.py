@@ -206,22 +206,24 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
 
     Divergent collective RR combinations return the -inf sentinel. A NaN
     rate (W so large that the formula overflows) raises NumericalFailure, as
-    does a logarithm whose argument underflows to 0 (T near 1e-320).
+    does a logarithm whose argument underflows to 0 (T near 1e-320). The
+    closed form runs on Python floats, so a numpy float64 T or W gives the
+    same rate or the same NumericalFailure, not a numpy overflow warning.
     """
     # members pass as they are: an Enum call costs about a tenth of one
     # rate evaluation of a threshold solve
     if type(protocol) is not Protocol or type(reconciliation) is not Reconciliation:
         protocol, reconciliation = Protocol(protocol), Reconciliation(reconciliation)
     _require_rate_params(params)
+    T, W = float(params.T), float(params.W)
     try:
-        rate = _RATES[protocol, reconciliation](params.T, params.W, math)
+        rate = _RATES[protocol, reconciliation](T, W, math)
     except ValueError as exc:
         raise NumericalFailure(f"{protocol.value} {reconciliation.value} closed form at "
-                               f"T={params.T}, W={params.W}: {exc}") from exc
+                               f"T={T}, W={W}: {exc}") from exc
     if math.isnan(rate):
         raise NumericalFailure(f"{protocol.value} {reconciliation.value} rate is NaN "
-                               f"at T={params.T}, W={params.W}: the closed form "
-                               f"overflows")
+                               f"at T={T}, W={W}: the closed form overflows")
     return RateResult(protocol, reconciliation, rate, Method.ASYMPTOTIC, params)
 
 

@@ -5,10 +5,18 @@ generators keyed by (seed, stream_index). Bulk sampling is chunked with a
 fixed chunk size and one stream per chunk, so serial generation and any
 parallel dispatch of chunks produce bit-identical results, and a consumer
 can process one chunk at a time in constant memory.
+
+`normal_moments` uses that: it folds the chunks on one thread per CPU the
+process may run on, each drawing whichever chunk is next, and adds the
+per-chunk sums in chunk order, so its result is the serial fold's bit for
+bit on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from collections.abc import Iterator
 
 import numpy as np
@@ -29,10 +37,30 @@ def normal_chunks(seed: int, n: int, cols: int) -> Iterator[np.ndarray]:
         yield generator(seed, chunk_index).standard_normal((min(CHUNK, n - start), cols))
 
 
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and covariance of the (n, cols) standard normals of the
     `normal_chunks` stream, folded chunk by chunk into a column sum s and a
     Gram matrix G = z^T z, both BLAS products, so memory is flat in n.
+
+    The chunks are folded on one thread per CPU the process may run on
+    (the caller's thread is one of them), at most one per chunk. Each
+    thread claims the next unclaimed chunk index, draws that chunk into its
+    own row block and computes the chunk's column sum and Gram matrix. The
+    per-chunk results are added into s and G strictly in chunk order, each
+    as soon as the chunks before it are added, so the additions, and with
+    them every bit of the result, are those of the serial loop over
+    `normal_chunks`, whatever the number of CPUs or the order in which the
+    threads finish. A chunk result waiting for its turn is cols + cols^2
+    numbers, not the chunk. An exception raised while folding a chunk stops
+    the other threads after their current chunk and is raised here once
+    they have ended, so no thread outlives the call.
 
     The covariance is (G - s s^T / n) / (n - 1). This is as exact as a
     triangular-factor fold because the z are unit normals: the entries of
@@ -42,10 +70,41 @@ def normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray
     of scale sqrt(V) would lose their residual in such a fold, so
     `simulator.empirical_mi` applies the scale after it.
     """
+    chunks = -(-n // CHUNK)
+    threads = max(1, min(_cpus(), chunks))
+    blocks = np.empty((threads, CHUNK, cols))
     total, gram = np.zeros(cols), np.zeros((cols, cols))
-    for z in normal_chunks(seed, n, cols):
-        total += np.ones(len(z)) @ z
-        gram += z.T @ z
+    claims = itertools.count()
+    pending, lock, errors = {}, threading.Lock(), []
+    added = 0
+
+    def fold(block: np.ndarray) -> None:
+        nonlocal total, gram, added
+        try:
+            for k in claims:
+                if k >= chunks or errors:
+                    return
+                z = block[:min(CHUNK, n - k * CHUNK)]
+                generator(seed, k).standard_normal(out=z)
+                part = np.ones(len(z)) @ z, z.T @ z
+                with lock:
+                    pending[k] = part
+                    while added in pending:
+                        s, g = pending.pop(added)
+                        total += s
+                        gram += g
+                        added += 1
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=fold, args=(block,)) for block in blocks[1:]]
+    for helper in helpers:
+        helper.start()
+    fold(blocks[0])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     mean = total / n
     return mean, (gram - np.outer(total, mean)) / (n - 1)
 

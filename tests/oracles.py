@@ -25,6 +25,8 @@ None of this is used by the package itself:
   `np.cov`, the reference for the streamed probe sampler, and the streamed
   triangular-factor fold of the probe normals, the reference for its Gram
   fold;
+- the Gram fold of the normals' moments on one thread, chunk after chunk,
+  the reference for the threaded fold;
 - the threshold solve by plain bisection, the reference for the lattice
   Newton solver.
 """
@@ -725,6 +727,18 @@ def qr_normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndar
         z = np.column_stack([np.ones(len(z)), z])
         R = np.linalg.qr(z if R is None else np.vstack([R, z]), mode="r")
     return R[0, 1:] / R[0, 0], R[1:, 1:].T @ R[1:, 1:] / (n - 1)
+
+
+def serial_normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance of the `normal_chunks` stream by the Gram
+    fold on one thread: each chunk's column sum and z^T z added in chunk
+    order, the additions `rng.normal_moments` makes on any number of CPUs."""
+    total, gram = np.zeros(cols), np.zeros((cols, cols))
+    for z in normal_chunks(seed, n, cols):
+        total += np.ones(len(z)) @ z
+        gram += z.T @ z
+    mean = total / n
+    return mean, (gram - np.outer(total, mean)) / (n - 1)
 
 
 # ---------------------------------------------------------------------------

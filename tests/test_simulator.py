@@ -1,8 +1,13 @@
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from twoway_cvqkd import rng
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.rng import (CHUNK, generator, normal_chunks, normal_matrix,
                               normal_moments)
@@ -11,7 +16,7 @@ from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, SimConfig,
                                     _sampling_map, empirical_mi, mi_sigma_bits,
                                     simulate)
 
-from oracles import lstsq_mi, phase_space_map, sample_arrays
+from oracles import lstsq_mi, phase_space_map, sample_arrays, serial_normal_moments
 
 
 def test_rng_chunking_is_deterministic():
@@ -37,6 +42,65 @@ def test_rng_streams_independent():
     x = generator(7, 0).standard_normal(100)
     y = generator(7, 1).standard_normal(100)
     assert not np.allclose(x, y)
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make the process look as if it may run on `cpus` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_normal_moments_bit_identical_on_any_cpu_count(monkeypatch, cpus):
+    # 8 threads outnumber the chunks of the smaller n and the CPUs; frequent
+    # thread switches would let an addition out of chunk order show
+    set_cpus(monkeypatch, cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1000, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 40 * CHUNK):
+            for cols in (2, 4, 12):
+                mean, cov = normal_moments(5, n, cols)
+                want_mean, want_cov = serial_normal_moments(5, n, cols)
+                assert np.array_equal(mean, want_mean)
+                assert np.array_equal(cov, want_cov)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_normal_moments_raises_worker_errors_and_leaves_no_thread(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    normal_moments(3, 10 * CHUNK, 4)
+    assert threading.active_count() == before
+
+    draw = rng.generator
+
+    def failing(seed, stream):
+        if stream == 3:
+            raise RuntimeError("chunk 3 failed")
+        return draw(seed, stream)
+
+    monkeypatch.setattr(rng, "generator", failing)
+    with pytest.raises(RuntimeError, match="chunk 3 failed"):
+        normal_moments(3, 10 * CHUNK, 4)
+    assert threading.active_count() == before
+
+
+def test_simulate_memory_is_flat_in_n(monkeypatch):
+    set_cpus(monkeypatch, 2)
+
+    def peak(n):
+        config = SimConfig("het2", 1e3, AttackParams(0.7, 1.5), n, 3)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40 * CHUNK) <= peak(4 * CHUNK) + 2**20
 
 
 def test_config_validation():

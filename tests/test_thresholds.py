@@ -85,6 +85,21 @@ def test_sweep_overflowing_closed_form_is_a_failed_point():
         assert curve.N[i] == solve_threshold("het", "rr", curve.T[i])
 
 
+def test_float64_transmission_is_a_float():
+    # the closed forms run on Python floats: a numpy T neither warns where
+    # they overflow nor moves a bit of N
+    failures = []
+    for T in (np.float64(1e-320), 1e-320):
+        with pytest.raises(NumericalFailure, match="closed form overflows") as exc:
+            solve_threshold("het", "rr", T)
+        failures.append(str(exc.value))
+    assert failures[0] == failures[1]
+    for protocol, recon in FINITE_PAIRS:
+        for T in Grid().points()[::8]:
+            assert solve_threshold(protocol, recon, T) == \
+                solve_threshold(protocol, recon, float(T))
+
+
 def test_rr_curves_strictly_positive():
     grid = Grid(0.05, 0.95, 19)
     for proto in ("hom", "het", "coll_het", "hom2", "het2"):
