@@ -6,10 +6,10 @@ fixed chunk size and one stream per chunk, so serial generation and any
 parallel dispatch of chunks produce bit-identical results, and a consumer
 can process one chunk at a time in constant memory.
 
-`normal_moments` uses that: it folds the chunks on one thread per CPU the
-process may run on, each drawing whichever chunk is next, and adds the
-per-chunk sums in chunk order, so its result is the serial fold's bit for
-bit on any number of CPUs.
+`normal_moments` uses that: it folds the chunks of a long stream on one
+thread per CPU the process may run on, each drawing whichever chunk is
+next, and adds the per-chunk sums in chunk order, so its result is the
+serial fold's bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from collections.abc import Iterator
 import numpy as np
 
 CHUNK = 8192
+# Fewest chunks per thread of a threaded `normal_moments` fold.
+THREAD_CHUNKS = 8
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -50,7 +52,12 @@ def normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray
     Gram matrix G = z^T z, both BLAS products, so memory is flat in n.
 
     The chunks are folded on one thread per CPU the process may run on
-    (the caller's thread is one of them), at most one per chunk. Each
+    (the caller's thread is one of them), at most one per THREAD_CHUNKS
+    chunks, so a stream of fewer than 2 * THREAD_CHUNKS chunks is folded
+    on the caller's thread alone. With a few chunks per thread the call
+    ends with the last chunk of the slowest CPU, so its time would follow
+    the state of every CPU rather than of the caller's, and vary from one
+    call to the next. Each
     thread claims the next unclaimed chunk index, draws that chunk into its
     own row block and computes the chunk's column sum and Gram matrix. The
     per-chunk results are added into s and G strictly in chunk order, each
@@ -71,7 +78,7 @@ def normal_moments(seed: int, n: int, cols: int) -> tuple[np.ndarray, np.ndarray
     `simulator.empirical_mi` applies the scale after it.
     """
     chunks = -(-n // CHUNK)
-    threads = max(1, min(_cpus(), chunks))
+    threads = max(1, min(_cpus(), chunks // THREAD_CHUNKS))
     blocks = np.empty((threads, CHUNK, cols))
     total, gram = np.zeros(cols), np.zeros((cols, cols))
     claims = itertools.count()

@@ -15,8 +15,9 @@ The samples (X_A, X_B) = A z of a run are 2d unit normals z through its
 fixed (2d, 2d) sampling map A, so all the estimator reads is the normals'
 sample covariance, which `rng.normal_moments` folds one RNG chunk at a
 time: no sample is formed and memory is constant in their number. The
-chunks are drawn on every CPU the process may run on and added in chunk
-order, so the covariance, and the run, do not depend on the CPU count.
+chunks of a long run are drawn on every CPU the process may run on and
+added in chunk order, so the covariance, and the run, do not depend on
+the CPU count.
 `empirical_mi` maps that covariance through A into one `MiEstimate`: a
 Gaussian mutual-information estimate in bits with the empirical variances
 and residual variances of X_B it was computed from. A `SimRun` holds it

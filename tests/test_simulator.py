@@ -9,8 +9,8 @@ import pytest
 
 from twoway_cvqkd import rng
 from twoway_cvqkd.attacks import AttackParams
-from twoway_cvqkd.rng import (CHUNK, generator, normal_chunks, normal_matrix,
-                              normal_moments)
+from twoway_cvqkd.rng import (CHUNK, THREAD_CHUNKS, generator, normal_chunks,
+                              normal_matrix, normal_moments)
 from twoway_cvqkd.key_rates import shannon_terms
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, SimConfig,
                                     _sampling_map, empirical_mi, mi_sigma_bits,
@@ -52,13 +52,15 @@ def set_cpus(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_normal_moments_bit_identical_on_any_cpu_count(monkeypatch, cpus):
-    # 8 threads outnumber the chunks of the smaller n and the CPUs; frequent
-    # thread switches would let an addition out of chunk order show
+    # the two longest n fold on 2 threads at 2 CPUs and on 2 and 5 at 8, the
+    # last chunk of the first one short; frequent thread switches would let
+    # an addition out of chunk order show
     set_cpus(monkeypatch, cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for n in (1000, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 40 * CHUNK):
+        for n in (1000, CHUNK, CHUNK + 1, 3 * CHUNK + 17,
+                  2 * THREAD_CHUNKS * CHUNK + 17, 40 * CHUNK):
             for cols in (2, 4, 12):
                 mean, cov = normal_moments(5, n, cols)
                 want_mean, want_cov = serial_normal_moments(5, n, cols)
@@ -72,7 +74,7 @@ def test_normal_moments_bit_identical_on_any_cpu_count(monkeypatch, cpus):
 def test_normal_moments_raises_worker_errors_and_leaves_no_thread(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
     before = threading.active_count()
-    normal_moments(3, 10 * CHUNK, 4)
+    normal_moments(3, 40 * CHUNK, 4)
     assert threading.active_count() == before
 
     draw = rng.generator
@@ -84,8 +86,24 @@ def test_normal_moments_raises_worker_errors_and_leaves_no_thread(monkeypatch, c
 
     monkeypatch.setattr(rng, "generator", failing)
     with pytest.raises(RuntimeError, match="chunk 3 failed"):
-        normal_moments(3, 10 * CHUNK, 4)
+        normal_moments(3, 40 * CHUNK, 4)
     assert threading.active_count() == before
+
+
+def test_normal_moments_threads_only_long_streams(monkeypatch):
+    set_cpus(monkeypatch, 8)
+    started = []
+    thread = threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", counted)
+    normal_moments(3, (2 * THREAD_CHUNKS - 1) * CHUNK, 4)
+    assert started == []
+    normal_moments(3, 3 * THREAD_CHUNKS * CHUNK, 4)
+    assert len(started) == 2
 
 
 def test_simulate_memory_is_flat_in_n(monkeypatch):
