@@ -5,9 +5,9 @@ quadrature commutator is [Y_l, Y_m] = 2i Omega_lm. Quadratures are ordered
 (Q1, P1, ..., Qn, Pn). Entropic quantities are in bits (base-2 logarithms);
 callers that want nats convert once, at the output.
 
-Covariance matrices are plain symmetric numpy arrays, one per spectrum: the
-het2 RR sweeps' stacked spectra are `key_rates`' own. Displacements play no
-role in any entropic quantity, so the callers that need them track them.
+Covariance matrices are plain symmetric numpy arrays; a spectrum takes one
+or a stack of them. Displacements play no role in any entropic quantity, so
+the callers that need them track them.
 Conditioning on a measurement is a Schur complement (`conditional_cov`); on
 Alice's encoding it needs none (`key_rates.JointMoments.given_alice`).
 """
@@ -22,6 +22,7 @@ SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 PAIRING_TOL = 1e-8
 _LN2 = math.log(2.0)
+_SWAP_SIGN = np.array([[1.0], [-1.0]])   # V's (Q, P) row pair is (P, -Q) in Omega @ V
 
 # Entries of Z / I used in two-mode blocks.
 I2 = np.eye(2)
@@ -46,29 +47,38 @@ def omega(n_modes: int) -> np.ndarray:
 
 
 def symplectic_eigenvalues(cm) -> np.ndarray:
-    """Williamson eigenvalues of one 2n x 2n covariance matrix, descending.
+    """Williamson eigenvalues of one 2n x 2n covariance matrix, descending, or
+    of each matrix of a (k, 2n, 2n) stack, as a (k, n) array.
 
     Computed as the moduli of the eigenvalues of Omega @ V, which come in
     +/- pairs for a symmetric V; the pairs are deduplicated. Omega @ V is V
     with each (Q, P) row pair swapped and the P rows negated, zeros as +0.0
-    like a matrix product's. A matrix that is not finite and symmetric, or
-    fails the +/- pairing beyond tolerance (a broken CM), raises ValueError.
+    like a matrix product's. Each matrix is checked against its own scale:
+    one that is not finite and symmetric, or fails the +/- pairing beyond
+    tolerance (a broken CM), raises ValueError for the whole call.
     """
     mat = np.asarray(cm, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] % 2:
         raise ValueError(f"covariance matrix must be 2n x 2n, got {mat.shape}")
-    amax = np.abs(mat).max()   # NaN or inf unless the matrix is finite
-    atol = SYMMETRY_TOL * max(1.0, amax)
-    if not (amax < math.inf and (np.abs(mat - mat.T) <= atol + 1e-5 * np.abs(mat.T)).all()):
+    abs_mat = np.abs(mat)
+    top = abs_mat.max()   # NaN or inf unless every matrix is finite
+    # each matrix's own largest entry; for one matrix, `top` is it and is cheaper
+    amax = top if mat.ndim == 2 else abs_mat.max(axis=(-2, -1), keepdims=True)
+    atol = SYMMETRY_TOL * np.maximum(1.0, amax)
+    if not (top < math.inf
+            and (np.abs(mat - mat.swapaxes(-1, -2))
+                 <= atol + 1e-5 * abs_mat.swapaxes(-1, -2)).all()):
         raise ValueError("covariance matrix is not symmetric or not finite")
-    om_v = np.empty_like(mat)
-    om_v[::2], om_v[1::2] = mat[1::2] + 0.0, 0.0 - mat[::2]
-    moduli = np.sort(np.abs(np.linalg.eigvals(om_v)))[::-1]
-    a, b = moduli[::2], moduli[1::2]
-    unpaired = (np.abs(a - b) > PAIRING_TOL * np.maximum(1.0, a)
-                + PAIRING_TOL * max(1.0, moduli[0]))
+    row_pairs = mat.reshape(*mat.shape[:-2], -1, 2, mat.shape[-1])
+    om_v = (row_pairs[..., ::-1, :] * _SWAP_SIGN).reshape(mat.shape) + 0.0   # +0.0 zeros
+    moduli = np.sort(np.abs(np.linalg.eigvals(om_v)))
+    # descending: the larger and the smaller modulus of each +/- pair
+    a, b = moduli[..., ::-2], moduli[..., -2::-2]
+    # tol[..., :1] is PAIRING_TOL times max(1, each matrix's largest modulus)
+    tol = PAIRING_TOL * np.maximum(1.0, a)
+    unpaired = np.abs(a - b) > tol + tol[..., :1]
     if unpaired.any():
-        k = int(np.argmax(unpaired))
+        k = np.unravel_index(np.argmax(unpaired), unpaired.shape)
         raise ValueError(f"eigenvalues of Omega V fail +/- pairing "
                          f"({a[k]} vs {b[k]}): broken CM")
     return a
@@ -104,7 +114,10 @@ def von_neumann_entropy(cm) -> float:
     """Von Neumann entropy of a Gaussian state: sum of g over the spectrum.
 
     Eigenvalues marginally below 1 from floating-point noise are clamped.
+    One matrix only: a stack raises ValueError.
     """
+    if np.ndim(cm) != 2:
+        raise ValueError(f"covariance matrix must be 2n x 2n, got {np.shape(cm)}")
     nus = symplectic_eigenvalues(cm)
     return float(sum(g_entropy(max(nu, 1.0)) for nu in nus.tolist()))
 

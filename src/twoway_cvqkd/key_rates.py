@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -32,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackParams
-from .gaussian import (PAIRING_TOL, SYMMETRY_TOL, NumericalFailure, conditional_cov,
-                       g_entropy, omega, von_neumann_entropy)
+from .gaussian import (NumericalFailure, conditional_cov, g_entropy,
+                       symplectic_eigenvalues, von_neumann_entropy)
 
 
 class Protocol(str, Enum):
@@ -93,16 +94,12 @@ def finite_pair(protocol, reconciliation) -> tuple[Protocol, Reconciliation]:
 
 
 class RateResult(NamedTuple):
-    """One rate and what it was computed for. A named tuple rather than a
+    """One rate and the method that computed it. A named tuple rather than a
     frozen dataclass: as immutable, and about three times cheaper to build,
     which counts in threshold solves that make one per rate evaluation."""
 
-    protocol: Protocol
-    reconciliation: Reconciliation
     rate: float
     method: Method
-    params: AttackParams
-    V: float | None = None
 
     @property
     def divergent(self) -> bool:
@@ -224,7 +221,7 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
     if math.isnan(rate):
         raise NumericalFailure(f"{protocol.value} {reconciliation.value} rate is NaN "
                                f"at T={T}, W={W}: the closed form overflows")
-    return RateResult(protocol, reconciliation, rate, Method.ASYMPTOTIC, params)
+    return RateResult(rate, Method.ASYMPTOTIC)
 
 
 HET2_RR_V = 1e8
@@ -262,7 +259,14 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     joint = two_way_joint(np.repeat(modulations, k), stack)
     rows, noise, _ = _bob_measurement(Protocol.HET2, joint, stack)
     cond = conditional_cov(joint.sigma, joint.ix["E"], rows, noise)
-    nus = _stacked_symplectic_eigenvalues(cond).reshape(2, k, 4)   # [coarse, fine], Eve's 4 modes
+    try:
+        nus = symplectic_eigenvalues(cond)
+    except ValueError:   # a broken matrix fails the stack: each one gets a NaN row
+        nus = np.full((2 * k, 4), np.nan)
+        for i, cm in enumerate(cond):
+            with suppress(ValueError):
+                nus[i] = symplectic_eigenvalues(cm)
+    nus = nus.reshape(2, k, 4)   # [coarse, fine], Eve's 4 modes
     # The closed-form reference values in Python floats, as for one point:
     # numpy's power and the C library's pow part in the last bit for some T.
     t_w = list(zip(T.tolist(), W.tolist()))
@@ -293,26 +297,6 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
             f"beyond relative tolerance {HET2_RR_PRODUCT_TOL}"
         )
     return finite[0]
-
-
-def _stacked_symplectic_eigenvalues(cms: np.ndarray) -> np.ndarray:
-    """`symplectic_eigenvalues` of each matrix of a (k, 2n, 2n) stack in one
-    eigen-solve, as a (k, n) array. A matrix that is not finite and symmetric,
-    or fails the +/- pairing, gets a NaN row instead of raising."""
-    cms_t = np.swapaxes(cms, -1, -2)
-    atol = SYMMETRY_TOL * np.maximum(1.0, np.abs(cms).max(axis=(-2, -1), keepdims=True))
-    with np.errstate(invalid="ignore"):
-        # np.allclose(cm, cm.T, atol=atol), matrix by matrix
-        close = ((np.abs(cms - cms_t) <= atol + 1e-5 * np.abs(cms_t))
-                 & np.isfinite(cms_t) | (cms == cms_t))
-    # a non-finite matrix would make eigvals fail the whole stack
-    broken = ~close.all(axis=(-2, -1)) | ~np.isfinite(cms).all(axis=(-2, -1))
-    mat = np.where(broken[:, None, None], 0.0, cms)
-    moduli = np.sort(np.abs(np.linalg.eigvals(omega(cms.shape[-1] // 2) @ mat)), axis=-1)[:, ::-1]
-    a, b = moduli[:, ::2], moduli[:, 1::2]
-    scale = np.maximum(1.0, moduli[:, :1])
-    unpaired = np.abs(a - b) > PAIRING_TOL * np.maximum(1.0, a) + PAIRING_TOL * scale
-    return np.where((broken | unpaired.any(axis=-1))[:, None], np.nan, a)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +554,7 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
     recon = Reconciliation(reconciliation)
     _require_rate_params(params)
     if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
-        return RateResult(protocol, recon, RATE_DIVERGENT, Method.EXACT_FINITE_V,
-                          params, V)
+        return RateResult(RATE_DIVERGENT, Method.EXACT_FINITE_V)
     joint = _joint_for(protocol, V, params)
     ix = joint.ix
     given = joint.given_alice(protocol)
@@ -603,4 +586,4 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"{protocol.value} {recon.value} spectrum at T={params.T}, "
                                f"W={params.W}, V={V}: {exc}") from exc
-    return RateResult(protocol, recon, float(rate), Method.EXACT_FINITE_V, params, V)
+    return RateResult(float(rate), Method.EXACT_FINITE_V)

@@ -46,6 +46,8 @@ W_HI_MAX = 1e6
 MONOTONE_SLACK = 1e-9
 # Width in T to which `crossover` refines each crossing.
 CROSSOVER_T_TOL = 1e-4
+# Both solvers give this pair bisection's own steps (see the module docstring).
+BISECTION_ONLY_PAIR = (Protocol.HET2, Reconciliation.RR)
 
 
 def default_threads() -> int:
@@ -113,7 +115,7 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     # f_b may be scaled down by Anderson-Bjorck steps, the signs are the rates'
     h, b = _lattice(lo, hi)
     a, f_a, f_b = 0, r_prev, r
-    secant = (protocol, recon) != (Protocol.HET2, Reconciliation.RR)
+    secant = (protocol, recon) != BISECTION_ONLY_PAIR
     # the end the last step replaced (+1 a, -1 b, 0 none) and the bracket
     # widths before the last three steps
     side, widths = 0, [math.inf] * 3
@@ -217,7 +219,7 @@ def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
     t, lo, f_a, f_b = T[idx], lo[idx], r_a[idx], r_b[idx]
     a, side = np.zeros(idx.shape, dtype=np.int64), np.zeros(idx.shape, dtype=np.int64)
     widths = [np.full(idx.shape, np.inf)] * 3
-    secant = (protocol, recon) != (Protocol.HET2, Reconciliation.RR)
+    secant = (protocol, recon) != BISECTION_ONLY_PAIR
     while idx.size:
         # the step rule of solve_threshold, on arrays
         width = b - a

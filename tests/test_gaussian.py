@@ -10,7 +10,6 @@ from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_FLAG, EXIT_OK, main
 from twoway_cvqkd.gaussian import (I2, PHYSICALITY_TOL, conditional_cov, g_entropy,
                                    omega, symplectic_eigenvalues, von_neumann_entropy)
-from twoway_cvqkd.key_rates import _stacked_symplectic_eigenvalues
 
 from oracles import (beam_splitter, direct_sum, epr_cm, is_symplectic,
                      one_way_cm, random_symplectic)
@@ -136,23 +135,41 @@ def test_spectrum_invariant_under_symplectics():
         assert np.allclose(symplectic_eigenvalues(s @ cm @ s.T), ref, atol=1e-8)
 
 
-def test_symplectic_eigenvalues_on_a_stack():
+def _random_cm_stack():
     rng = np.random.default_rng(5)
     base = direct_sum(1.5 * np.eye(2), epr_cm(4.0), 7.0 * np.eye(2))
-    cms = [s @ base @ s.T for s in (random_symplectic(4, rng) for _ in range(4))]
-    asymmetric = cms[0].copy()
-    asymmetric[0, 1] += 1e-3
-    non_finite = cms[1].copy()
-    non_finite[2, 2] = np.nan
-    nus = _stacked_symplectic_eigenvalues(np.array(cms + [asymmetric, non_finite]))
-    assert nus.shape == (6, 4)
+    return np.array([s @ base @ s.T for s in (random_symplectic(4, rng) for _ in range(4))])
+
+
+def test_symplectic_eigenvalues_on_a_stack():
+    cms = _random_cm_stack()
+    nus = symplectic_eigenvalues(cms)
+    assert nus.shape == (4, 4)
     for cm, row in zip(cms, nus):
         assert np.array_equal(row, symplectic_eigenvalues(cm))
-    assert np.isnan(nus[4:]).all()
-    with pytest.raises(ValueError, match="not symmetric"):
-        symplectic_eigenvalues(asymmetric)
+
+
+@pytest.mark.parametrize("broken", ["asymmetric", "nan"])
+def test_symplectic_eigenvalues_reject_a_stack_with_a_broken_matrix(broken):
+    cms = _random_cm_stack()
+    if broken == "asymmetric":
+        cms[2, 0, 1] += 1e-3
+    else:
+        cms[2, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="not symmetric or not finite"):
+        symplectic_eigenvalues(cms)
+    symplectic_eigenvalues(cms[:2])   # the sound matrices alone pass
+
+
+def test_symplectic_eigenvalues_reject_a_4d_array():
     with pytest.raises(ValueError, match="2n x 2n"):
-        symplectic_eigenvalues(np.array(cms))
+        symplectic_eigenvalues(_random_cm_stack()[None])
+
+
+def test_von_neumann_entropy_rejects_a_stack():
+    cms = _random_cm_stack()
+    with pytest.raises(ValueError, match="2n x 2n"):
+        von_neumann_entropy(cms)
 
 
 def test_conditional_cov_on_a_stack():
