@@ -110,16 +110,21 @@ def g_entropy(nu: float | np.ndarray) -> float | np.ndarray:
     return math.log2(a) + b * math.log1p(1.0 / b) / _LN2
 
 
+def spectrum_entropies(nus: np.ndarray) -> list[float]:
+    """Von Neumann entropy of each row of a (k, n) symplectic spectrum: the
+    sum of g over the row, left to right. Eigenvalues marginally below 1
+    from floating-point noise are clamped."""
+    return [float(sum(g_entropy(max(nu, 1.0)) for nu in row)) for row in nus.tolist()]
+
+
 def von_neumann_entropy(cm) -> float:
     """Von Neumann entropy of a Gaussian state: sum of g over the spectrum.
 
-    Eigenvalues marginally below 1 from floating-point noise are clamped.
     One matrix only: a stack raises ValueError.
     """
     if np.ndim(cm) != 2:
         raise ValueError(f"covariance matrix must be 2n x 2n, got {np.shape(cm)}")
-    nus = symplectic_eigenvalues(cm)
-    return float(sum(g_entropy(max(nu, 1.0)) for nu in nus.tolist()))
+    return spectrum_entropies(symplectic_eigenvalues(cm)[None])[0]
 
 
 def conditional_cov(sigma: np.ndarray, keep, obs_rows: np.ndarray,

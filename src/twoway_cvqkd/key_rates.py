@@ -34,7 +34,7 @@ import numpy as np
 
 from .attacks import AttackParams
 from .gaussian import (NumericalFailure, conditional_cov, g_entropy,
-                       symplectic_eigenvalues, von_neumann_entropy)
+                       spectrum_entropies, symplectic_eigenvalues)
 
 
 class Protocol(str, Enum):
@@ -542,13 +542,15 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
     """Exact finite-modulation secret-key rate.
 
     Builds the joint output moments, takes Shannon mutual information from
-    scalar variances and Holevo terms from symplectic spectra. Conditioning
-    on Alice's encoding is `JointMoments.given_alice`; reverse
-    reconciliation conditions Eve on Bob's measured variables by a Schur
-    complement. Divergent collective RR combinations return the -inf
-    sentinel. V must be in (1, EXACT_V_MAX]; a larger V raises
-    NumericalFailure, as does a spectrum of the engine's own matrices that
-    fails its checks (at extreme T, W or V).
+    scalar variances and Holevo terms from symplectic spectra; the
+    equal-size blocks of the rate, [E, E|A], [E, E|B] or [B, B|A], share
+    one spectrum call. Conditioning on Alice's encoding is
+    `JointMoments.given_alice`; reverse reconciliation conditions Eve on
+    Bob's measured variables by a Schur complement. Divergent collective
+    RR combinations return the -inf sentinel. V must be in
+    (1, EXACT_V_MAX]; a larger V raises NumericalFailure, as does a
+    spectrum of the engine's own matrices that fails its checks (at
+    extreme T, W or V).
     """
     protocol = Protocol(protocol)
     recon = Reconciliation(reconciliation)
@@ -559,29 +561,32 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
     ix = joint.ix
     given = joint.given_alice(protocol)
 
-    def entropy(sigma: np.ndarray, name: str) -> float:
+    def block(sigma: np.ndarray, name: str) -> np.ndarray:
         # the "B", "E" and "BE" blocks are contiguous index ranges
-        block = slice(ix[name][0], ix[name][-1] + 1)
-        return von_neumann_entropy(sigma[block, block])
+        span = slice(ix[name][0], ix[name][-1] + 1)
+        return sigma[span, span]
+
+    def entropies(*cms: np.ndarray) -> list[float]:
+        return spectrum_entropies(symplectic_eigenvalues(np.stack(cms)))
 
     try:
-        s_e = entropy(joint.sigma, "E")
         if protocol.collective:
-            s_b = entropy(joint.sigma, "B")
-            i_ab = s_b - entropy(given, "B")
+            s_b, s_b_given = entropies(block(joint.sigma, "B"), block(given, "B"))
+            i_ab = s_b - s_b_given
             if recon is Reconciliation.DR:
-                rate = i_ab - (s_e - entropy(given, "E"))
+                s_e, s_e_given = entropies(block(joint.sigma, "E"), block(given, "E"))
+                rate = i_ab - (s_e - s_e_given)
             else:  # only COLL_HET reaches this branch
-                rate = i_ab - (s_b + s_e - entropy(joint.sigma, "BE"))
+                [s_e] = entropies(block(joint.sigma, "E"))
+                [s_be] = entropies(block(joint.sigma, "BE"))
+                rate = i_ab - (s_b + s_e - s_be)
         else:
             rows, noise, labels = _bob_measurement(protocol, joint, params)
-            i_ab = mi_from_terms(_shannon_terms(joint, given, rows, noise, labels))
             # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
-            if recon is Reconciliation.DR:
-                s_e_given = entropy(given, "E")
-            else:
-                s_e_given = von_neumann_entropy(
-                    conditional_cov(joint.sigma, ix["E"], rows, noise))
+            e_given = (block(given, "E") if recon is Reconciliation.DR
+                       else conditional_cov(joint.sigma, ix["E"], rows, noise))
+            s_e, s_e_given = entropies(block(joint.sigma, "E"), e_given)
+            i_ab = mi_from_terms(_shannon_terms(joint, given, rows, noise, labels))
             rate = i_ab - (s_e - s_e_given)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"{protocol.value} {recon.value} spectrum at T={params.T}, "

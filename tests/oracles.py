@@ -15,6 +15,9 @@ None of this is used by the package itself:
   estimators, an independent check of general Gaussian conditioning;
 - Schur conditioning on the rows of Alice's revealed encoding, the
   reference for the exact engine's conditioning by construction;
+- the exact rate with one spectrum call and one entropy sum per covariance
+  block, the reference for the engine's stacked spectra of equal-size
+  blocks;
 - the one-way exact chain at 50 digits in mpmath: joint moments, Schur
   conditioning on Alice, symplectic spectra, g and the four DR rates;
 - the individual protocols as phase-space beam-splitter relations on
@@ -44,9 +47,11 @@ from twoway_cvqkd import thresholds
 from twoway_cvqkd.attacks import AttackParams, excess_noise
 from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
                                    symplectic_eigenvalues, von_neumann_entropy)
-from twoway_cvqkd.key_rates import (JointMoments, NumericalFailure, Protocol,
-                                    _bob_measurement, _joint_for, asymptotic_rate,
-                                    finite_pair)
+from twoway_cvqkd.key_rates import (DIVERGENT_RR, RATE_DIVERGENT, JointMoments, Method,
+                                    NumericalFailure, Protocol, RateResult,
+                                    Reconciliation, _bob_measurement, _joint_for,
+                                    _require_rate_params, _shannon_terms,
+                                    asymptotic_rate, finite_pair, mi_from_terms)
 from twoway_cvqkd.rng import normal_chunks, normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
                                     SimConfig, trajectories)
@@ -285,6 +290,53 @@ def schur_shannon_variances(protocol: Protocol, joint: JointMoments,
     s_cl = enc @ joint.sigma @ enc.T
     return np.diag(rows @ joint.sigma @ rows.T + noise
                    - cross @ np.linalg.inv(s_cl) @ cross.T)
+
+
+# ---------------------------------------------------------------------------
+# The exact rate block by block
+# ---------------------------------------------------------------------------
+
+def per_block_exact_rate(protocol, reconciliation, V: float,
+                         params: AttackParams) -> RateResult:
+    """`key_rates.exact_rate` with one `von_neumann_entropy`, so one spectrum
+    call, per covariance block: S(E), S(B), S(B|A), then S(E|A) or S(BE) for
+    the collective pairs; S(E), I(A:B), then S(E|A) or S(E|B) for the
+    individual ones."""
+    protocol = Protocol(protocol)
+    recon = Reconciliation(reconciliation)
+    _require_rate_params(params)
+    if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
+        return RateResult(RATE_DIVERGENT, Method.EXACT_FINITE_V)
+    joint = _joint_for(protocol, V, params)
+    ix = joint.ix
+    given = joint.given_alice(protocol)
+
+    def entropy(sigma: np.ndarray, name: str) -> float:
+        block = slice(ix[name][0], ix[name][-1] + 1)
+        return von_neumann_entropy(sigma[block, block])
+
+    try:
+        s_e = entropy(joint.sigma, "E")
+        if protocol.collective:
+            s_b = entropy(joint.sigma, "B")
+            i_ab = s_b - entropy(given, "B")
+            if recon is Reconciliation.DR:
+                rate = i_ab - (s_e - entropy(given, "E"))
+            else:
+                rate = i_ab - (s_b + s_e - entropy(joint.sigma, "BE"))
+        else:
+            rows, noise, labels = _bob_measurement(protocol, joint, params)
+            i_ab = mi_from_terms(_shannon_terms(joint, given, rows, noise, labels))
+            if recon is Reconciliation.DR:
+                s_e_given = entropy(given, "E")
+            else:
+                s_e_given = von_neumann_entropy(
+                    conditional_cov(joint.sigma, ix["E"], rows, noise))
+            rate = i_ab - (s_e - s_e_given)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailure(f"{protocol.value} {recon.value} spectrum at T={params.T}, "
+                               f"W={params.W}, V={V}: {exc}") from exc
+    return RateResult(float(rate), Method.EXACT_FINITE_V)
 
 
 # ---------------------------------------------------------------------------

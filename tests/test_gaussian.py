@@ -9,7 +9,8 @@ import pytest
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_FLAG, EXIT_OK, main
 from twoway_cvqkd.gaussian import (I2, PHYSICALITY_TOL, conditional_cov, g_entropy,
-                                   omega, symplectic_eigenvalues, von_neumann_entropy)
+                                   omega, spectrum_entropies, symplectic_eigenvalues,
+                                   von_neumann_entropy)
 
 from oracles import (beam_splitter, direct_sum, epr_cm, is_symplectic,
                      one_way_cm, random_symplectic)
@@ -170,6 +171,19 @@ def test_von_neumann_entropy_rejects_a_stack():
     cms = _random_cm_stack()
     with pytest.raises(ValueError, match="2n x 2n"):
         von_neumann_entropy(cms)
+
+
+def test_spectrum_entropies_of_a_stack_match_each_matrix():
+    cms = _random_cm_stack()
+    assert spectrum_entropies(symplectic_eigenvalues(cms)) == [
+        von_neumann_entropy(cm) for cm in cms]
+    # a pure state is exactly 0; a nu just below 1 is clamped to it, where
+    # g_entropy alone would reject it
+    nu_low = 1.0 - 10 * PHYSICALITY_TOL
+    with pytest.raises(ValueError):
+        g_entropy(nu_low)
+    assert spectrum_entropies(np.array([[1.0, 1.0], [nu_low, 3.0]])) == [0.0, 2.0]
+    assert von_neumann_entropy(np.eye(4)) == 0.0
 
 
 def test_conditional_cov_on_a_stack():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_OK, main
 from twoway_cvqkd.gaussian import (conditional_cov, g_entropy, symplectic_eigenvalues,
                                    von_neumann_entropy)
+from twoway_cvqkd import key_rates
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
                                     Protocol, RATE_DIVERGENT, Reconciliation, _RATES,
                                     _bob_measurement, _joint_for, _shannon_terms,
@@ -16,7 +18,7 @@ from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
 
 from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
                      het2_rr_closed_form, mp_one_way_dr_rate, one_way_cm,
-                     rr_conditional_entropy_estimator, schur_given_alice,
+                     per_block_exact_rate, rr_conditional_entropy_estimator, schur_given_alice,
                      schur_shannon_variances, spectrum_matches, two_way_cm)
 
 P = AttackParams
@@ -363,6 +365,62 @@ def test_exact_matches_asymptotic_at_large_v():
             a = asymptotic_rate(proto, recon, params).rate
             e = exact_rate(proto, recon, 1e6, params).rate
             assert abs(a - e) < 1e-3, (proto, recon)
+
+
+FINITE_PAIRS = [(p, r) for r in Reconciliation for p in Protocol
+                if not (r is Reconciliation.RR and p in DIVERGENT_RR)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, NumericalFailure) as exc:
+        return type(exc), str(exc)
+
+
+def test_stacked_spectra_match_per_block_rates():
+    # equal-size blocks share one spectrum call: the rates are those of one
+    # call per block, bit for bit
+    rng = np.random.default_rng(21)
+    points = [P.from_excess(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 0.3)))
+              for _ in range(10)]
+    modulations = [1.5, 2.5] + [10.0 ** e for e in range(2, 13)]
+    for i, ((protocol, recon), V) in enumerate(itertools.product(FINITE_PAIRS, modulations)):
+        for params in points[i % 5::5]:   # 13 V per pair cycle every pair through all points
+            assert (exact_rate(protocol, recon, V, params)
+                    == per_block_exact_rate(protocol, recon, V, params)), (protocol, recon, V)
+
+
+def test_stacked_spectra_fail_like_per_block_rates():
+    failures = 0
+    for (protocol, recon), T, W, V in itertools.product(
+            FINITE_PAIRS, (1e-300, 0.9999999), (1.0, 1e100), (2.0, 1e12)):
+        got = _outcome(exact_rate, protocol, recon, V, P(T, W))
+        assert got == _outcome(per_block_exact_rate, protocol, recon, V, P(T, W)), \
+            (protocol, recon, T, W, V)
+        failures += isinstance(got, tuple)
+    assert failures >= 10   # spectrum pairing and cancelled Shannon variances
+
+
+@pytest.mark.parametrize("protocol, recon", FINITE_PAIRS + [(p, Reconciliation.RR)
+                                                            for p in sorted(DIVERGENT_RR)])
+def test_exact_rate_spectrum_calls(monkeypatch, protocol, recon):
+    calls = []
+
+    def counted(cm):
+        calls.append(np.shape(cm))
+        return symplectic_eigenvalues(cm)
+
+    monkeypatch.setattr(key_rates, "symplectic_eigenvalues", counted)
+    exact_rate(protocol, recon, 100.0, P(0.6, 1.3))
+    if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
+        assert calls == []
+    elif protocol is Protocol.COLL_HET and recon is Reconciliation.RR:
+        assert calls == [(2, 2, 2), (1, 4, 4), (1, 6, 6)]   # [B, B|A], [E], [BE]
+    elif protocol.collective:
+        assert len(calls) == 2   # [B, B|A] and [E, E|A]
+    else:
+        assert len(calls) == 1 and calls[0][0] == 2   # [E, E|A] or [E, E|B]
 
 
 def test_estimator_conditioning_matches_general():
