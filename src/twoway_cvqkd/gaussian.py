@@ -35,17 +35,6 @@ class NumericalFailure(RuntimeError):
     the CLI exits 3, and 2 on a ValueError, a bad argument."""
 
 
-def omega(n_modes: int) -> np.ndarray:
-    """Symplectic form: direct sum of n [[0, 1], [-1, 0]] blocks."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    q = np.arange(0, 2 * n_modes, 2)
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    out[q, q + 1] = 1.0
-    out[q + 1, q] = -1.0
-    return out
-
-
 def symplectic_eigenvalues(cm) -> np.ndarray:
     """Williamson eigenvalues of one 2n x 2n covariance matrix, descending, or
     of each matrix of a (k, 2n, 2n) stack, as a (k, n) array.

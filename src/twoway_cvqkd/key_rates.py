@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -172,7 +171,8 @@ def _rr_het2(T, W, xp):
     in closed form only through their product, so they are extracted
     numerically by het2_rr_finite_eigenvalues: one point, or every point
     of a sweep step in one stacked solve. On arrays, a point whose
-    extraction fails a check gets NaN."""
+    extraction fails a check gets NaN, and so does every point of a stack
+    with a broken matrix."""
     finite = het2_rr_finite_eigenvalues(T, W)
     return (xp.log2(2 * T * (1 + T)
                     / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
@@ -242,50 +242,40 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     HET2_RR_PRODUCT_TOL.
 
     T in (0, 1) and W in [1, inf) are floats (one point) or equal-length
-    1-D arrays (k points), checked by the callers.
-    The points at both modulations are one stack of joints, conditioned
-    and diagonalised together; every check is still made point by point.
-    One point gives its three eigenvalues or raises NumericalFailure for
-    a broken spectrum, the diverging-eigenvalue check (coarse V, then fine
-    V) or the product check. k points give a (k, 3) array with a NaN row for
-    each point that fails a check; a W whose EPR correlation overflows
-    raises for the whole stack, as in `two_way_joint`.
+    1-D arrays (k points), checked by the callers. The points at both
+    modulations are one (2k, 8, 8) stack of conditional CMs, diagonalised
+    in one call. One point gives its three eigenvalues or raises
+    NumericalFailure for a broken spectrum (with the spectrum's own
+    message), the diverging-eigenvalue check (coarse V, then fine V) or the
+    product check. k points give a (k, 3) array with a NaN row for each
+    point that fails a check, and NaN in every row if any matrix of the
+    stack is broken; a W whose EPR correlation overflows raises for the
+    whole stack, as in `two_way_joint`.
     """
     point = np.ndim(T) == 0
     T, W = np.atleast_1d(np.asarray(T, dtype=float), np.asarray(W, dtype=float))
-    k = T.size
-    modulations = (HET2_RR_V / 10.0, HET2_RR_V)
+    modulations = np.array([[HET2_RR_V / 10.0], [HET2_RR_V]])   # [coarse, fine]
     stack = SimpleNamespace(T=np.tile(T, 2), W=np.tile(W, 2))
-    joint = two_way_joint(np.repeat(modulations, k), stack)
+    joint = two_way_joint(np.repeat(modulations, T.size), stack)
     rows, noise, _ = _bob_measurement(Protocol.HET2, joint, stack)
     cond = conditional_cov(joint.sigma, joint.ix["E"], rows, noise)
     try:
-        nus = symplectic_eigenvalues(cond)
-    except ValueError:   # a broken matrix fails the stack: each one gets a NaN row
-        nus = np.full((2 * k, 4), np.nan)
-        for i, cm in enumerate(cond):
-            with suppress(ValueError):
-                nus[i] = symplectic_eigenvalues(cm)
-    nus = nus.reshape(2, k, 4)   # [coarse, fine], Eve's 4 modes
-    # The closed-form reference values in Python floats, as for one point:
-    # numpy's power and the C library's pow part in the last bit for some T.
-    t_w = list(zip(T.tolist(), W.tolist()))
-    diverging = np.array([[(1 - t ** 2) * v for t, _ in t_w] for v in modulations])
-    expected = np.array([(1 + t ** 3 + (1 - t) * (1 + t * t) * w) * w / (t * (1 + t))
-                         for t, w in t_w])
-    broken = np.isnan(nus[..., 0])
+        nus = symplectic_eigenvalues(cond).reshape(2, T.size, 4)   # Eve's 4 modes
+    except ValueError as exc:
+        if point:
+            raise NumericalFailure(f"het2 RR conditional CM: {exc}") from exc
+        return np.full((T.size, 3), np.nan)
+    diverging = (1 - T ** 2) * modulations
+    expected = (1 + T ** 3 + (1 - T) * (1 + T * T) * W) * W / (T * (1 + T))
     off = np.abs(nus[..., 0] - diverging) > 0.01 * diverging
     finite = np.clip((10.0 * nus[1, :, 1:] - nus[0, :, 1:]) / 9.0, 1.0, None)
     with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the check
         product = np.prod(finite, axis=-1)
         deviates = ~(np.abs(product - expected) <= HET2_RR_PRODUCT_TOL * expected)
     if not point:
-        finite[broken.any(axis=0) | off.any(axis=0) | deviates] = np.nan
+        finite[off.any(axis=0) | deviates] = np.nan
         return finite
     for s in range(2):
-        if broken[s, 0]:
-            raise NumericalFailure(f"conditional CM at V={modulations[s]:g} fails the "
-                                   f"symmetry or +/- pairing check of its spectrum")
         if off[s, 0]:
             raise NumericalFailure(
                 f"largest conditional eigenvalue {nus[s, 0, 0]} is not within 1% "

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackParams
-from .gaussian import I2, PHYSICALITY_TOL, Z2, NumericalFailure, omega
+from .gaussian import I2, PHYSICALITY_TOL, Z2, NumericalFailure
 from .rng import normal_moments
 
 CP_EIG_TOL = 1e-9
+OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])   # one-mode symplectic form
 # A fitted channel may miss complete positivity by this many sampling sigmas.
 CP_SIGMA_FACTOR = 5.0
 
@@ -49,8 +50,7 @@ class GaussianChannel:
 
     def cp_defect(self) -> float:
         """Most negative eigenvalue of N + i(Omega - G Omega G^T), 0 if CP."""
-        om = omega(1)
-        herm = self.noise + 1j * (om - self.gain @ om @ self.gain.T)
+        herm = self.noise + 1j * (OMEGA - self.gain @ OMEGA @ self.gain.T)
         return float(min(np.linalg.eigvalsh(herm).min(), 0.0))
 
     def is_cp(self) -> bool:

@@ -3,7 +3,8 @@
 None of this is used by the package itself:
 
 - the textbook Gaussian building blocks (EPR state, beam splitter, direct
-  sum, random symplectics) and the entangling-cloner symplectic;
+  sum, the n-mode symplectic form, random symplectics) and the
+  entangling-cloner symplectic;
 - the one-way and two-way output CMs in substitution form, V_K(x, y), whose
   modulation slots are substituted to condition on Alice's encoding, with
   the variance and correlation coefficients they are written in;
@@ -20,6 +21,9 @@ None of this is used by the package itself:
   blocks;
 - the one-way exact chain at 50 digits in mpmath: joint moments, Schur
   conditioning on Alice, symplectic spectra, g and the four DR rates;
+- the two-way joint moments in mpmath, and from them the finite het2 RR
+  eigenvalues at 80 digits and V = 1e40, the reference for their closed
+  form and for the package's numeric extraction;
 - the individual protocols as phase-space beam-splitter relations on
   standard normals, the reference for the simulator's sampling map;
 - the Monte-Carlo MI estimator on whole sample arrays, by `lstsq`, the
@@ -45,7 +49,7 @@ from scipy.linalg import expm
 
 from twoway_cvqkd import thresholds
 from twoway_cvqkd.attacks import AttackParams, excess_noise
-from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov, omega,
+from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov,
                                    symplectic_eigenvalues, von_neumann_entropy)
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, RATE_DIVERGENT, JointMoments, Method,
                                     NumericalFailure, Protocol, RateResult,
@@ -95,6 +99,17 @@ def beam_splitter(T: float) -> np.ndarray:
         raise ValueError(f"transmission must be in [0, 1], got {T}")
     t, r = math.sqrt(T), math.sqrt(1.0 - T)
     return np.block([[t * I2, r * I2], [-r * I2, t * I2]])
+
+
+def omega(n_modes: int) -> np.ndarray:
+    """Symplectic form: direct sum of n [[0, 1], [-1, 0]] blocks."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    q = np.arange(0, 2 * n_modes, 2)
+    out = np.zeros((2 * n_modes, 2 * n_modes))
+    out[q, q + 1] = 1.0
+    out[q + 1, q] = -1.0
+    return out
 
 
 def is_symplectic(S: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
@@ -559,6 +574,48 @@ def mp_one_way_joint(V, params: AttackParams):
         m[4 + k, 0 + k], m[4 + k, 2 + k], m[4 + k, 4 + k] = -r, -r, t
         m[6 + k, 6 + k] = 1
     return m * sigma_in * m.T
+
+
+def mp_two_way_joint(V, params: AttackParams):
+    """`key_rates.two_way_joint` in mpmath, from the same float inputs: the
+    14x14 joint over [Q_A, P_A, B1, B2, E1', E1'', E2', E2''], (Q, P) per mode."""
+    T, W = mpmath.mpf(params.T), mpmath.mpf(params.W)
+    t, r = mpmath.sqrt(T), mpmath.sqrt(1 - T)
+    # inputs: qa, pa, B1(2), C1(2), E1(2), E1''(2), E2(2), E2''(2)
+    sigma_in = mpmath.diag([V - 1, V - 1] + [V] * 4 + [W] * 8)
+    w = mpmath.sqrt(W * W - 1)
+    for base, corr in ((2, mpmath.sqrt(V * V - 1)), (6, w), (10, w)):
+        sigma_in[base, base + 2] = sigma_in[base + 2, base] = corr
+        sigma_in[base + 1, base + 3] = sigma_in[base + 3, base + 1] = -corr
+    m = mpmath.zeros(14, 14)
+    m[0, 0] = m[1, 1] = 1
+    for k in range(2):
+        m[2 + k, 2 + k] = m[8 + k, 8 + k] = m[12 + k, 12 + k] = 1   # B1, E1'', E2''
+        for row, coeffs in ((4 + k, (t, T, t * r, r)), (10 + k, (-r, -r * t, -r * r, t))):
+            for col, c in zip((k, 4 + k, 6 + k, 10 + k), coeffs):   # B2, E2'
+                m[row, col] = c
+        m[6 + k, 4 + k], m[6 + k, 6 + k] = -r, t                    # E1'
+    return m * sigma_in * m.T
+
+
+def mp_het2_rr_finite_eigenvalues(T: float, W: float) -> list:
+    """The three finite eigenvalues of Eve's CM conditioned on Bob's two-way
+    heterodyne estimators (Q_B2 - T Q_B1)/sqrt(2) and (P_B2 + T P_B1)/sqrt(2),
+    each with vacuum noise (1 + T^2)/2, descending, at V = 1e40 and 80
+    digits, where the O(1/V) tail is below double precision. The joint is
+    augmented by the two estimators and Eve's block conditioned on them;
+    the eigenvalue growing as (1 - T^2) V is dropped."""
+    with mpmath.workdps(80):
+        sigma = mp_two_way_joint(mpmath.mpf(10) ** 40, AttackParams(T, W))
+        rows = mpmath.zeros(2, 14)
+        s2, t = mpmath.sqrt(2), mpmath.mpf(T)
+        rows[0, 4], rows[0, 2], rows[1, 5], rows[1, 3] = 1 / s2, -t / s2, 1 / s2, t / s2
+        cross = sigma * rows.T
+        aug = mpmath.zeros(16, 16)
+        aug[:14, :14], aug[:14, 14:], aug[14:, :14] = sigma, cross, cross.T
+        aug[14:, 14:] = rows * cross + (1 + t * t) / 2 * mpmath.eye(2)
+        cond = mp_conditional(aug, list(range(6, 14)), [14, 15])
+        return [float(nu) for nu in mp_symplectic_eigenvalues(cond)[1:]]
 
 
 def mp_conditional(sigma, keep, obs):

@@ -9,15 +9,17 @@ import pytest
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.cli import EXIT_FLAG, EXIT_OK, main
 from twoway_cvqkd.gaussian import (I2, PHYSICALITY_TOL, conditional_cov, g_entropy,
-                                   omega, spectrum_entropies, symplectic_eigenvalues,
+                                   spectrum_entropies, symplectic_eigenvalues,
                                    von_neumann_entropy)
+from twoway_cvqkd.tomography import OMEGA
 
-from oracles import (beam_splitter, direct_sum, epr_cm, is_symplectic,
+from oracles import (beam_splitter, direct_sum, epr_cm, is_symplectic, omega,
                      one_way_cm, random_symplectic)
 
 
 def test_omega_one_mode():
     assert np.array_equal(omega(1), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert np.array_equal(omega(1), OMEGA)
 
 
 def test_omega_two_modes_is_direct_sum():

@@ -17,7 +17,8 @@ from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
                                     two_way_joint)
 
 from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
-                     het2_rr_closed_form, mp_one_way_dr_rate, one_way_cm,
+                     het2_rr_closed_form, mp_het2_rr_finite_eigenvalues,
+                     mp_one_way_dr_rate, one_way_cm,
                      per_block_exact_rate, rr_conditional_entropy_estimator, schur_given_alice,
                      schur_shannon_variances, spectrum_matches, two_way_cm)
 
@@ -145,12 +146,14 @@ def test_het2_stack_matches_point_calls():
 
 
 def test_het2_broken_spectrum_raises_on_a_point_and_is_nan_in_a_stack():
-    # at W = 1e100 the conditional CM loses its +/- pairing
+    # at W = 1e100 the conditional CM loses its +/- pairing: a point raises
+    # with the spectrum's message, and a stack holding it is NaN in every row
     with pytest.raises(NumericalFailure, match="pairing"):
         het2_rr_finite_eigenvalues(0.5, 1e100)
-    stacked = het2_rr_finite_eigenvalues(np.array([0.5, 0.5]), np.array([1e100, 1.5]))
-    assert np.isnan(stacked[0]).all()
-    assert np.array_equal(stacked[1], het2_rr_finite_eigenvalues(0.5, 1.5))
+    stacked = het2_rr_finite_eigenvalues(np.array([0.5, 0.5, 0.7]),
+                                         np.array([1e100, 1.5, 1.2]))
+    assert stacked.shape == (3, 3)
+    assert np.isnan(stacked).all()
 
 
 def test_het2_overflowing_joint_raises_for_a_whole_stack():
@@ -169,6 +172,18 @@ def test_het2_spectrum_matches_closed_form():
     n = het2_rr_closed_form(T, 1.0)
     assert np.allclose(n[:, 1] ** 2 + n[:, 2] ** 2, (n[:, 1] * n[:, 2]) ** 2 + 1.0,
                        rtol=1e-13)
+
+
+def test_het2_spectrum_matches_the_80_digit_chain():
+    # the whole chain at V = 1e40 in mpmath: joint, Bob's heterodyne
+    # estimators and the Schur conditioning, where the O(1/V) tail is gone
+    for T, W in ((0.3, 1.5), (0.7, 1e3), (0.95, 1.0)):
+        exact = np.array(mp_het2_rr_finite_eigenvalues(T, W))
+        closed = np.sort(het2_rr_closed_form(T, W))[::-1]
+        numeric = np.sort(het2_rr_finite_eigenvalues(T, W))[::-1]
+        assert np.abs(closed / exact - 1.0).max() <= 1e-13, (T, W)
+        # the extraction's own product tolerance; measured worst 1.2e-8 here
+        assert np.abs(numeric / exact - 1.0).max() <= 1e-6, (T, W)
 
 
 def test_closed_forms_on_arrays_match_scalar_rates():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twoway_cvqkd import thresholds
+from twoway_cvqkd import key_rates, thresholds
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.gaussian import g_entropy
 from twoway_cvqkd.key_rates import (_RATES, DIVERGENT_RR, NumericalFailure,
@@ -117,6 +117,23 @@ def test_crossover_hom2_vs_hom_dr():
     assert points[0] == pytest.approx(0.86, abs=0.01)
 
 
+def test_crossover_stops_at_an_exact_zero_midpoint(monkeypatch):
+    grid = Grid(0.8, 0.9, 2)
+    hom2 = thresholds.ThresholdCurve(Protocol.HOM2, Reconciliation.DR, grid,
+                                     grid.points(), np.array([0.2, 0.1]))
+    hom = thresholds.ThresholdCurve(Protocol.HOM, Reconciliation.DR, grid,
+                                    grid.points(), np.array([0.1, 0.2]))
+    solved = []
+
+    def equal_thresholds(protocol, recon, T):
+        solved.append(T)
+        return 0.15
+
+    monkeypatch.setattr(thresholds, "solve_threshold", equal_thresholds)
+    assert crossover(hom2, hom) == [0.5 * (0.8 + 0.9)]
+    assert solved == [0.5 * (0.8 + 0.9)] * 2
+
+
 def test_crossover_self_is_empty():
     grid = Grid(0.3, 0.7, 9)
     curve = sweep_curve("het", "dr", grid)
@@ -193,6 +210,27 @@ def test_sweep_failures_match_scalar_solves():
     assert 7 in errors
     assert list(curve.errors.items()) == list(errors.items())
     assert np.array_equal(curve.N, n, equal_nan=True)
+
+
+def test_sweep_of_broken_het2_stacks_is_the_scalar_sweep(monkeypatch):
+    # a stack whose spectrum breaks is NaN in every row; the sweep re-solves
+    # each such point by solve_threshold, whose stack of 2 matrices is spared
+    grid = Grid(0.1, 0.9, 5)
+    expected = sweep_curve("het2", "rr", grid)
+    spectrum = key_rates.symplectic_eigenvalues
+    broken = []
+
+    def breaking(cm):
+        if len(cm) > 2:
+            broken.append(len(cm))
+            raise ValueError("eigenvalues of Omega V fail +/- pairing: broken CM")
+        return spectrum(cm)
+
+    monkeypatch.setattr(key_rates, "symplectic_eigenvalues", breaking)
+    curve = sweep_curve("het2", "rr", grid)
+    assert broken[0] == 2 * grid.steps
+    assert curve.errors == {} and not np.isnan(expected.N).any()
+    assert np.array_equal(curve.N, expected.N)
 
 
 def test_sweep_bracket_failures_match_scalar_solves(monkeypatch):
