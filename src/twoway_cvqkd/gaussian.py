@@ -50,11 +50,10 @@ def symplectic_eigenvalues(cm) -> np.ndarray:
     if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] % 2:
         raise ValueError(f"covariance matrix must be 2n x 2n, got {mat.shape}")
     abs_mat = np.abs(mat)
-    top = abs_mat.max()   # NaN or inf unless every matrix is finite
-    # each matrix's own largest entry; for one matrix, `top` is it and is cheaper
-    amax = top if mat.ndim == 2 else abs_mat.max(axis=(-2, -1), keepdims=True)
+    # each matrix's own largest entry, NaN or inf unless the matrix is finite
+    amax = abs_mat.max(axis=(-2, -1), keepdims=True)
     atol = SYMMETRY_TOL * np.maximum(1.0, amax)
-    if not (top < math.inf
+    if not ((amax < math.inf).all()
             and (np.abs(mat - mat.swapaxes(-1, -2))
                  <= atol + 1e-5 * abs_mat.swapaxes(-1, -2)).all()):
         raise ValueError("covariance matrix is not symmetric or not finite")

@@ -167,12 +167,13 @@ def _rr_hom2(T, W, xp):
 
 
 def _rr_het2(T, W, xp):
-    """The three finite eigenvalues of Eve's conditional spectrum are known
-    in closed form only through their product, so they are extracted
-    numerically by het2_rr_finite_eigenvalues: one point, or every point
-    of a sweep step in one stacked solve. On arrays, a point whose
-    extraction fails a check gets NaN, and so does every point of a stack
-    with a broken matrix."""
+    """The three finite eigenvalues of Eve's conditional spectrum have a
+    closed form (tests/oracles.het2_rr_closed_form), but they are still
+    extracted numerically by het2_rr_finite_eigenvalues, whose cells the
+    benchmark's RR reference (benchmark/reference/figure_bundle_rr.csv)
+    pins: one point, or every point of a sweep step in one stacked solve.
+    On arrays, a point whose extraction fails a check gets NaN, and so does
+    every point of a stack with a broken matrix."""
     finite = het2_rr_finite_eigenvalues(T, W)
     return (xp.log2(2 * T * (1 + T)
                     / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
@@ -233,12 +234,15 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     """The three finite eigenvalues of Eve's CM conditioned on Bob's
     heterodyne estimators in the two-way protocol.
 
-    Computed from the full conditional spectrum at large modulation; the
-    single eigenvalue growing as (1-T^2)V is identified and dropped. The
-    finite eigenvalues still carry an O(1/V) truncation tail, which is
-    removed by Richardson extrapolation between V = HET2_RR_V/10 and
-    HET2_RR_V. The product of the remaining three must match the closed
-    form n1 n2 n3 = [1 + T^3 + (1-T)(1+T^2)W] W / (T(1+T)) within
+    All three have a closed form, tests/oracles.het2_rr_closed_form; this
+    numeric extraction stays because the benchmark's RR reference
+    (benchmark/reference/figure_bundle_rr.csv) pins its cells. It works on
+    the full conditional spectrum at large modulation; the single
+    eigenvalue growing as (1-T^2)V is identified and dropped. The finite
+    eigenvalues still carry an O(1/V) truncation tail, which is removed by
+    Richardson extrapolation between V = HET2_RR_V/10 and HET2_RR_V. The
+    product of the remaining three must match the closed form
+    n1 n2 n3 = [1 + T^3 + (1-T)(1+T^2)W] W / (T(1+T)) within
     HET2_RR_PRODUCT_TOL.
 
     T in (0, 1) and W in [1, inf) are floats (one point) or equal-length

@@ -41,6 +41,8 @@ W_TOL = 1e-10
 # Above 2^19 adjacent doubles are 1.16e-10 apart, wider than W_TOL, so a
 # bracket there is refined down to the spacing of doubles instead.
 W_HI_MAX = 1e6
+# The ladder both solvers climb: [1, 2], [2, 4], ..., [2^19, W_HI_MAX].
+BRACKETS = [(2.0 ** k, 2.0 ** (k + 1)) for k in range(19)] + [(2.0 ** 19, W_HI_MAX)]
 # Slack for the monotonicity check during bracket expansion: the rate must
 # not increase with W by more than this.
 MONOTONE_SLACK = 1e-9
@@ -72,21 +74,21 @@ def _lattice(lo: float, hi: float) -> tuple[float, int]:
 def solve_threshold(protocol, reconciliation, T: float) -> float:
     """Maximum tolerable excess noise N at transmission T.
 
-    Brackets the root of the asymptotic rate in W by doubling from [1, 2],
-    with the last bracket end at W_HI_MAX, then narrows the bracket to one
-    cell of bisection's lattice (see `_lattice`) and returns the N of the
-    cell's midpoint. Each point is the regula-falsi point of the bracket
-    ends, rounded to the nearest lattice point strictly inside the bracket.
-    When the same end is replaced twice in a row, the rate kept at the other
-    end is scaled by the Anderson-Bjorck factor 1 - r_new / r_replaced (or
-    by 1/2 where that is not positive), so that end moves too. The bisection
-    midpoint is taken instead when the last three steps did not halve the
-    bracket, when the scaled rates no longer differ (they can underflow, and
-    a lattice point's rate can be exactly 0), and for het2 RR. So the cell
-    is that of plain bisection, in at most 4x its steps. Raises
-    NumericalFailure if the rate increases with W during expansion or is
-    still positive at W_HI_MAX; raises ValueError for pairs whose rate
-    diverges (`key_rates.finite_pair`).
+    Brackets the root of the asymptotic rate in W on the ladder BRACKETS,
+    then narrows the bracket to one cell of bisection's lattice (see
+    `_lattice`) and returns the N of the cell's midpoint. Each point is the
+    regula-falsi point of the bracket ends, rounded to the nearest lattice
+    point strictly inside the bracket. When the same end is replaced twice
+    in a row, the rate kept at the other end is scaled by the
+    Anderson-Bjorck factor 1 - r_new / r_replaced (or by 1/2 where that is
+    not positive), so that end moves too. The bisection midpoint is taken
+    instead when the last three steps did not halve the bracket, when the
+    scaled rates no longer differ (they can underflow, and a lattice
+    point's rate can be exactly 0), and for het2 RR. So the cell is that of
+    plain bisection, in at most 4x its steps. Raises NumericalFailure if
+    the rate increases with W during expansion or is still positive at
+    W_HI_MAX; raises ValueError for pairs whose rate diverges
+    (`key_rates.finite_pair`).
     """
     protocol, recon = finite_pair(protocol, reconciliation)
 
@@ -96,8 +98,7 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     r_prev = rate(1.0)
     if r_prev <= 0.0:
         return 0.0
-    lo, hi = 1.0, 2.0
-    while True:
+    for lo, hi in BRACKETS:
         r = rate(hi)
         if r > r_prev + MONOTONE_SLACK:
             raise NumericalFailure(
@@ -105,12 +106,10 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
                 f"T={T}: rate({hi}) = {r} > rate at smaller W = {r_prev}")
         if r <= 0.0:
             break
-        if hi >= W_HI_MAX:
-            raise NumericalFailure(
-                f"no sign change in W up to {hi} for {protocol.value} "
-                f"{recon.value} at T={T}")
-        lo, r_prev = hi, r
-        hi = min(2.0 * hi, W_HI_MAX)
+        r_prev = r
+    else:
+        raise NumericalFailure(f"no sign change in W up to {hi} for {protocol.value} "
+                               f"{recon.value} at T={T}")
     # the bracket is [lo + a h, lo + b h], with rates f_a > 0 >= f_b; f_a and
     # f_b may be scaled down by Anderson-Bjorck steps, the signs are the rates'
     h, b = _lattice(lo, hi)
@@ -179,44 +178,40 @@ def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
     """Solve the threshold at every grid point, all points at once.
 
     The points take the steps of `solve_threshold` together, each step one
-    array evaluation of the closed form, with the same step rule on the same
-    lattice and up to a one-cell bracket, so their N is that of
-    `solve_threshold` wherever that cell is unique (see the module
-    docstring). A point that fails (a NaN rate, overflows included, a rising
-    rate, no sign change up to W_HI_MAX) is solved again by `solve_threshold`;
-    if that raises, the point is NaN and `errors` maps its index to the message.
+    array evaluation of the closed form. They climb BRACKETS in lockstep,
+    one evaluation at one W per rung, then narrow their brackets with the
+    same step rule on the same lattice and up to a one-cell bracket, so
+    their N is that of `solve_threshold` wherever that cell is unique (see
+    the module docstring). A point that fails (a NaN rate, overflows
+    included, a rising rate, no sign change up to W_HI_MAX) is solved again
+    by `solve_threshold`; if that raises, the point is NaN and `errors`
+    maps its index to the message.
     """
     protocol, recon = finite_pair(protocol, reconciliation)
     T = grid.points()
     rates = _RATES[protocol, recon]
-    idx = np.arange(T.size)
-    r_prev = rates(T, np.ones(T.shape), np)
-    N = np.where(r_prev <= 0.0, 0.0, np.nan)
-    failed = [idx[np.isnan(r_prev)]]
-    idx, r_prev = idx[r_prev > 0.0], r_prev[r_prev > 0.0]
-    lo, hi = np.ones(T.shape), np.full(T.shape, 2.0)
-    r_a, r_b = np.zeros(T.shape), np.zeros(T.shape)
-    bracketed = [idx[:0]]
-    while idx.size:
-        r_hi = rates(T[idx], hi[idx], np)
-        bad = np.isnan(r_hi) | (r_hi > r_prev + MONOTONE_SLACK)
-        failed.append(idx[bad])
-        found = ~bad & (r_hi <= 0.0)
-        bracketed.append(idx[found])
-        r_a[idx[found]], r_b[idx[found]] = r_prev[found], r_hi[found]
-        grow = ~bad & (r_hi > 0.0)
-        failed.append(idx[grow & (hi[idx] >= W_HI_MAX)])
-        grow &= hi[idx] < W_HI_MAX
-        idx, r_prev = idx[grow], r_hi[grow]
-        lo[idx], hi[idx] = hi[idx], np.minimum(2.0 * hi[idx], W_HI_MAX)
     # each point's bracket is [lo + a h, lo + b h], with rates f_a > 0 >= f_b;
-    # the points share a few distinct brackets, so _lattice runs once each
-    idx = np.concatenate(bracketed)
-    ends = list(zip(lo[idx].tolist(), hi[idx].tolist()))
-    cells = {end: _lattice(*end) for end in set(ends)}
-    h = np.array([cells[end][0] for end in ends])
-    b = np.array([cells[end][1] for end in ends], dtype=np.int64)
-    t, lo, f_a, f_b = T[idx], lo[idx], r_a[idx], r_b[idx]
+    # until it is found, f_a is the rate at the rung's lower end
+    f_a = rates(T, np.ones(T.shape), np)
+    N = np.where(f_a <= 0.0, 0.0, np.nan)
+    failed = [np.flatnonzero(np.isnan(f_a))]
+    lo, h, f_b = np.zeros((3, T.size))
+    b = np.zeros(T.shape, dtype=np.int64)
+    idx = np.flatnonzero(f_a > 0.0)   # the points still climbing, all on one rung
+    for w_lo, w_hi in BRACKETS:
+        if not idx.size:
+            break
+        r = rates(T[idx], np.full(idx.shape, w_hi), np)
+        bad = np.isnan(r) | (r > f_a[idx] + MONOTONE_SLACK)
+        failed.append(idx[bad])
+        found, grow = ~bad & (r <= 0.0), ~bad & (r > 0.0)
+        lo[idx[found]], f_b[idx[found]] = w_lo, r[found]
+        h[idx[found]], b[idx[found]] = _lattice(w_lo, w_hi)
+        f_a[idx[grow]] = r[grow]
+        idx = idx[grow]
+    failed.append(idx)   # still positive at W_HI_MAX
+    idx = np.flatnonzero(b)   # the points with a bracket
+    t, lo, h, b, f_a, f_b = T[idx], lo[idx], h[idx], b[idx], f_a[idx], f_b[idx]
     a, side = np.zeros(idx.shape, dtype=np.int64), np.zeros(idx.shape, dtype=np.int64)
     widths = [np.full(idx.shape, np.inf)] * 3
     secant = (protocol, recon) != BISECTION_ONLY_PAIR
@@ -278,11 +273,7 @@ def crossover(curve_a: ThresholdCurve, curve_b: ThresholdCurve) -> list[float]:
 
     d = curve_a.N - curve_b.N
     out = []
-    for i in range(len(d) - 1):
-        if np.isnan(d[i]) or np.isnan(d[i + 1]):
-            continue
-        if d[i] == 0.0 or d[i] * d[i + 1] >= 0.0:
-            continue
+    for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):   # NaN and 0 are no sign change
         lo, hi = float(curve_a.T[i]), float(curve_a.T[i + 1])
         d_lo = d[i]
         while hi - lo > CROSSOVER_T_TOL:
@@ -325,8 +316,6 @@ def superadditivity_report(one_way: ThresholdCurve,
                            two_way: ThresholdCurve) -> SuperadditivityReport:
     _require_same_grid(one_way, two_way)
     delta = two_way.N - one_way.N
-    sign = np.zeros(delta.shape, dtype=int)
-    sign[delta > 1e-12] = 1
-    sign[delta < -1e-12] = -1
+    sign = (delta > 1e-12).astype(int) - (delta < -1e-12)
     return SuperadditivityReport(one_way, two_way, sign,
                                  crossover(two_way, one_way))

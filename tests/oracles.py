@@ -228,16 +228,20 @@ def het2_rr_closed_form(T, W) -> np.ndarray:
     + (1 + 5T^2 - 4T^3 + 5T^4 + T^6)] / (T^2 (1+T)^2).
     S was found by integer polynomial fits of the numeric spectrum and
     agrees with an 80-digit rebuild of the whole chain; at W = 1 it is
-    P^2 + 1. n3 is taken as P / n2, which keeps full precision where the
-    smaller root of the quadratic in x^2 would cancel. T and W may be
-    arrays; the eigenvalues are on the last axis, in the order (n1, n2, n3).
+    P^2 + 1. It is evaluated without cancellation: with D = T(1+T),
+    S - 2P = (n2 - n3)^2 is the square of d / D, where
+    d = (1-T)[(1-T)(1+T) W + 1 + T^2] has no subtraction, so
+    n2 = (sqrt(d^2 + 4 p D) + d) / (2D) with p = D P, and n3 = P / n2. d
+    and p are divided by W, so that nothing overflows up to W = 1e300.
+    T and W may be arrays; the eigenvalues are on the last axis, in the
+    order (n1, n2, n3).
     """
     T, W = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(W, dtype=float))
-    P = (1 + T**3 + (1 - T) * (1 + T * T) * W) / (T * (1 + T))
-    S = ((1 - T)**4 * (1 + T)**2 * W * W + 2 * (1 - T + T**2 - T**4 + T**5 - T**6) * W
-         + (1 + 5 * T**2 - 4 * T**3 + 5 * T**4 + T**6)) / (T * T * (1 + T)**2)
-    n2 = np.sqrt((S + np.sqrt(S * S - 4 * P * P)) / 2)
-    return np.stack([W, n2, P / n2], axis=-1)
+    D = T * (1 + T)
+    d = (1 - T) * ((1 - T) * (1 + T) + (1 + T * T) / W)
+    p = (1 + T**3) / W + (1 - T) * (1 + T * T)
+    n2 = W * (np.sqrt(d * d + 4 * p * D / W) + d) / (2 * D)
+    return np.stack([W, n2, W * p / D / n2], axis=-1)
 
 
 # Fixed asymptotically-optimal linear-estimator coefficients for RR, used as

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -172,6 +173,26 @@ def test_het2_spectrum_matches_closed_form():
     n = het2_rr_closed_form(T, 1.0)
     assert np.allclose(n[:, 1] ** 2 + n[:, 2] ** 2, (n[:, 1] * n[:, 2]) ** 2 + 1.0,
                        rtol=1e-13)
+
+
+def test_het2_closed_form_is_free_of_cancellation():
+    # S and P of the oracle's docstring at 80 digits; the direct
+    # sqrt(S^2 - 4 P^2) arrangement is off by 1.1e-5 at T = 1 - 1e-9,
+    # W = 1e8, and NaN from W = 1e100 on; the factored form's worst is 4.6e-16
+    T, W = (a.ravel() for a in np.meshgrid(
+        [1e-3, 0.02, 0.3, 0.7, 0.95, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12],
+        [1.0, 1.5, 1e3, 1e8, 1e100, 1e300]))
+    closed = het2_rr_closed_form(T, W)
+    with mpmath.workdps(80):
+        for n, t, w in zip(closed.tolist(), T.tolist(), W.tolist()):
+            t, w = mpmath.mpf(t), mpmath.mpf(w)
+            p = (1 + t**3 + (1 - t) * (1 + t * t) * w) / (t * (1 + t))
+            s = ((1 - t)**4 * (1 + t)**2 * w * w
+                 + 2 * (1 - t + t**2 - t**4 + t**5 - t**6) * w
+                 + (1 + 5 * t**2 - 4 * t**3 + 5 * t**4 + t**6)) / (t * t * (1 + t)**2)
+            n2 = mpmath.sqrt((s + mpmath.sqrt(s * s - 4 * p * p)) / 2)
+            for got, exact in zip(n, (w, n2, p / n2)):
+                assert abs(got / exact - 1) <= 1e-15, (t, w)
 
 
 def test_het2_spectrum_matches_the_80_digit_chain():

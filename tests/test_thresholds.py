@@ -262,6 +262,33 @@ def test_sweep_rejects_divergent_pair():
         sweep_curve("coll_hom", "rr", Grid(0.3, 0.7, 3))
 
 
+def test_sweep_climbs_the_bracket_ladder_in_lockstep(monkeypatch):
+    assert thresholds.BRACKETS[:-1] == [(2.0 ** k, 2.0 ** (k + 1)) for k in range(19)]
+    assert thresholds.BRACKETS[-1] == (2.0 ** 19, thresholds.W_HI_MAX)
+    pair, grid = (Protocol.HOM, Reconciliation.DR), Grid(0.55, 0.98, 40)
+    expected = sweep_curve(*pair, grid)
+    rate, calls = _RATES[pair], []
+
+    def recorded(T, W, xp):
+        calls.append((T, W))
+        return rate(T, W, xp)
+
+    monkeypatch.setitem(_RATES, pair, recorded)
+    curve = sweep_curve(*pair, grid)
+    assert np.array_equal(curve.N, expected.N)
+    # each point's rung: the first bracket whose upper end has a rate <= 0
+    T, ends = grid.points(), np.array([hi for _, hi in thresholds.BRACKETS])
+    rung = np.array([np.argmax(rate(np.full(ends.shape, t), ends, np) <= 0.0)
+                     for t in T.tolist()])
+    assert rung.max() > 2
+    assert np.array_equal(calls[0][0], T) and (calls[0][1] == 1.0).all()
+    for j in range(rung.max() + 1):
+        t, w = calls[1 + j]
+        assert np.array_equal(t, T[rung >= j]) and (w == ends[j]).all()
+    # then the lattice steps, at varied W
+    assert np.unique(calls[rung.max() + 2][1]).size > 1
+
+
 def counting_rate(monkeypatch, pair):
     """Wrap the closed form of `pair` in _RATES; returns a one-element list
     holding the number of evaluations since the last reset."""
