@@ -322,11 +322,102 @@ def test_secant_steps_land_on_the_bisection_cell(protocol, recon):
         assert np.array_equal(curve.N, expected)
 
 
-def test_het2_rr_keeps_the_bisection_steps():
-    T = Grid(0.02, 0.98, 25).points()
+def test_het2_rr_keeps_the_bisection_steps(monkeypatch):
+    # 25 grid points and 20 seeded T in [0.9, 0.98], where the RR curves' tail is
+    grid = Grid(0.02, 0.98, 25)
+    T = np.concatenate([grid.points(), np.random.default_rng(20261019).uniform(0.9, 0.98, 20)])
     expected = oracle_points(*HET2_RR, T)
     assert np.array_equal([solve_threshold(*HET2_RR, t) for t in T.tolist()], expected)
-    assert np.array_equal(sweep_curve(*HET2_RR, Grid(0.02, 0.98, 25)).N, expected)
+    assert np.array_equal(sweep_curve(*HET2_RR, grid).N, expected[:grid.steps])
+    # the solve reads four ladder ends, or three bisection levels, per spectrum
+    # call: 15 calls at T = 0.97, where one call per rate evaluation made 44
+    spectrum, calls = key_rates.het2_rr_finite_eigenvalues, [0]
+
+    def counted(T, W):
+        calls[0] += 1
+        return spectrum(T, W)
+
+    monkeypatch.setattr(key_rates, "het2_rr_finite_eigenvalues", counted)
+    solve_threshold(*HET2_RR, 0.97)
+    assert calls[0] <= 16
+
+
+def oracle_walk(monkeypatch, T):
+    """N of `bisect_threshold` for het2 RR at T, and the W it evaluates."""
+    rate, visited = _RATES[HET2_RR], []
+
+    def recorded(T, W, xp):
+        visited.append(W)
+        return rate(T, W, xp)
+
+    monkeypatch.setitem(_RATES, HET2_RR, recorded)
+    n = bisect_threshold(*HET2_RR, T)
+    monkeypatch.setitem(_RATES, HET2_RR, rate)
+    return n, visited
+
+
+def test_het2_rr_ignores_nan_off_the_walk(monkeypatch):
+    # every array row that bisection does not visit is NaN: the solve still
+    # takes each rate of its walk from an array call, none from a scalar one
+    n, visited = oracle_walk(monkeypatch, 0.93)
+    rate, scalar, off_walk = _RATES[HET2_RR], [], [0]
+
+    def nan_off_the_walk(T, W, xp):
+        if xp is math:
+            scalar.append(W)
+            return rate(T, W, xp)
+        off = ~np.isin(W, visited)
+        off_walk[0] += off.sum()
+        return np.where(off, np.nan, rate(T, W, xp))
+
+    monkeypatch.setitem(_RATES, HET2_RR, nan_off_the_walk)
+    assert solve_threshold(*HET2_RR, 0.93) == n
+    assert scalar == [] and off_walk[0] > 0
+
+
+@pytest.mark.parametrize("broken", ["point", "row", "call"])
+def test_het2_rr_nan_on_the_walk_is_the_scalar_rate(monkeypatch, broken):
+    # a visited point whose array rate is NaN ("row"), or whose array call
+    # raised ("call"), takes its one-point rate; where that is NaN too
+    # ("point"), the solve raises the one-point message
+    n, visited = oracle_walk(monkeypatch, 0.93)
+    rate, bad = _RATES[HET2_RR], visited[12]
+
+    def broken_rate(T, W, xp):
+        if xp is math:
+            return math.nan if broken == "point" and W == bad else rate(T, W, xp)
+        if broken == "call":
+            raise NumericalFailure("het2 RR conditional CM: broken stack")
+        return np.where(W == bad, np.nan, rate(T, W, xp))
+
+    monkeypatch.setitem(_RATES, HET2_RR, broken_rate)
+    if broken != "point":
+        assert solve_threshold(*HET2_RR, 0.93) == n
+        return
+    with pytest.raises(NumericalFailure) as expected:
+        bisect_threshold(*HET2_RR, 0.93)
+    with pytest.raises(NumericalFailure, match="het2 rr rate is NaN") as failure:
+        solve_threshold(*HET2_RR, 0.93)
+    assert str(failure.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0, 1.5, math.nan])
+def test_het2_rr_bad_transmission_is_the_scalar_error(monkeypatch, T):
+    # the one-point ValueError, raised before any array call
+    rate, array_calls = _RATES[HET2_RR], []
+
+    def recorded(T, W, xp):
+        if xp is np:
+            array_calls.append(W)
+        return rate(T, W, xp)
+
+    monkeypatch.setitem(_RATES, HET2_RR, recorded)
+    with pytest.raises(ValueError) as expected:
+        bisect_threshold(*HET2_RR, T)
+    with pytest.raises(ValueError) as error:
+        solve_threshold(*HET2_RR, T)
+    assert str(error.value) == str(expected.value)
+    assert array_calls == []
 
 
 def test_rate_evaluations_of_one_solve(monkeypatch):
