@@ -9,7 +9,7 @@ from the channel model and computes the same rate from Shannon and Holevo
 terms, with no asymptotic shortcuts.
 
 The closed forms are one table, (protocol, reconciliation) -> f(T, W, xp),
-read by `asymptotic_rate` (xp = math) and, on arrays, by threshold sweeps.
+read by `asymptotic_rate` and threshold solves (xp = math), by sweeps (numpy).
 
 The exact engine works on one joint second-moment matrix over Alice's
 classical encoding variables and all output quadratures. Marginals are its
@@ -93,9 +93,7 @@ def finite_pair(protocol, reconciliation) -> tuple[Protocol, Reconciliation]:
 
 
 class RateResult(NamedTuple):
-    """One rate and the method that computed it. A named tuple rather than a
-    frozen dataclass: as immutable, and about three times cheaper to build,
-    which counts in threshold solves that make one per rate evaluation."""
+    """One rate and the method that computed it."""
 
     rate: float
     method: Method
@@ -168,16 +166,19 @@ def _rr_hom2(T, W, xp):
 
 def _rr_het2(T, W, xp):
     """The three finite eigenvalues of Eve's conditional spectrum have a
-    closed form (tests/oracles.het2_rr_closed_form), but they are still
-    extracted numerically by het2_rr_finite_eigenvalues, whose cells the
-    benchmark's RR reference (benchmark/reference/figure_bundle_rr.csv)
-    pins: one point, or every point of a sweep step in one stacked solve.
-    On arrays, a point whose extraction fails a check gets NaN, and so does
-    every point of a stack with a broken matrix."""
-    finite = het2_rr_finite_eigenvalues(T, W)
-    return (xp.log2(2 * T * (1 + T)
-                    / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
-            + sum(g_entropy(n) for n in finite.T) - 2 * g_entropy(W))
+    closed form (tests/oracles.het2_rr_closed_form), but are extracted
+    numerically by het2_rr_finite_eigenvalues, as the benchmark's RR
+    reference (benchmark/reference/figure_bundle_rr.csv) pins. One point is
+    a one-row stack, so its rate is bitwise its row in any stack. On arrays,
+    a point whose extraction fails a check gets NaN, and so does every point
+    of a stack with a broken matrix."""
+    finite = het2_rr_finite_eigenvalues(T, W)   # one point raises its own failure
+    W, finite = np.reshape(W, -1), np.reshape(finite, (-1, 3))
+    x = 2 * T * (1 + T) / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W))
+    if xp is math:   # one point keeps the domain error of an x that underflows to 0
+        math.log2(x[0])
+    rate = np.log2(x) + sum(g_entropy(n) for n in finite.T) - 2 * g_entropy(W)
+    return rate if xp is np else float(rate[0])
 
 
 _P, _DR, _RR = Protocol, Reconciliation.DR, Reconciliation.RR
@@ -204,14 +205,11 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
 
     Divergent collective RR combinations return the -inf sentinel. A NaN
     rate (W so large that the formula overflows) raises NumericalFailure, as
-    does a logarithm whose argument underflows to 0 (T near 1e-320). The
-    closed form runs on Python floats, so a numpy float64 T or W gives the
-    same rate or the same NumericalFailure, not a numpy overflow warning.
+    does a logarithm whose argument underflows to 0 (T near 1e-320). T and W
+    are taken as Python floats, so a numpy float64 gives the same rate or
+    failure. Threshold solves read `_RATES` and come here where a read fails.
     """
-    # members pass as they are: an Enum call costs about a tenth of one
-    # rate evaluation of a threshold solve
-    if type(protocol) is not Protocol or type(reconciliation) is not Reconciliation:
-        protocol, reconciliation = Protocol(protocol), Reconciliation(reconciliation)
+    protocol, reconciliation = Protocol(protocol), Reconciliation(reconciliation)
     _require_rate_params(params)
     T, W = float(params.T), float(params.W)
     try:

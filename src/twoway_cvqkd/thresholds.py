@@ -19,8 +19,9 @@ bisection's final bracket, so N is bisection's to the bit. For the closed
 forms that holds below T = 0.9999; closer to 1, where W is large, two
 solves may stop in different cells of the noisy band and N differs in the
 14th digit. het2 RR, whose numeric rate is too noisy near the root for
-secant steps, takes bisection's own steps, reading its rates ahead in array
-calls: 13-15 per solve instead of 37-44 one-point calls, with the same N.
+secant steps, takes bisection's own steps, its rates read ahead in array
+calls. Every rate is a read of `key_rates._RATES`; a read that raised
+ValueError or is not finite takes `asymptotic_rate`'s rate or failure.
 
 Curve sweeps (all grid points solved at once), crossover location between
 curves and the one-way versus two-way dominance report are built on top.
@@ -90,36 +91,36 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     instead when the last three steps did not halve the bracket, when the
     scaled rates no longer differ (they can underflow, and a lattice
     point's rate can be exactly 0), and for het2 RR. So the cell is that of
-    plain bisection, in at most 4x its steps. het2 RR reads its rates ahead
-    in array calls, each at READ_AHEAD_ENDS ladder ends or at the midpoints
-    of READ_AHEAD_LEVELS bisection levels; a visited point whose array rate
-    is not finite, or whose call raised, takes its one-point rate or error.
-    Raises NumericalFailure if the rate increases with W during expansion or
-    is still positive at W_HI_MAX; raises ValueError for pairs whose rate
-    diverges (`key_rates.finite_pair`).
+    plain bisection, in at most 4x its steps. Each rate is a one-point read
+    of `key_rates._RATES`, but het2 RR reads ahead in array calls at
+    READ_AHEAD_ENDS ladder ends or the midpoints of READ_AHEAD_LEVELS
+    bisection levels. A read that raised ValueError or is not finite takes
+    `asymptotic_rate`'s rate or error. Raises NumericalFailure if the rate
+    rises with W during expansion or is still positive at W_HI_MAX, and
+    ValueError for T outside (0, 1) or a pair whose rate diverges.
     """
     protocol, recon = finite_pair(protocol, reconciliation)
+    _require_rate_params(AttackParams(T))
+    T, table = float(T), _RATES[protocol, recon]
     batched = (protocol, recon) == BISECTION_ONLY_PAIR
+    ahead = {}   # het2 RR: W -> the rate read there in an array call
+
+    @np.errstate(all="ignore")
+    def read(ws: list) -> None:
+        try:
+            rs = table(np.full(len(ws), T), np.array(ws), np).tolist()
+        except (ValueError, NumericalFailure):   # each point on its own then
+            rs = [math.nan] * len(ws)
+        ahead.update(zip(ws, rs))
 
     def rate(w: float) -> float:
-        return asymptotic_rate(protocol, recon, AttackParams(T, w)).rate
+        try:
+            r = ahead.get(w, math.nan) if batched else table(T, w, math)
+        except ValueError:
+            r = math.nan
+        return r if math.isfinite(r) else asymptotic_rate(protocol, recon, AttackParams(T, w)).rate
 
-    if batched:   # ahead maps W to the rate read there in an array call
-        ahead, one_point = {}, rate
-
-        def read(ws: list) -> None:
-            _require_rate_params(AttackParams(T))   # the one-point ValueError of a bad T
-            with np.errstate(all="ignore"):
-                try:
-                    rs = _RATES[protocol, recon](np.full(len(ws), float(T)), np.array(ws), np)
-                except (ValueError, NumericalFailure):   # each point on its own then
-                    rs = np.full(len(ws), np.nan)
-            ahead.update(zip(ws, rs.tolist()))
-
-        def rate(w: float) -> float:
-            r = ahead.get(w, math.nan)
-            return r if math.isfinite(r) else one_point(w)
-
+    if batched:
         read(LADDER_ENDS[:READ_AHEAD_ENDS])
     r_prev = rate(1.0)
     if r_prev <= 0.0:

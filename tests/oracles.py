@@ -21,6 +21,7 @@ None of this is used by the package itself:
   blocks;
 - the one-way exact chain at 50 digits in mpmath: joint moments, Schur
   conditioning on Alice, symplectic spectra, g and the four DR rates;
+- the closed-form asymptotic rates at 50 digits in mpmath, as written;
 - the two-way joint moments in mpmath, and from them the finite het2 RR
   eigenvalues at 80 digits and V = 1e40, the reference for their closed
   form and for the package's numeric extraction;
@@ -679,6 +680,38 @@ def mp_one_way_dr_rate(protocol, V: float, params: AttackParams) -> float:
             i_ab = mpmath.fsum(mpmath.log((sigma[q, q] + noise) / (cond[i, i] + noise), 2)
                                for i, q in enumerate(q_b)) / 2
         return float(i_ab - i_ae)
+
+
+def mp_closed_form_rates(T: float, W: float) -> dict:
+    """(protocol, reconciliation) -> closed-form asymptotic rate at MP_DPS
+    digits, from the same float T and W, for every finite pair but het2 RR,
+    whose spectrum the package extracts numerically. Each formula is
+    written as `key_rates._RATES` writes it, with b1 = (1-T)W + T and
+    e1 = (1-T) + TW."""
+    P, DR, RR = Protocol, Reconciliation.DR, Reconciliation.RR
+    with mpmath.workdps(MP_DPS):
+        T, W = mpmath.mpf(T), mpmath.mpf(W)
+        g, log2, e = mp_g, (lambda x: mpmath.log(x, 2)), mpmath.e
+        b1, e1 = (1 - T) * W + T, (1 - T) + T * W
+        hom = log2(T * e1 / ((1 - T) * b1)) / 2 + g(mpmath.sqrt(W * b1 / e1)) - g(W)
+        hom2 = log2(T / (1 - T) ** 2) / 2 - g(W)
+        rates = {
+            (P.HOM, DR): hom,
+            (P.COLL_HOM, DR): hom,
+            (P.HET, DR): log2(2 * T / (e * (1 - T) * (1 + b1))) + g(b1) - g(W),
+            (P.COLL_HET, DR): log2(T / (1 - T)) - g(W),
+            (P.HOM2, DR): hom2,
+            (P.COLL_HOM2, DR): hom2,
+            (P.HET2, DR): log2(2 * T * (1 + T)
+                               / (e * (1 - T) * (1 + T * T + (1 - T * T) * W))) - g(W),
+            (P.COLL_HET2, DR): 2 * hom2,
+            (P.HOM, RR): log2(W / ((1 - T) * b1)) / 2 - g(W),
+            (P.HET, RR): (log2(2 * T / (e * (1 - T) * (1 + b1)))
+                          + g((1 - T + b1) / T) - g(W)),
+            (P.COLL_HET, RR): log2(1 / (1 - T)) - g(W) - g(b1),
+            (P.HOM2, RR): log2((1 - T + T * T) / (1 - T) ** 2) / 2 - g(W),
+        }
+        return {pair: float(rate) for pair, rate in rates.items()}
 
 
 def mp_ancilla_nu_min(w_f: float, w_b: float, c: float) -> float:

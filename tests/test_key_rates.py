@@ -19,7 +19,7 @@ from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
 
 from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
                      het2_rr_closed_form, mp_het2_rr_finite_eigenvalues,
-                     mp_one_way_dr_rate, one_way_cm,
+                     mp_closed_form_rates, mp_one_way_dr_rate, one_way_cm,
                      per_block_exact_rate, rr_conditional_entropy_estimator, schur_given_alice,
                      schur_shannon_variances, spectrum_matches, two_way_cm)
 
@@ -146,6 +146,20 @@ def test_het2_stack_matches_point_calls():
     assert 0 < raised < T.size
 
 
+def test_het2_rr_point_rate_is_its_row_in_a_stack():
+    # one point's log and g terms are those of a one-row stack, so a solve
+    # that mixes array reads and one-point reads sees one rate per point;
+    # with the C library's logarithms, 27 of these 1,097 points differed,
+    # by up to 3.6e-15 bits
+    rng = np.random.default_rng(20261020)
+    T, W = rng.uniform(0.02, 0.9999, 1700), 10.0 ** rng.uniform(0.0, 6.0, 1700)
+    stacked = _RATES[Protocol.HET2, Reconciliation.RR](T, W, np)
+    valid = np.isfinite(stacked)   # the rest fail the product check
+    assert valid.sum() >= 1000
+    points = [rate("het2", "rr", P(t, w)) for t, w in zip(T[valid].tolist(), W[valid].tolist())]
+    assert np.array_equal(points, stacked[valid])
+
+
 def test_het2_broken_spectrum_raises_on_a_point_and_is_nan_in_a_stack():
     # at W = 1e100 the conditional CM loses its +/- pairing: a point raises
     # with the spectrum's message, and a stack holding it is NaN in every row
@@ -229,6 +243,23 @@ def test_closed_forms_on_arrays_match_scalar_rates():
                 continue
             assert abs(r - want) <= 4 * np.spacing(max(abs(want), 32.0)), \
                 (protocol, recon, t, w)
+
+
+def test_closed_forms_match_their_50_digit_evaluation():
+    # the table that threshold solves read raw at one point and sweeps on
+    # arrays; measured worst 7.1e-15 bits (coll_het2 DR)
+    T, W = (a.ravel() for a in np.meshgrid(np.linspace(0.02, 0.98, 11),
+                                           np.geomspace(1.0, 1e4, 11)))
+    exact = [mp_closed_form_rates(t, w) for t, w in zip(T.tolist(), W.tolist())]
+    closed = [(pair, formula) for pair, formula in _RATES.items()
+              if pair != (Protocol.HET2, Reconciliation.RR)
+              and not (pair[1] is Reconciliation.RR and pair[0] in DIVERGENT_RR)]
+    assert len(closed) == len(exact[0]) == 12
+    for pair, formula in closed:
+        want = np.array([e[pair] for e in exact])
+        points = [formula(t, w, math) for t, w in zip(T.tolist(), W.tolist())]
+        assert np.abs(np.array(points) - want).max() <= 1e-13, pair
+        assert np.abs(formula(T, W, np) - want).max() <= 1e-13, pair
 
 
 def test_divergent_rr_sentinel():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from twoway_cvqkd import key_rates, thresholds
 from twoway_cvqkd.attacks import AttackParams
 from twoway_cvqkd.gaussian import g_entropy
 from twoway_cvqkd.key_rates import (_RATES, DIVERGENT_RR, NumericalFailure,
-                                    Protocol, Reconciliation, asymptotic_rate)
+                                    Protocol, Reconciliation, asymptotic_rate,
+                                    finite_pair)
 from twoway_cvqkd.thresholds import (Grid, crossover, solve_threshold,
                                      superadditivity_report, sweep_curve)
 
@@ -427,6 +429,71 @@ def test_rate_evaluations_of_one_solve(monkeypatch):
     count[0] = 0
     bisect_threshold("hom", "dr", 0.7)
     assert (secant, count[0]) == (11, 36)
+
+
+def test_clean_closed_form_solves_read_only_the_table(monkeypatch):
+    # asymptotic_rate is the failure path of a read: a solve whose reads are
+    # all finite calls it 0 times, where one call per read made 11 for hom
+    # DR at T = 0.7
+    calls = [0]
+    public = thresholds.asymptotic_rate
+
+    def counted(*args):
+        calls[0] += 1
+        return public(*args)
+
+    monkeypatch.setattr(thresholds, "asymptotic_rate", counted)
+    count = counting_rate(monkeypatch, (Protocol.HOM, Reconciliation.DR))
+    solve_threshold("hom", "dr", 0.7)
+    assert (count[0], calls[0]) == (11, 0)
+    for protocol, recon in CLOSED_FORM_PAIRS:
+        for T in (0.1, 0.5, 0.7, 0.95):
+            solve_threshold(protocol, recon, T)
+    assert calls[0] == 0
+
+
+def _rising(T, W, xp):
+    """1 + (W - 1)(3 - W): 2 at W = 2, above the rate 1 at W = 1."""
+    return 1.0 + (W - 1.0) * (3.0 - W)
+
+
+# each failure of the former one-point walk: its type, and a pattern of the
+# text it raised
+FAILURES = [
+    ("het", "rr", 5e-324, None, NumericalFailure,
+     re.escape("het rr closed form at T=5e-324, W=1.0: math domain error")),
+    ("het", "rr", 1e-320, None, NumericalFailure,
+     re.escape("het rr rate is NaN at T=1e-320, W=1.0: the closed form overflows")),
+    ("hom", "dr", 0.9999994, None, NumericalFailure,
+     re.escape("no sign change in W up to 1000000.0 for hom dr at T=0.9999994")),
+    ("hom", "dr", 0.7, _rising, NumericalFailure, re.escape(
+        "rate not monotone in W for hom dr at T=0.7: rate(2.0) = 2.0 > rate at smaller W = 1.0")),
+    # the product is the numeric spectrum's: only the digits that LAPACK
+    # builds agree on are pinned
+    ("het2", "rr", 0.999, None, NumericalFailure,
+     r"eigenvalue product 68\.097\d+ deviates from closed form 68\.09811513965191 "
+     r"beyond relative tolerance 1e-06"),
+] + [
+    (protocol, recon, T, None, ValueError, re.escape(text))
+    for protocol, recon in (("hom", "dr"), ("het2", "rr"))
+    for T, text in ((0.0, "rates require T strictly in (0, 1), got T=0.0"),
+                    (1.0, "rates require T strictly in (0, 1), got T=1.0"),
+                    (math.nan, "transmission must be in [0, 1], got nan"),
+                    (-0.1, "transmission must be in [0, 1], got -0.1"))
+]
+
+
+@pytest.mark.parametrize("protocol, recon, T, rate, error, text", FAILURES,
+                         ids=[f"{f[0]}-{f[1]}-{f[2]}{'-rising' if f[3] else ''}"
+                              for f in FAILURES])
+def test_failures_keep_their_type_and_text(monkeypatch, protocol, recon, T, rate,
+                                           error, text):
+    if rate is not None:
+        monkeypatch.setitem(_RATES, finite_pair(protocol, recon), rate)
+    with pytest.raises(error) as failure:
+        solve_threshold(protocol, recon, T)
+    assert type(failure.value) is error
+    assert re.fullmatch(text, str(failure.value))
 
 
 def test_root_next_to_the_pure_loss_end(monkeypatch):
