@@ -165,19 +165,18 @@ def _rr_hom2(T, W, xp):
 
 
 def _rr_het2(T, W, xp):
-    """The three finite eigenvalues of Eve's conditional spectrum have a
-    closed form (tests/oracles.het2_rr_closed_form), but are extracted
-    numerically by het2_rr_finite_eigenvalues, as the benchmark's RR
-    reference (benchmark/reference/figure_bundle_rr.csv) pins. One point is
-    a one-row stack, so its rate is bitwise its row in any stack. On arrays,
-    a point whose extraction fails a check gets NaN, and so does every point
-    of a stack with a broken matrix."""
+    """Eve's three finite conditional eigenvalues have a closed form
+    (tests/oracles.het2_rr_closed_form) but are extracted numerically, as
+    the RR reference benchmark/reference/figure_bundle_rr.csv pins. One point
+    is a one-row stack, so its rate is bitwise its row in any stack. On
+    arrays, a failed point is NaN, and so is every point of a broken stack."""
     finite = het2_rr_finite_eigenvalues(T, W)   # one point raises its own failure
     W, finite = np.reshape(W, -1), np.reshape(finite, (-1, 3))
     x = 2 * T * (1 + T) / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W))
-    if xp is math:   # one point keeps the domain error of an x that underflows to 0
-        math.log2(x[0])
-    rate = np.log2(x) + sum(g_entropy(n) for n in finite.T) - 2 * g_entropy(W)
+    if xp is math and x[0] <= 0.0:   # x underflowed: a point fails as math.log2 would
+        raise ValueError("math domain error")
+    g = g_entropy(np.column_stack([finite, W]))   # one call for all four columns
+    rate = np.log2(x) + (g[:, 0] + g[:, 1] + g[:, 2]) - 2 * g[:, 3]
     return rate if xp is np else float(rate[0])
 
 
