@@ -164,19 +164,31 @@ def _rr_hom2(T, W, xp):
     return 0.5 * xp.log2((1 - T + T * T) / (1 - T) ** 2) - g_entropy(W)
 
 
+@np.errstate(all="ignore")
 def _rr_het2(T, W, xp):
-    """Eve's three finite conditional eigenvalues have a closed form
-    (tests/oracles.het2_rr_closed_form) but are extracted numerically, as
-    the RR reference benchmark/reference/figure_bundle_rr.csv pins. One point
-    is a one-row stack, so its rate is bitwise its row in any stack. On
-    arrays, a failed point is NaN, and so is every point of a broken stack."""
-    finite = het2_rr_finite_eigenvalues(T, W)   # one point raises its own failure
-    W, finite = np.reshape(W, -1), np.reshape(finite, (-1, 3))
-    x = 2 * T * (1 + T) / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W))
-    if xp is math and x[0] <= 0.0:   # x underflowed: a point fails as math.log2 would
-        raise ValueError("math domain error")
-    g = g_entropy(np.column_stack([finite, W]))   # one call for all four columns
-    rate = np.log2(x) + (g[:, 0] + g[:, 1] + g[:, 2]) - 2 * g[:, 3]
+    """Eve's finite conditional eigenvalues W, n2, n3 in the factored,
+    W-scaled closed form of tests/oracles.het2_rr_closed_form, which
+    decides every rate outside the band. A rate that is not finite or lies
+    within HET2_RR_BAND of 0 is the numeric rate of
+    `het2_rr_finite_eigenvalues`, whose signs the RR reference
+    benchmark/reference/figure_bundle_rr.csv pins: its error is far below
+    the band, so the two rates agree in sign outside it. One point is a
+    one-row stack, so its rate is bitwise its row in any stack, and it
+    raises the numeric failure of its point. On arrays, a failed point is
+    NaN, and so is every point of a broken numeric sub-stack."""
+    t, w = np.reshape(T, -1), np.reshape(W, -1)
+    D = t * (1 + t)
+    d = (1 - t) * ((1 - t) * (1 + t) + (1 + t * t) / w)
+    p = (1 + t ** 3) / w + (1 - t) * (1 + t * t)
+    n2 = w * (np.sqrt(d * d + 4 * p * D / w) + d) / (2 * D)
+    g = g_entropy(np.column_stack([w, n2, w * p / D / n2]))
+    log_x = np.log2(2 * t * (1 + t) / (math.e * (1 - t) * (1 + t * t + (1 - t * t) * w)))
+    rate = log_x + (g[:, 1] + g[:, 2]) - g[:, 0]
+    near = ~np.isfinite(rate) | (np.abs(rate) <= HET2_RR_BAND)
+    if near.any():
+        finite = het2_rr_finite_eigenvalues(*((T, W) if xp is math else (t[near], w[near])))
+        gn = g_entropy(np.reshape(finite, (-1, 3)))
+        rate[near] = log_x[near] + (gn[:, 0] + gn[:, 1] + gn[:, 2]) - 2 * g[near, 0]
     return rate if xp is np else float(rate[0])
 
 
@@ -225,22 +237,28 @@ def asymptotic_rate(protocol, reconciliation, params: AttackParams) -> RateResul
 HET2_RR_V = 1e8
 # Relative tolerance of the eigenvalue product check in het2_rr_finite_eigenvalues.
 HET2_RR_PRODUCT_TOL = 1e-6
+# het2 RR rates within this many bits of 0 keep the numeric extraction. Its
+# error, which the product check admits up to about HET2_RR_PRODUCT_TOL / ln 2
+# (measured: 1.44e-6 bits), cannot flip the sign of a rate outside the band.
+HET2_RR_BAND = 10 * HET2_RR_PRODUCT_TOL
 
 
 def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     """The three finite eigenvalues of Eve's CM conditioned on Bob's
     heterodyne estimators in the two-way protocol.
 
-    All three have a closed form, tests/oracles.het2_rr_closed_form; this
-    numeric extraction stays because the benchmark's RR reference
-    (benchmark/reference/figure_bundle_rr.csv) pins its cells. It works on
+    All three have a closed form, which `_rr_het2` takes. It calls this
+    numeric extraction only for rates within HET2_RR_BAND of 0 or not
+    finite, whose signs the cells of the benchmark's RR reference
+    (benchmark/reference/figure_bundle_rr.csv) pin. It works on
     the full conditional spectrum at large modulation; the single
     eigenvalue growing as (1-T^2)V is identified and dropped. The finite
     eigenvalues still carry an O(1/V) truncation tail, which is removed by
     Richardson extrapolation between V = HET2_RR_V/10 and HET2_RR_V. The
     product of the remaining three must match the closed form
     n1 n2 n3 = [1 + T^3 + (1-T)(1+T^2)W] W / (T(1+T)) within
-    HET2_RR_PRODUCT_TOL.
+    HET2_RR_PRODUCT_TOL; where that product overflows (subnormal T), no
+    product passes.
 
     T in (0, 1) and W in [1, inf) are floats (one point) or equal-length
     1-D arrays (k points), checked by the callers. The points at both
@@ -267,12 +285,13 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
             raise NumericalFailure(f"het2 RR conditional CM: {exc}") from exc
         return np.full((T.size, 3), np.nan)
     diverging = (1 - T ** 2) * modulations
-    expected = (1 + T ** 3 + (1 - T) * (1 + T * T) * W) * W / (T * (1 + T))
     off = np.abs(nus[..., 0] - diverging) > 0.01 * diverging
     finite = np.clip((10.0 * nus[1, :, 1:] - nus[0, :, 1:]) / 9.0, 1.0, None)
     with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the check
+        expected = (1 + T ** 3 + (1 - T) * (1 + T * T) * W) * W / (T * (1 + T))
         product = np.prod(finite, axis=-1)
-        deviates = ~(np.abs(product - expected) <= HET2_RR_PRODUCT_TOL * expected)
+        deviates = ~((np.abs(product - expected) <= HET2_RR_PRODUCT_TOL * expected)
+                     & (expected < math.inf))
     if not point:
         finite[off.any(axis=0) | deviates] = np.nan
         return finite

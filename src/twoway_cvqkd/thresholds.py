@@ -18,10 +18,12 @@ more than its rounding noise over one cell, the cell is unique and is
 bisection's final bracket, so N is bisection's to the bit. For the closed
 forms that holds below T = 0.9999; closer to 1, where W is large, two
 solves may stop in different cells of the noisy band and N differs in the
-14th digit. het2 RR, whose numeric rate is too noisy near the root for
-secant steps, takes bisection's own steps, its rates read ahead in array
-calls. Every rate is a read of `key_rates._RATES`; a read that raised
-ValueError or is not finite takes `asymptotic_rate`'s rate or failure.
+14th digit. het2 RR takes bisection's own steps, its rates read ahead in
+array calls: its closed form decides the sign outside a band around 0,
+and inside it the rate is that of the numeric spectrum, too noisy for
+secant steps, so every walk reads the same signs. Every rate is a read of
+`key_rates._RATES`; a read that raised ValueError or is not finite takes
+`asymptotic_rate`'s rate or failure.
 
 Curve sweeps (all grid points solved at once), crossover location between
 curves and the one-way versus two-way dominance report are built on top.

@@ -684,10 +684,10 @@ def mp_one_way_dr_rate(protocol, V: float, params: AttackParams) -> float:
 
 def mp_closed_form_rates(T: float, W: float) -> dict:
     """(protocol, reconciliation) -> closed-form asymptotic rate at MP_DPS
-    digits, from the same float T and W, for every finite pair but het2 RR,
-    whose spectrum the package extracts numerically. Each formula is
-    written as `key_rates._RATES` writes it, with b1 = (1-T)W + T and
-    e1 = (1-T) + TW."""
+    digits, from the same float T and W, for every finite pair. Each
+    formula is written as `key_rates._RATES` writes it, with
+    b1 = (1-T)W + T and e1 = (1-T) + TW; het2 RR takes Eve's eigenvalues
+    W, n2 and n3 of `het2_rr_closed_form`."""
     P, DR, RR = Protocol, Reconciliation.DR, Reconciliation.RR
     with mpmath.workdps(MP_DPS):
         T, W = mpmath.mpf(T), mpmath.mpf(W)
@@ -695,6 +695,10 @@ def mp_closed_form_rates(T: float, W: float) -> dict:
         b1, e1 = (1 - T) * W + T, (1 - T) + T * W
         hom = log2(T * e1 / ((1 - T) * b1)) / 2 + g(mpmath.sqrt(W * b1 / e1)) - g(W)
         hom2 = log2(T / (1 - T) ** 2) / 2 - g(W)
+        D = T * (1 + T)
+        d = (1 - T) * ((1 - T) * (1 + T) + (1 + T * T) / W)
+        p = (1 + T ** 3) / W + (1 - T) * (1 + T * T)
+        n2 = W * (mpmath.sqrt(d * d + 4 * p * D / W) + d) / (2 * D)
         rates = {
             (P.HOM, DR): hom,
             (P.COLL_HOM, DR): hom,
@@ -710,6 +714,8 @@ def mp_closed_form_rates(T: float, W: float) -> dict:
                           + g((1 - T + b1) / T) - g(W)),
             (P.COLL_HET, RR): log2(1 / (1 - T)) - g(W) - g(b1),
             (P.HOM2, RR): log2((1 - T + T * T) / (1 - T) ** 2) / 2 - g(W),
+            (P.HET2, RR): (log2(2 * D / (e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
+                           + g(n2) + g(W * p / D / n2) - g(W)),
         }
         return {pair: float(rate) for pair, rate in rates.items()}
 

@@ -419,7 +419,7 @@ def test_figure_bundle_failed_point_exits_numeric(capsys):
     # every 8th point of the default grid
     pytest.param(["figure-bundle", "--recon", "rr", "--grid", "0.02:0.98:25"],
                  "figure_bundle_rr.csv", 8, EXIT_OK, id="argv2-figure_bundle_rr.csv"),
-    # T = 0.999 fails the het2 RR product check and is written as nan
+    # T = 0.999 fails a check of the het2 RR numeric spectrum and is written as nan
     pytest.param(["sweep", "--protocol", "het2", "--recon", "rr", "--grid", "0.95:0.999:8"],
                  "sweep_het2_rr_edge.csv", 1, EXIT_NUMERIC,
                  id="argv3-sweep_het2_rr_edge.csv"),
@@ -430,9 +430,13 @@ def test_output_matches_reference_csv(capsys, argv, reference, stride, expected)
     header, *rows = (REFERENCE / reference).read_text().splitlines(keepends=True)
     assert out == header + "".join(rows[::stride])
     if expected == EXIT_NUMERIC:
-        assert err == ("error: numeric failure during sweep: het2 rr at T=0.999: "
-                       "eigenvalue product 68.09797662244495 deviates from closed form "
-                       "68.09811513965191 beyond relative tolerance 1e-06\n")
+        # the eigenvalue is the numeric spectrum's, near the root W ~ 790
+        prefix = ("error: numeric failure during sweep: het2 rr at T=0.999: "
+                  "largest conditional eigenvalue ")
+        suffix = (" is not within 1% of the expected diverging value "
+                  "19989.99999999973\n")
+        assert err.startswith(prefix) and err.endswith(suffix)
+        assert float(err[len(prefix):-len(suffix)]) > 1.01 * 19989.99999999973
 
 
 def test_rate_keeps_its_sign_at_huge_w(capsys):
@@ -456,9 +460,11 @@ def test_rate_keeps_its_sign_at_huge_w(capsys):
     pytest.param(["simulate", "--protocol", "hom", "--T", "0.7", "--V", "1e300",
                   "--n", "1000", "--seed", "1"], "exact engine's limit",
                  id="argv3-conditional variance"),
-    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.5", "--W", "1e100"],
+    # het2 RR's closed form overflows at T = 1e-300, so these rates take the
+    # numeric spectrum, which fails
+    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "1e-300", "--W", "1e100"],
      "pairing"),
-    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "0.5", "--W", "1e300"],
+    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "1e-300", "--W", "1e300"],
      "overflows"),
     (["rate", "--protocol", "coll_hom2", "--recon", "dr", "--T", "0.7", "--W", "1.5",
       "--V", "1e200"], "overflows"),
@@ -491,6 +497,17 @@ def test_numeric_edges_exit_numeric(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: numeric failure: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("T", ["5e-324", "1e-320"])
+def test_het2_rr_threshold_at_subnormal_t_exits_numeric(capsys, T):
+    # the product check's closed form overflows there: an overflow warning
+    # fails the test, and a product check that passed would print an N
+    code, out, err = run(capsys, "threshold", "--protocol", "het2", "--recon", "rr",
+                         "--T", T)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("error: numeric failure: eigenvalue product ")
+    assert err.endswith(" deviates from closed form inf beyond relative tolerance 1e-06\n")
 
 
 @pytest.mark.parametrize("protocol, recon", [

@@ -247,19 +247,45 @@ def test_closed_forms_on_arrays_match_scalar_rates():
 
 def test_closed_forms_match_their_50_digit_evaluation():
     # the table that threshold solves read raw at one point and sweeps on
-    # arrays; measured worst 7.1e-15 bits (coll_het2 DR)
+    # arrays; measured worst 7.1e-15 bits (coll_het2 DR). het2 RR's rates
+    # within HET2_RR_BAND of 0 are its numeric spectrum's, held below
     T, W = (a.ravel() for a in np.meshgrid(np.linspace(0.02, 0.98, 11),
                                            np.geomspace(1.0, 1e4, 11)))
     exact = [mp_closed_form_rates(t, w) for t, w in zip(T.tolist(), W.tolist())]
     closed = [(pair, formula) for pair, formula in _RATES.items()
-              if pair != (Protocol.HET2, Reconciliation.RR)
-              and not (pair[1] is Reconciliation.RR and pair[0] in DIVERGENT_RR)]
-    assert len(closed) == len(exact[0]) == 12
+              if not (pair[1] is Reconciliation.RR and pair[0] in DIVERGENT_RR)]
+    assert len(closed) == len(exact[0]) == 13
     for pair, formula in closed:
         want = np.array([e[pair] for e in exact])
-        points = [formula(t, w, math) for t, w in zip(T.tolist(), W.tolist())]
-        assert np.abs(np.array(points) - want).max() <= 1e-13, pair
-        assert np.abs(formula(T, W, np) - want).max() <= 1e-13, pair
+        band = key_rates.HET2_RR_BAND if pair == (Protocol.HET2, Reconciliation.RR) else -1.0
+        held = np.abs(want) > band
+        points = [formula(t, w, math) for t, w in zip(T[held].tolist(), W[held].tolist())]
+        assert np.abs(np.array(points) - want[held]).max() <= 1e-13, pair
+        assert np.abs(formula(T, W, np)[held] - want[held]).max() <= 1e-13, pair
+
+
+def test_het2_rr_band_holds_the_numeric_noise(monkeypatch):
+    # a row outside the band takes the closed form, and must have the sign
+    # of the numeric rate it replaces; measured worst 1.43e-6 bits here
+    band, table = key_rates.HET2_RR_BAND, _RATES[Protocol.HET2, Reconciliation.RR]
+    rng = np.random.default_rng(20261020)
+    T, W = rng.uniform(1e-3, 0.999, 2500), 10.0 ** rng.uniform(0.0, 4.0, 2500)
+    monkeypatch.setattr(key_rates, "HET2_RR_BAND", math.inf)   # every row numeric
+    numeric = table(T, W, np)
+    monkeypatch.setattr(key_rates, "HET2_RR_BAND", -1.0)   # every finite row closed
+    closed = table(T, W, np)
+    passed = np.isfinite(numeric)   # the rest fail a check of the spectrum
+    assert passed.sum() >= 2000 and np.isfinite(closed).all()
+    assert np.abs(numeric - closed)[passed].max() < band / 4
+
+
+def test_het2_product_check_fails_where_its_closed_form_overflows():
+    # at T = 1e-320 the product n1 n2 n3 overflows to inf, which no product
+    # of a finite spectrum may pass
+    with pytest.raises(NumericalFailure, match="deviates from closed form inf"):
+        het2_rr_finite_eigenvalues(1e-320, 1.0)
+    stacked = het2_rr_finite_eigenvalues(np.array([1e-320, 0.5]), np.array([1.0, 1.0]))
+    assert np.isnan(stacked[0]).all() and np.isfinite(stacked[1]).all()
 
 
 def test_divergent_rr_sentinel():

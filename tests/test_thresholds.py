@@ -216,7 +216,8 @@ def test_sweep_failures_match_scalar_solves():
 
 def test_sweep_of_broken_het2_stacks_is_the_scalar_sweep(monkeypatch):
     # a stack whose spectrum breaks is NaN in every row; the sweep re-solves
-    # each such point by solve_threshold, whose stack of 2 matrices is spared
+    # each such point by solve_threshold, whose stack of 2 matrices is spared.
+    # A sweep step stacks the points whose rate lies in the numeric band.
     grid = Grid(0.1, 0.9, 5)
     expected = sweep_curve("het2", "rr", grid)
     spectrum = key_rates.symplectic_eigenvalues
@@ -230,7 +231,7 @@ def test_sweep_of_broken_het2_stacks_is_the_scalar_sweep(monkeypatch):
 
     monkeypatch.setattr(key_rates, "symplectic_eigenvalues", breaking)
     curve = sweep_curve("het2", "rr", grid)
-    assert broken[0] == 2 * grid.steps
+    assert 2 * 2 <= broken[0] <= 2 * grid.steps
     assert curve.errors == {} and not np.isnan(expected.N).any()
     assert np.array_equal(curve.N, expected.N)
 
@@ -468,11 +469,11 @@ FAILURES = [
      re.escape("no sign change in W up to 1000000.0 for hom dr at T=0.9999994")),
     ("hom", "dr", 0.7, _rising, NumericalFailure, re.escape(
         "rate not monotone in W for hom dr at T=0.7: rate(2.0) = 2.0 > rate at smaller W = 1.0")),
-    # the product is the numeric spectrum's: only the digits that LAPACK
-    # builds agree on are pinned
+    # the eigenvalue is the numeric spectrum's: only its leading digits,
+    # which LAPACK builds agree on, are pinned
     ("het2", "rr", 0.999, None, NumericalFailure,
-     r"eigenvalue product 68\.097\d+ deviates from closed form 68\.09811513965191 "
-     r"beyond relative tolerance 1e-06"),
+     r"largest conditional eigenvalue 207\d\d\.\d+ is not within 1% of the "
+     r"expected diverging value 19989\.99999999973"),
 ] + [
     (protocol, recon, T, None, ValueError, re.escape(text))
     for protocol, recon in (("hom", "dr"), ("het2", "rr"))
