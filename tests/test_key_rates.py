@@ -266,17 +266,23 @@ def test_closed_forms_match_their_50_digit_evaluation():
 
 def test_het2_rr_band_holds_the_numeric_noise(monkeypatch):
     # a row outside the band takes the closed form, and must have the sign
-    # of the numeric rate it replaces; measured worst 1.43e-6 bits here
+    # of the numeric rate it replaces. The bulk, then the edges that walks
+    # (W up to 1e6) and the CLI (T near 0 and 1) reach, where most numeric
+    # rates fail their checks; measured worst 1.43e-6 bits here
     band, table = key_rates.HET2_RR_BAND, _RATES[Protocol.HET2, Reconciliation.RR]
     rng = np.random.default_rng(20261020)
-    T, W = rng.uniform(1e-3, 0.999, 2500), 10.0 ** rng.uniform(0.0, 4.0, 2500)
-    monkeypatch.setattr(key_rates, "HET2_RR_BAND", math.inf)   # every row numeric
-    numeric = table(T, W, np)
-    monkeypatch.setattr(key_rates, "HET2_RR_BAND", -1.0)   # every finite row closed
-    closed = table(T, W, np)
-    passed = np.isfinite(numeric)   # the rest fail a check of the spectrum
-    assert passed.sum() >= 2000 and np.isfinite(closed).all()
-    assert np.abs(numeric - closed)[passed].max() < band / 4
+    domains = [(rng.uniform(1e-3, 0.999, 2500), 10.0 ** rng.uniform(0.0, 4.0, 2500), 2000),
+               (10.0 ** rng.uniform(-9.0, -3.0, 600), 10.0 ** rng.uniform(0.0, 6.0, 600), 10),
+               (rng.uniform(0.999, 0.9999, 400), 10.0 ** rng.uniform(0.0, 6.0, 400), 40)]
+    for T, W, least in domains:
+        monkeypatch.setattr(key_rates, "HET2_RR_BAND", math.inf)   # every row numeric
+        with np.errstate(all="ignore"):   # the failed rows are NaN
+            numeric = table(T, W, np)
+        monkeypatch.setattr(key_rates, "HET2_RR_BAND", -1.0)   # every finite row closed
+        closed = table(T, W, np)
+        passed = np.isfinite(numeric)   # the rest fail a check of the spectrum
+        assert passed.sum() >= least and np.isfinite(closed).all()
+        assert np.abs(numeric - closed)[passed].max() < band / 4
 
 
 def test_het2_product_check_fails_where_its_closed_form_overflows():

@@ -14,7 +14,7 @@ from twoway_cvqkd.key_rates import (_RATES, DIVERGENT_RR, NumericalFailure,
 from twoway_cvqkd.thresholds import (Grid, crossover, solve_threshold,
                                      superadditivity_report, sweep_curve)
 
-from oracles import bisect_threshold
+from oracles import bisect_threshold, het2_rr_closed_form
 
 FINITE_PAIRS = [(p, r) for p in Protocol for r in Reconciliation
                 if not (r is Reconciliation.RR and p in DIVERGENT_RR)]
@@ -217,9 +217,27 @@ def test_sweep_failures_match_scalar_solves():
 def test_sweep_of_broken_het2_stacks_is_the_scalar_sweep(monkeypatch):
     # a stack whose spectrum breaks is NaN in every row; the sweep re-solves
     # each such point by solve_threshold, whose stack of 2 matrices is spared.
-    # A sweep step stacks the points whose rate lies in the numeric band.
+    # A sweep step stacks, at 2 modulations each, the points whose rate is
+    # not finite or lies in the numeric band: the first broken stack is the
+    # first step with 2 or more such points (2 points, 4 matrices here)
     grid = Grid(0.1, 0.9, 5)
+    table, steps = _RATES[HET2_RR], []
+
+    def recording(T, W, xp):
+        steps.append((T.copy(), W.copy()))
+        return table(T, W, xp)
+
+    monkeypatch.setitem(_RATES, HET2_RR, recording)
     expected = sweep_curve("het2", "rr", grid)
+    monkeypatch.setitem(_RATES, HET2_RR, table)
+    numeric_rows = []
+    for T, W in steps:   # the band decided by the oracle's closed-form rate
+        n = het2_rr_closed_form(T, W)
+        closed = (np.log2(2 * T * (1 + T) / (math.e * (1 - T) * (1 + T * T + (1 - T * T) * W)))
+                  + g_entropy(n[:, 1]) + g_entropy(n[:, 2]) - g_entropy(n[:, 0]))
+        near = ~np.isfinite(closed) | (np.abs(closed) <= key_rates.HET2_RR_BAND)
+        numeric_rows.append(int(near.sum()))
+    first = next(k for k in numeric_rows if k >= 2)
     spectrum = key_rates.symplectic_eigenvalues
     broken = []
 
@@ -231,7 +249,7 @@ def test_sweep_of_broken_het2_stacks_is_the_scalar_sweep(monkeypatch):
 
     monkeypatch.setattr(key_rates, "symplectic_eigenvalues", breaking)
     curve = sweep_curve("het2", "rr", grid)
-    assert 2 * 2 <= broken[0] <= 2 * grid.steps
+    assert broken[0] == 2 * first == 2 * 2
     assert curve.errors == {} and not np.isnan(expected.N).any()
     assert np.array_equal(curve.N, expected.N)
 
