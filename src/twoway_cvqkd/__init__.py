@@ -7,7 +7,8 @@ from .key_rates import (DIVERGENT_RR, NumericalFailure, Protocol, RATE_DIVERGENT
                         RateResult, Reconciliation, asymptotic_rate, exact_rate)
 from .simulator import SimConfig, SimRun, empirical_mi, simulate
 from .thresholds import (Grid, SuperadditivityReport, ThresholdCurve, crossover,
-                         solve_threshold, superadditivity_report, sweep_curve)
+                         solve_threshold, superadditivity_report, sweep_curve,
+                         sweep_curves)
 from .tomography import (CorrelatedAttackParams, GaussianChannel, ReducibilityVerdict,
                          TomographyDataset, check_reducibility, compose,
                          correlated_two_mode_channels, estimate_channel,
@@ -24,5 +25,6 @@ __all__ = [
     "correlated_two_mode_channels", "crossover", "empirical_mi",
     "estimate_channel", "exact_rate", "excess_noise", "g_entropy", "simulate",
     "simulate_probe_dataset", "solve_threshold", "superadditivity_report",
-    "sweep_curve", "symplectic_eigenvalues", "von_neumann_entropy", "w_from_excess",
+    "sweep_curve", "sweep_curves", "symplectic_eigenvalues", "von_neumann_entropy",
+    "w_from_excess",
 ]

@@ -16,6 +16,7 @@ no file; the trajectories then go to it as CSV, one block at a time.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -23,7 +24,7 @@ from .attacks import AttackParams, require_finite_excess_noise
 from .key_rates import (NumericalFailure, Protocol, Reconciliation, asymptotic_rate,
                         exact_rate, finite_pair, mi_from_terms, shannon_terms)
 from .simulator import SimConfig, simulate, trajectories
-from .thresholds import Grid, crossover, solve_threshold, sweep_curve
+from .thresholds import Grid, crossover, solve_threshold, sweep_curve, sweep_curves
 from .tomography import (CorrelatedAttackParams, check_reducibility,
                          correlated_two_mode_channels, estimate_channel,
                          require_tolerance, simulate_probe_dataset)
@@ -117,15 +118,15 @@ def cmd_threshold(args) -> tuple[str, int]:
 def cmd_sweep(args) -> tuple[str, int]:
     protocol, recon = finite_pair(args.protocol, args.recon)
     grid = _grid(args)
-    curve = sweep_curve(protocol, recon, grid)
-    lines = []
     if protocol.two_way:
         one_way = Protocol.HET if protocol.joint_decoding else Protocol.HOM
-        base = sweep_curve(one_way, recon, grid)
-        lines += [f"# crossover with {one_way.value} {recon.value} at T={_fmt(t)}"
-                  for t in crossover(curve, base)]
+        curve, base = sweep_curves([(protocol, recon), (one_way, recon)], grid)
+        lines = [f"# crossover with {one_way.value} {recon.value} at T={_fmt(t)}"
+                 for t in crossover(curve, base)]
+    else:
+        curve, lines = sweep_curve(protocol, recon, grid), []
     lines.append("T,N_threshold")
-    lines += [f"{_fmt(t)},{_fmt(n)}" for t, n in zip(curve.T, curve.N)]
+    lines += [f"{_fmt(t)},{_fmt(n)}" for t, n in zip(curve.T.tolist(), curve.N.tolist())]
     return _lines(lines), _sweep_status([curve])
 
 
@@ -133,11 +134,11 @@ def cmd_figure_bundle(args) -> tuple[str, int]:
     recon = Reconciliation(args.recon)
     grid = _grid(args)
     protocols = DR_BUNDLE if recon is Reconciliation.DR else RR_BUNDLE
-    curves = {p: sweep_curve(p, recon, grid) for p in protocols}
+    curves = sweep_curves([(p, recon) for p in protocols], grid)
+    columns = [grid.points().tolist()] + [curve.N.tolist() for curve in curves]
     lines = ["T," + ",".join(protocols)]
-    lines += [",".join([_fmt(t)] + [_fmt(curves[p].N[i]) for p in protocols])
-              for i, t in enumerate(grid.points())]
-    return _lines(lines), _sweep_status(curves.values())
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
+    return _lines(lines), _sweep_status(curves)
 
 
 def cmd_simulate(args) -> tuple[str, int]:
@@ -213,7 +214,10 @@ def _seed_flag(p) -> None:
                         "stochastic commands)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cvqkd",
         description="Secret-key rates, security thresholds and simulations "

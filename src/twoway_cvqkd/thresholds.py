@@ -25,8 +25,10 @@ secant steps, so every walk reads the same signs. Every rate is a read of
 `key_rates._RATES`; a read that raised ValueError or is not finite takes
 `asymptotic_rate`'s rate or failure.
 
-Curve sweeps (all grid points solved at once), crossover location between
-curves and the one-way versus two-way dominance report are built on top.
+Curve sweeps are built on top: all grid points of all requested curves
+are solved at once, in one lockstep walk of the same steps, and each curve
+is that of its pair swept alone. So are the crossover location between
+curves and the one-way versus two-way dominance report.
 """
 
 from __future__ import annotations
@@ -206,26 +208,49 @@ class ThresholdCurve:
     errors: dict = field(default_factory=dict)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
-    """Solve the threshold at every grid point, all points at once.
+    """Solve the threshold at every grid point, all points at once: the
+    one-pair call of `sweep_curves`."""
+    return sweep_curves([(protocol, reconciliation)], grid)[0]
 
-    The points take the steps of `solve_threshold` together, each step one
-    array evaluation of the closed form. They climb BRACKETS in lockstep,
-    one evaluation at one W per rung, then narrow their brackets with the
-    same step rule on the same lattice and up to a one-cell bracket, so
-    their N is that of `solve_threshold` wherever that cell is unique (see
-    the module docstring). A point that fails (a NaN rate, overflows
-    included, a rising rate, no sign change up to W_HI_MAX) is solved again
-    by `solve_threshold`; if that raises, the point is NaN and `errors`
-    maps its index to the message.
+
+@np.errstate(over="ignore", invalid="ignore")
+def sweep_curves(pairs, grid: Grid) -> list[ThresholdCurve]:
+    """Threshold curves of all `pairs` on one grid, in one lockstep walk.
+
+    The grid is tiled once per pair, each pair's points one contiguous
+    block, and every point takes the steps of `solve_threshold` together
+    with all the others; at each step each pair's closed form is evaluated
+    once, on the array of that pair's points still walking. The points
+    climb BRACKETS in lockstep, one evaluation at one W per rung, then
+    narrow their brackets with the same step rule on the same lattice and
+    up to a one-cell bracket (het2 RR points take only bisection
+    midpoints), so their N is that of `solve_threshold` wherever that cell
+    is unique (see the module docstring). A point's steps depend on its own
+    rates alone, so each curve, and each array its pair's table is called
+    with, is that of the pair swept alone. A point that fails (a NaN rate,
+    overflows included, a rising rate, no sign change up to W_HI_MAX) is
+    solved again by `solve_threshold`, pair by pair and index by index; if
+    that raises, the point is NaN and its curve's `errors` maps its index
+    to the message.
     """
-    protocol, recon = finite_pair(protocol, reconciliation)
-    T = grid.points()
-    rates = _RATES[protocol, recon]
+    pairs = [finite_pair(p, r) for p, r in pairs]
+    tables = [_RATES[pair] for pair in pairs]
+    n = grid.steps
+    starts = n * np.arange(len(pairs) + 1)
+
+    def rates(idx, t, w):   # idx sorted: one table call per pair with points in it
+        r = np.empty(t.shape)
+        cuts = np.searchsorted(idx, starts).tolist()
+        for table, i, j in zip(tables, cuts, cuts[1:]):
+            if i < j:
+                r[i:j] = table(t[i:j], w[i:j], np)
+        return r
+
+    T = np.tile(grid.points(), len(pairs))
     # each point's bracket is [lo + a h, lo + b h], with rates f_a > 0 >= f_b;
     # until it is found, f_a is the rate at the rung's lower end
-    f_a = rates(T, np.ones(T.shape), np)
+    f_a = rates(np.arange(T.size), T, np.ones(T.shape))
     N = np.where(f_a <= 0.0, 0.0, np.nan)
     failed = [np.flatnonzero(np.isnan(f_a))]
     lo, h, f_b = np.zeros((3, T.size))
@@ -234,7 +259,7 @@ def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
     for w_lo, w_hi in BRACKETS:
         if not idx.size:
             break
-        r = rates(T[idx], np.full(idx.shape, w_hi), np)
+        r = rates(idx, T[idx], np.full(idx.shape, w_hi))
         bad = np.isnan(r) | (r > f_a[idx] + MONOTONE_SLACK)
         failed.append(idx[bad])
         found, grow = ~bad & (r <= 0.0), ~bad & (r > 0.0)
@@ -247,17 +272,15 @@ def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
     t, lo, h, b, f_a, f_b = T[idx], lo[idx], h[idx], b[idx], f_a[idx], f_b[idx]
     a, side = np.zeros(idx.shape, dtype=np.int64), np.zeros(idx.shape, dtype=np.int64)
     widths = [np.full(idx.shape, np.inf)] * 3
-    secant = (protocol, recon) != BISECTION_ONLY_PAIR
+    secant = np.repeat([pair != BISECTION_ONLY_PAIR for pair in pairs], n)[idx]
     while idx.size:
         # the step rule of solve_threshold, on arrays
         width = b - a
-        k = (a + b) // 2
-        if secant:
-            with np.errstate(all="ignore"):   # only the secant entries are kept
-                guess = np.clip(np.rint(a + f_a / (f_a - f_b) * width), a + 1, b - 1)
-            k = np.where((2 * width <= widths[0]) & (f_a - f_b > 0.0), guess, k)
-            k = k.astype(np.int64)
-        r = rates(t, lo + k * h, np)
+        with np.errstate(all="ignore"):   # only the secant entries are kept
+            guess = np.clip(np.rint(a + f_a / (f_a - f_b) * width), a + 1, b - 1)
+        k = np.where(secant & (2 * width <= widths[0]) & (f_a - f_b > 0.0),
+                     guess, (a + b) // 2).astype(np.int64)
+        r = rates(idx, t, lo + k * h)
         up, down = r > 0.0, r <= 0.0
         # the points whose rate is NaN are dropped below, so ~up is down
         f = np.where(up, f_a, f_b)
@@ -274,16 +297,18 @@ def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
         failed.append(idx[~(up | down)])
         W = 0.5 * ((lo[done] + a[done] * h[done]) + (lo[done] + b[done] * h[done]))
         N[idx[done]] = (W - 1.0) * (1.0 - t[done]) / t[done]
-        idx, t, lo, h, a, b, f_a, f_b, side = (
-            v[keep] for v in (idx, t, lo, h, a, b, f_a, f_b, side))
+        idx, t, lo, h, a, b, f_a, f_b, side, secant = (
+            v[keep] for v in (idx, t, lo, h, a, b, f_a, f_b, side, secant))
         widths = [w[keep] for w in widths]
-    errors: dict[int, str] = {}
-    for i in np.sort(np.concatenate(failed)):
+    curves = [ThresholdCurve(p, r, grid, T[i:j], N[i:j])
+              for (p, r), i, j in zip(pairs, starts, starts[1:])]
+    for i in np.sort(np.concatenate(failed)).tolist():
+        curve = curves[i // n]
         try:
-            N[i] = solve_threshold(protocol, recon, T[i])
+            N[i] = solve_threshold(curve.protocol, curve.reconciliation, T[i])
         except NumericalFailure as exc:
-            N[i], errors[int(i)] = np.nan, str(exc)
-    return ThresholdCurve(protocol, recon, grid, T, N, errors)
+            N[i], curve.errors[i % n] = np.nan, str(exc)
+    return curves
 
 
 def _require_same_grid(a: ThresholdCurve, b: ThresholdCurve) -> None:

@@ -362,6 +362,54 @@ def test_log_base_switch(capsys):
     assert code == EXIT_FLAG
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds the parser once per process; each call must read as it
+    # would on a freshly built parser, whatever the calls before it did
+    out = tmp_path / "sweep.csv"
+    rate = ["rate", "--protocol", "coll_het", "--recon", "dr", "--T", "0.75"]
+    calls = [
+        (["threshold", "--protocol", "hom", "--recon", "dr", "--T", "0.7"], EXIT_OK),
+        (["threshold", "--protocol", "hom", "--recon", "dr"], EXIT_FLAG),
+        (["sweep", "--help"], EXIT_OK),
+        (["--log-base", "e", *rate], EXIT_OK),
+        (rate, EXIT_OK),
+        (["sweep", "--protocol", "hom", "--recon", "dr", "--grid", "0.3:0.7:3",
+          "--out", str(out)], EXIT_OK),
+        (["sweep", "--protocol", "hom", "--recon", "dr", "--grid", "0.3:0.7"], EXIT_FLAG),
+    ]
+
+    def outcomes(fresh: bool) -> list:
+        got = []
+        for argv, _ in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            got.append((*run(capsys, *argv), out.read_text() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        return got
+
+    reused, fresh = outcomes(False), outcomes(True)
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [code for _, code in calls]
+    assert "rate_nats" in reused[3][1] and "rate_bits" in reused[4][1]
+    assert reused[5][1] == "" and reused[5][3].startswith("T,N_threshold\n")
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "built, init = [], argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import twoway_cvqkd.cli\n"
+            "print(len(built), twoway_cvqkd.cli.build_parser.cache_info().currsize)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(twoway_cvqkd.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["rate", "--protocol", "hom", "--recon", "dr", "--T", "nan"], "transmission"),
     (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.5", "--W", "nan"],

@@ -12,7 +12,8 @@ from twoway_cvqkd.key_rates import (_RATES, DIVERGENT_RR, NumericalFailure,
                                     Protocol, Reconciliation, asymptotic_rate,
                                     finite_pair)
 from twoway_cvqkd.thresholds import (Grid, crossover, solve_threshold,
-                                     superadditivity_report, sweep_curve)
+                                     superadditivity_report, sweep_curve,
+                                     sweep_curves)
 
 from oracles import bisect_threshold, het2_rr_closed_form
 
@@ -252,6 +253,44 @@ def test_sweep_of_broken_het2_stacks_is_the_scalar_sweep(monkeypatch):
     assert broken[0] == 2 * first == 2 * 2
     assert curve.errors == {} and not np.isnan(expected.N).any()
     assert np.array_equal(curve.N, expected.N)
+
+
+# the bundle order of the command line, then the same pairs shuffled
+SHUFFLED_PAIRS = [FINITE_PAIRS[i] for i in
+                  np.random.default_rng(20261020).permutation(len(FINITE_PAIRS))]
+
+
+@pytest.mark.parametrize("grid", [Grid(), Grid(0.9, 0.9999, 31), Grid(1e-320, 0.5, 5),
+                                  Grid(0.95, 0.999, 8)], ids=str)
+@pytest.mark.parametrize("pairs", [FINITE_PAIRS, SHUFFLED_PAIRS], ids=["ordered", "shuffled"])
+def test_sweep_of_many_pairs_is_each_pair_swept_alone(pairs, grid):
+    curves = sweep_curves(pairs, grid)
+    assert [(c.protocol, c.reconciliation) for c in curves] == pairs
+    for (protocol, recon), curve in zip(pairs, curves):
+        alone = sweep_curve(protocol, recon, grid)
+        assert np.array_equal(curve.T, alone.T)
+        assert np.array_equal(curve.N, alone.N, equal_nan=True)
+        assert list(curve.errors.items()) == list(alone.errors.items())
+
+
+def test_het2_rr_steps_of_a_mixed_sweep_are_its_own_sweep(monkeypatch):
+    # a sweep step hands each table only its own pair's points: het2 RR's
+    # numeric sub-stacks hold the rows they hold when it is swept alone
+    grid, table = Grid(0.02, 0.98, 40), _RATES[HET2_RR]
+    steps = []
+
+    def recording(T, W, xp):
+        steps.append((T.copy(), W.copy()))
+        return table(T, W, xp)
+
+    monkeypatch.setitem(_RATES, HET2_RR, recording)
+    sweep_curve(*HET2_RR, grid)
+    alone = steps.copy()
+    steps.clear()
+    sweep_curves(SHUFFLED_PAIRS, grid)
+    assert len(steps) == len(alone) > 20
+    for (T, W), (T_alone, W_alone) in zip(steps, alone):
+        assert np.array_equal(T, T_alone) and np.array_equal(W, W_alone)
 
 
 def test_sweep_bracket_failures_match_scalar_solves(monkeypatch):
