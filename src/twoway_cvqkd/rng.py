@@ -27,9 +27,12 @@ THREAD_CHUNKS = 8
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for a (seed, stream) pair."""
-    key = np.random.SeedSequence([int(seed), int(stream)]).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Philox generator for a (seed, stream) pair: its key is the first two
+    64-bit words of SeedSequence([seed, stream]), its counter 0. Passing
+    the sequence itself, not the key, spares Philox a default sequence
+    drawn from OS entropy and thrown away."""
+    seeds = np.random.SeedSequence([int(seed), int(stream)])
+    return np.random.Generator(np.random.Philox(seeds))
 
 
 def normal_chunks(seed: int, n: int, cols: int) -> Iterator[np.ndarray]:

@@ -69,16 +69,18 @@ def default_threads() -> int:
 
 def _lattice(lo: float, hi: float) -> tuple[float, int]:
     """(h, n): the width of bisection's final cell in the bracket [lo, hi]
-    and the number of such cells in it. h is hi - lo halved until it is at
-    most W_TOL (read when called) or, in the last bracket [2^19, W_HI_MAX],
-    at most the spacing of doubles at lo. Below 2^19 every lattice point
-    lo + k h is a double, and the midpoint of two of them is what bisection
-    computes."""
-    tol = max(W_TOL, math.ulp(lo))
-    h, n = hi - lo, 1
-    while h > tol:
-        h, n = 0.5 * h, 2 * n
-    return h, n
+    and the number of such cells in it. h is hi - lo halved k times, k the
+    least with h at most W_TOL (read when called) or, in the last bracket
+    [2^19, W_HI_MAX], at most the spacing of doubles at lo, and n = 2^k.
+    k comes from the binary exponents of the width and the bound; halving
+    is exact, so (h, n) is bit for bit what a halving loop ends with. Below
+    2^19 every lattice point lo + k h is a double, and the midpoint of two
+    of them is what bisection computes."""
+    width = hi - lo
+    m_w, e_w = math.frexp(width)
+    m_t, e_t = math.frexp(max(W_TOL, math.ulp(lo)))
+    k = max(0, e_w - e_t + (m_w > m_t))
+    return math.ldexp(width, -k), 1 << k
 
 
 def solve_threshold(protocol, reconciliation, T: float) -> float:
@@ -96,12 +98,14 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     scaled rates no longer differ (they can underflow, and a lattice
     point's rate can be exactly 0), and for het2 RR. So the cell is that of
     plain bisection, in at most 4x its steps. Each rate is a one-point read
-    of `key_rates._RATES`, but het2 RR reads ahead in array calls at
-    READ_AHEAD_ENDS ladder ends or the midpoints of READ_AHEAD_LEVELS
-    bisection levels. A read that raised ValueError or is not finite takes
-    `asymptotic_rate`'s rate or error. Raises NumericalFailure if the rate
-    rises with W during expansion or is still positive at W_HI_MAX, and
-    ValueError for T outside (0, 1) or a pair whose rate diverges.
+    of `key_rates._RATES` on Python floats, and a closed-form solve calls
+    no numpy; only het2 RR reads ahead in array calls, under its own
+    errstate, at READ_AHEAD_ENDS ladder ends or the midpoints of
+    READ_AHEAD_LEVELS bisection levels. A read that raised ValueError or is
+    not finite takes `asymptotic_rate`'s rate or error. Raises
+    NumericalFailure if the rate rises with W during expansion or is still
+    positive at W_HI_MAX, and ValueError for T outside (0, 1) or a pair
+    whose rate diverges.
     """
     protocol, recon = finite_pair(protocol, reconciliation)
     _require_rate_params(AttackParams(T))
@@ -109,12 +113,12 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     batched = (protocol, recon) == BISECTION_ONLY_PAIR
     ahead = {}   # het2 RR: W -> the rate read there in an array call
 
-    @np.errstate(all="ignore")
     def read(ws: list) -> None:
-        try:
-            rs = table(np.full(len(ws), T), np.array(ws), np).tolist()
-        except (ValueError, NumericalFailure):   # each point on its own then
-            rs = [math.nan] * len(ws)
+        with np.errstate(all="ignore"):
+            try:
+                rs = table(np.full(len(ws), T), np.array(ws), np).tolist()
+            except (ValueError, NumericalFailure):   # each point on its own then
+                rs = [math.nan] * len(ws)
         ahead.update(zip(ws, rs))
 
     def rate(w: float) -> float:
@@ -148,13 +152,13 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     h, b = _lattice(lo, hi)
     a, f_a, f_b = 0, r_prev, r
     # the end the last step replaced (+1 a, -1 b, 0 none) and the bracket
-    # widths before the last three steps
-    side, widths = 0, [math.inf] * 3
+    # widths before the last three steps, oldest first
+    side, w_3, w_2, w_1 = 0, math.inf, math.inf, math.inf
     while b - a > 1:
         width = b - a
         # a midpoint whenever the last three steps did not halve the bracket:
         # at most 4x bisection's steps
-        if not batched and 2 * width <= widths[0] and f_a - f_b > 0.0:
+        if not batched and 2 * width <= w_3 and f_a - f_b > 0.0:
             k = min(max(round(a + f_a / (f_a - f_b) * width), a + 1), b - 1)
         else:
             k = (a + b) // 2
@@ -170,7 +174,7 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
             if side == -1:
                 f_a *= 1.0 - r / f_b if abs(r) < abs(f_b) else 0.5
             b, f_b, side = k, r, -1
-        widths = widths[1:] + [width]
+        w_3, w_2, w_1 = w_2, w_1, width
     return excess_noise(AttackParams(T, 0.5 * ((lo + a * h) + (lo + b * h))))
 
 
@@ -214,7 +218,7 @@ def sweep_curve(protocol, reconciliation, grid: Grid) -> ThresholdCurve:
     return sweep_curves([(protocol, reconciliation)], grid)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sweep_curves(pairs, grid: Grid) -> list[ThresholdCurve]:
     """Threshold curves of all `pairs` on one grid, in one lockstep walk.
 
@@ -228,11 +232,11 @@ def sweep_curves(pairs, grid: Grid) -> list[ThresholdCurve]:
     midpoints), so their N is that of `solve_threshold` wherever that cell
     is unique (see the module docstring). A point's steps depend on its own
     rates alone, so each curve, and each array its pair's table is called
-    with, is that of the pair swept alone. A point that fails (a NaN rate,
-    overflows included, a rising rate, no sign change up to W_HI_MAX) is
-    solved again by `solve_threshold`, pair by pair and index by index; if
-    that raises, the point is NaN and its curve's `errors` maps its index
-    to the message.
+    with, is that of the pair swept alone. A point that fails (a rate that
+    is not finite: NaN, an overflow or the log of 0; a rising rate; no sign
+    change up to W_HI_MAX) is solved again by `solve_threshold`, pair by
+    pair and index by index; if that raises, the point is NaN and its
+    curve's `errors` maps its index to the message.
     """
     pairs = [finite_pair(p, r) for p, r in pairs]
     tables = [_RATES[pair] for pair in pairs]
@@ -251,16 +255,18 @@ def sweep_curves(pairs, grid: Grid) -> list[ThresholdCurve]:
     # each point's bracket is [lo + a h, lo + b h], with rates f_a > 0 >= f_b;
     # until it is found, f_a is the rate at the rung's lower end
     f_a = rates(np.arange(T.size), T, np.ones(T.shape))
-    N = np.where(f_a <= 0.0, 0.0, np.nan)
-    failed = [np.flatnonzero(np.isnan(f_a))]
+    finite = np.isfinite(f_a)
+    N = np.where(finite & (f_a <= 0.0), 0.0, np.nan)
+    failed = [np.flatnonzero(~finite)]
     lo, h, f_b = np.zeros((3, T.size))
     b = np.zeros(T.shape, dtype=np.int64)
-    idx = np.flatnonzero(f_a > 0.0)   # the points still climbing, all on one rung
+    # the points still climbing, all on one rung
+    idx = np.flatnonzero(finite & (f_a > 0.0))
     for w_lo, w_hi in BRACKETS:
         if not idx.size:
             break
         r = rates(idx, T[idx], np.full(idx.shape, w_hi))
-        bad = np.isnan(r) | (r > f_a[idx] + MONOTONE_SLACK)
+        bad = ~np.isfinite(r) | (r > f_a[idx] + MONOTONE_SLACK)
         failed.append(idx[bad])
         found, grow = ~bad & (r <= 0.0), ~bad & (r > 0.0)
         lo[idx[found]], f_b[idx[found]] = w_lo, r[found]
@@ -281,8 +287,9 @@ def sweep_curves(pairs, grid: Grid) -> list[ThresholdCurve]:
         k = np.where(secant & (2 * width <= widths[0]) & (f_a - f_b > 0.0),
                      guess, (a + b) // 2).astype(np.int64)
         r = rates(idx, t, lo + k * h)
-        up, down = r > 0.0, r <= 0.0
-        # the points whose rate is NaN are dropped below, so ~up is down
+        finite = np.isfinite(r)
+        up, down = finite & (r > 0.0), finite & (r <= 0.0)
+        # the points whose rate is not finite are dropped below, so ~up is down
         f = np.where(up, f_a, f_b)
         with np.errstate(all="ignore"):   # r / f is not kept where f may be 0
             m = np.where(np.abs(r) < np.abs(f), 1.0 - r / f, 0.5)

@@ -139,3 +139,36 @@ def test_exit_contract_between_the_grid_values(argv):
     _check_exit(argv, code, out)
     if code == EXIT_FLAG and not err.startswith("usage: "):
         assert all(line.startswith(DOMAIN_MESSAGES) for line in err.splitlines()), err
+
+
+# At T = 5e-324 the array closed forms of het and het2 take the log of 0:
+# the sweep solves that point again, and it fails with the one-point message
+SUBNORMAL_SWEEPS = [["sweep", "--protocol", p, "--recon", r, "--grid", "5e-324:0.3:4"]
+                    for p, r in (("het", "dr"), ("het2", "dr"), ("het", "rr"), ("het2", "rr"))]
+SUBNORMAL_SWEEPS += [["figure-bundle", "--recon", r, "--grid", "5e-324:0.3:4"]
+                     for r in ("dr", "rr")]
+
+
+@pytest.mark.parametrize("argv", SUBNORMAL_SWEEPS, ids=" ".join)
+def test_sweep_point_fails_as_its_threshold(argv):
+    code, out, err = _run(argv)
+    assert code == EXIT_NUMERIC
+    assert out.splitlines()[1].split(",")[0] == "4.94065645841e-324"
+    head = re.match(r"error: numeric failure during sweep: (\w+) (\w+) "
+                    r"at T=4.94065645841e-324: ", err)
+    assert head and err.count("\n") == 1
+    code, _, one_point = _run(["threshold", "--protocol", head[1], "--recon", head[2],
+                               "--T", "5e-324"])
+    assert code == EXIT_NUMERIC
+    assert "error: numeric failure: " + err[head.end():] == one_point
+
+
+def test_two_way_sweep_with_a_failed_base_point_is_its_threshold():
+    # coll_het2 DR's one-way base, het DR, fails at T = 5e-324; coll_het2
+    # DR itself is 0 there, as its one-point threshold is
+    code, out, _ = _run(["sweep", "--protocol", "coll_het2", "--recon", "dr",
+                         "--grid", "5e-324:0.3:4"])
+    assert (code, out.splitlines()[1]) == (EXIT_OK, "4.94065645841e-324,0")
+    code, out, _ = _run(["threshold", "--protocol", "coll_het2", "--recon", "dr",
+                         "--T", "5e-324"])
+    assert (code, out.splitlines()[1]) == (EXIT_OK, "coll_het2,dr,4.94065645841e-324,0")

@@ -44,6 +44,21 @@ def test_rng_streams_independent():
     assert not np.allclose(x, y)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 123, 2 ** 32, 2 ** 64 + 5])
+@pytest.mark.parametrize("stream", [0, 1, 17, 2 ** 40])
+def test_generator_is_the_key_based_philox(seed, stream):
+    # Philox seeded by SeedSequence([seed, stream]) takes the sequence's first
+    # two 64-bit words as its key: the key-based construction, bit for bit
+    key = np.random.SeedSequence([seed, stream]).generate_state(2, np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key))
+    got = generator(seed, stream)
+    for name in ("counter", "key"):
+        assert np.array_equal(got.bit_generator.state["state"][name],
+                              expected.bit_generator.state["state"][name])
+    assert np.array_equal(got.standard_normal(1000), expected.standard_normal(1000))
+    assert np.array_equal(got.integers(0, 2 ** 63, 100), expected.integers(0, 2 ** 63, 100))
+
+
 def set_cpus(monkeypatch, cpus):
     """Make the process look as if it may run on `cpus` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),

@@ -58,6 +58,51 @@ def test_threshold_solver_stability(monkeypatch):
     assert abs(a - b) <= 1e-8
 
 
+def halving_lattice(lo, hi):
+    """The cell of bisection in [lo, hi], found by halving the width."""
+    tol = max(thresholds.W_TOL, math.ulp(lo))
+    h, n = hi - lo, 1
+    while h > tol:
+        h, n = 0.5 * h, 2 * n
+    return h, n
+
+
+# the default, ties with a power-of-2 width (2^-34, 1), bounds wider than a
+# rung (3), and bounds below every ulp on the ladder, where ulp(lo) sets it
+@pytest.mark.parametrize("w_tol", [1e-10, 2e-10, 3e-11, 2.0 ** -34, 1e-3, 1.0, 3.0,
+                                   1e-300])
+def test_lattice_is_the_halving_loop(monkeypatch, w_tol):
+    monkeypatch.setattr(thresholds, "W_TOL", w_tol)
+    for lo, hi in thresholds.BRACKETS:
+        h, n = thresholds._lattice(lo, hi)
+        assert (h, n) == halving_lattice(lo, hi) and type(n) is int
+        assert lo + n * h == hi
+    lo, hi = thresholds.BRACKETS[-1]
+    if w_tol == 1e-10:   # the last rung's cell is set by the spacing of doubles
+        assert w_tol < thresholds._lattice(lo, hi)[0] <= math.ulp(lo)
+
+
+# T from 1e-300 to 1 - 1e-12, where some pairs fail
+NO_NUMPY_T = [1e-300, 1e-12, 0.02, 0.3, 0.5, 0.7, 0.95, 0.9999, 1 - 1e-12]
+
+
+def solve_outcome(protocol, recon, T):
+    try:
+        return solve_threshold(protocol, recon, T)
+    except NumericalFailure as exc:
+        return str(exc)
+
+
+def test_closed_form_solves_need_no_numpy(monkeypatch):
+    # only het2 RR reads its rates in array calls: a closed-form solve sets
+    # up nothing from numpy, and its N or failure is the same without it
+    expected = [solve_outcome(p, r, T) for p, r in CLOSED_FORM_PAIRS for T in NO_NUMPY_T]
+    assert sum(isinstance(o, float) and o > 0.0 for o in expected) > 50
+    monkeypatch.setattr(thresholds, "np", None)
+    assert [solve_outcome(p, r, T)
+            for p, r in CLOSED_FORM_PAIRS for T in NO_NUMPY_T] == expected
+
+
 def test_divergent_pair_rejected():
     with pytest.raises(ValueError):
         solve_threshold("coll_hom", "rr", 0.5)
@@ -271,6 +316,62 @@ def test_sweep_of_many_pairs_is_each_pair_swept_alone(pairs, grid):
         assert np.array_equal(curve.T, alone.T)
         assert np.array_equal(curve.N, alone.N, equal_nan=True)
         assert list(curve.errors.items()) == list(alone.errors.items())
+
+
+SUBNORMAL_GRID = Grid(5e-324, 0.3, 4)
+# the pairs whose one-point solve fails at T = 5e-324
+SUBNORMAL_FAILURES = {("het", "dr"), ("het2", "dr"), ("het", "rr"), ("het2", "rr")}
+
+
+@pytest.mark.parametrize("pairs", [
+    [("het", "dr")], [("het2", "dr")], [("coll_het2", "dr"), ("het", "dr")],
+    [("het", "rr")], [("het2", "rr")],
+    [pair for pair in FINITE_PAIRS if pair[1] is Reconciliation.DR],
+    [pair for pair in FINITE_PAIRS if pair[1] is Reconciliation.RR],
+], ids=lambda pairs: "+".join(f"{p}-{r}" for p, r in pairs) if len(pairs) < 3
+   else f"{pairs[0][1].value}-bundle")
+def test_sweep_of_a_non_finite_rate_is_the_one_point_solve(pairs):
+    # at T = 5e-324 het and het2 take the log of 0 (a -inf rate on arrays, a
+    # math domain error on floats) or overflow (NaN): each such point is
+    # solved again, so it fails, or is 0, as the one-point solve is; a
+    # RuntimeWarning fails the test
+    curves = sweep_curves(pairs, SUBNORMAL_GRID)
+    failed = set()
+    for curve in curves:
+        n, errors = scalar_curve(curve.protocol, curve.reconciliation, SUBNORMAL_GRID)
+        assert np.array_equal(curve.N, n, equal_nan=True)
+        assert list(curve.errors.items()) == list(errors.items())
+        if curve.errors:
+            assert list(curve.errors) == [0]
+            failed.add((curve.protocol.value, curve.reconciliation.value))
+    pairs = {(Protocol(p).value, Reconciliation(r).value) for p, r in pairs}
+    assert failed == pairs & SUBNORMAL_FAILURES
+
+
+def _cliffs(T, W, xp):
+    """-inf from W = 3 on below T = 0.35, a root at W = 3 (bracket [2, 4]);
+    +inf at W = 1 up to T = 0.65, a root at W = 5; a root at W = 7 above."""
+    r = np.where(T < 0.35, np.where(W >= 3.0, -np.inf, 1.0 - W / 3.0),
+                 np.where(T < 0.65, np.where(W == 1.0, np.inf, 1.0 - W / 5.0),
+                          1.0 - W / 7.0))
+    return r if xp is np else float(r)
+
+
+def test_sweep_solves_again_every_point_with_an_infinite_rate(monkeypatch):
+    monkeypatch.setitem(_RATES, (Protocol.HOM, Reconciliation.DR), _cliffs)
+    solve, solved = thresholds.solve_threshold, []
+
+    def recorded(protocol, recon, T):
+        solved.append(T)
+        return solve(protocol, recon, T)
+
+    monkeypatch.setattr(thresholds, "solve_threshold", recorded)
+    grid = Grid(0.1, 0.9, 9)
+    curve = sweep_curve("hom", "dr", grid)
+    n, errors = scalar_curve("hom", "dr", grid)
+    assert errors == {} and curve.errors == {}
+    assert np.array_equal(curve.N, n)
+    assert solved == grid.points()[:6].tolist()
 
 
 def test_het2_rr_steps_of_a_mixed_sweep_are_its_own_sweep(monkeypatch):
