@@ -8,8 +8,8 @@ callers that want nats convert once, at the output.
 Covariance matrices are plain symmetric numpy arrays; a spectrum takes one
 or a stack of them. Displacements play no role in any entropic quantity, so
 the callers that need them track them.
-Conditioning on a measurement is a Schur complement (`conditional_cov`); on
-Alice's encoding it needs none (`key_rates.JointMoments.given_alice`).
+Conditioning on a measurement is a Schur complement (`conditional_cov`); the
+exact rates condition square-root factors instead (`key_rates.exact_rate`).
 """
 
 from __future__ import annotations

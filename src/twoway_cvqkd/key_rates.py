@@ -11,13 +11,11 @@ terms, with no asymptotic shortcuts.
 The closed forms are one table, (protocol, reconciliation) -> f(T, W, xp),
 read by `asymptotic_rate` and threshold solves (xp = math), by sweeps (numpy).
 
-The exact engine works on one joint second-moment matrix over Alice's
-classical encoding variables and all output quadratures. Marginals are its
-blocks and conditioning on Bob's measurement is a Schur complement of it.
-Conditioning on Alice's encoding needs neither: the encoding is an
-independent input of the linear map that builds the matrix, so the same
-map with that input's variance set to 0 gives the conditional moments,
-with no subtraction of O(V) terms.
+The exact engine works on a square-root factor G of the joint second
+moments over Alice's classical encoding and all output quadratures: G maps
+independent unit normals to them. Conditioning on Alice's encoding zeroes
+its inputs' columns, on Bob's measurement takes one Householder reflection,
+and spectra are singular values, so no terms of size V are subtracted.
 """
 
 from __future__ import annotations
@@ -346,20 +344,13 @@ class JointMoments:
     ix: dict
     m: np.ndarray
     sigma_in: np.ndarray
+    _EPR_FIRST = {8: np.array([4, 5]), 14: np.array([2, 3, 6, 7, 10, 11])}   # partners: + 2
 
     @staticmethod
     def revealed(protocol: Protocol) -> list[int]:
         """Inputs, and their "cl" outputs, that `protocol` reveals of Alice's
         encoding: Q_A for homodyne decoding, Q_A and P_A for heterodyne."""
         return [0, 1] if protocol.joint_decoding else [0]
-
-    def given_alice(self, protocol: Protocol) -> np.ndarray:
-        """A single joint's covariance given the inputs Alice reveals: they
-        are independent of all others, so their variance is set to 0."""
-        revealed = self.revealed(protocol)
-        sigma_in = self.sigma_in.copy()
-        sigma_in[revealed, revealed] = 0.0
-        return self.m @ sigma_in @ self.m.T
 
     def input_factor(self) -> np.ndarray:
         """Lower-triangular L with L @ L.T = sigma_in, for a single joint.
@@ -369,11 +360,11 @@ class JointMoments:
         exactly 1/sqrt(x). Written so, L stays exact at any x, including
         where sigma_in has rounded c to x and a Cholesky factorization of
         it breaks down."""
-        x = np.diag(self.sigma_in)
-        L = np.diag(np.sqrt(x))
-        for i, j in np.argwhere(np.triu(self.sigma_in, 1)):
-            L[j, i] = self.sigma_in[i, j] / np.sqrt(x[i])
-            L[j, j] = 1.0 / np.sqrt(x[j])
+        root = np.sqrt(self.sigma_in.diagonal())
+        L = np.diag(root)
+        i = self._EPR_FIRST[len(root)]
+        L[i + 2, i] = self.sigma_in[i, i + 2] / root[i] + 0.0   # +0.0: no -0.0 at W = 1
+        L[i + 2, i + 2] = 1.0 / root[i + 2]
         return L
 
 
@@ -459,11 +450,12 @@ def two_way_joint(V, params) -> JointMoments:
     return JointMoments(sigma, ix, m, sigma_in)
 
 
-# Largest modulation the exact engine accepts. Outside the one-way DR rates,
-# terms of size V cancel (Bob's EPR(V) correlation in the two-way joints,
-# the RR Schur complement on Bob's measurement, S(B) + S(E) - S(BE)), so
-# the rates lose precision in proportion to machine epsilon times V.
-EXACT_V_MAX = 1e12
+# Largest V and W the exact engine accepts. Its factors subtract no terms of
+# size V, which is bounded by the range checked against mpmath, and hold the
+# purity of Eve's EPR pairs to about eps W: a loss of ~0.3 eps W bits. Each
+# block's largest symplectic eigenvalue must stand 1/EXACT_SPECTRUM_TOL above
+# the rounding of F_Q^T F_P, k eps |F_Q| |F_P| (Weyl; k inputs, Frobenius).
+EXACT_V_MAX, EXACT_W_MAX, EXACT_SPECTRUM_TOL = 1e12, 1e6, 1e-6
 
 
 def _joint_for(protocol: Protocol, V: float, params: AttackParams) -> JointMoments:
@@ -521,24 +513,26 @@ def shannon_terms(protocol, V: float,
     if protocol.collective:
         raise ValueError("Shannon terms are defined for individual protocols only")
     joint = _joint_for(protocol, V, params)
-    return _shannon_terms(joint, joint.given_alice(protocol),
-                          *_bob_measurement(protocol, joint, params))
+    rows, noise, labels = _bob_measurement(protocol, joint, params)
+    return _shannon_terms(rows @ (joint.m @ joint.input_factor()), noise,
+                          joint.revealed(protocol), labels)
 
 
-def _shannon_terms(joint: JointMoments, given: np.ndarray, rows: np.ndarray,
-                   noise: np.ndarray, labels: list) -> list[tuple[str, float, float]]:
-    total = rows @ joint.sigma @ rows.T + noise
-    cond = rows @ given @ rows.T + noise
-    return [(lab, float(total[i, i]), float(cond[i, i]))
-            for i, lab in enumerate(labels)]
+def _shannon_terms(x: np.ndarray, noise: np.ndarray, revealed: list,
+                   labels: list) -> list[tuple[str, float, float]]:
+    """Bob's rows on the input normals, x = rows @ G: squared row norms plus
+    the noise, with and without the columns of the inputs Alice reveals."""
+    given = x.copy()
+    given[:, revealed] = 0.0
+    total, cond = ((y * y).sum(axis=1) + noise.diagonal() for y in (x, given))
+    return [(lab, float(total[i]), float(cond[i])) for i, lab in enumerate(labels)]
 
 
 def mi_from_terms(terms) -> float:
     """Gaussian mutual information in bits, sum of (1/2) log2(v/c) over the
     (label, total variance, conditional variance) terms.
 
-    A conditional variance that is not positive and finite means the
-    variances cancelled beyond double precision (very large V), and raises
+    A conditional variance that is not positive and finite raises
     NumericalFailure.
     """
     bits = 0.0
@@ -550,19 +544,30 @@ def mi_from_terms(terms) -> float:
     return bits
 
 
+def _given_row(F: np.ndarray, x: np.ndarray, noise: float) -> np.ndarray:
+    """Factor half F (n x k) of a block given one row x on the k input
+    normals, with noise: the first Householder reflection of the QR of
+    [[x, sqrt(noise)], [F, 0]]^T takes x to R's first row, and the other
+    rows, transposed, are the conditional factor; the rest only rotates them."""
+    v = np.append(x, math.sqrt(noise))
+    v[0] += math.copysign(math.sqrt(v @ v), v[0])   # no cancellation in v v^T
+    return np.append(F[:, 1:], np.zeros((len(F), 1)), axis=1) - np.outer(
+        F @ v[:-1] * (2.0 / (v @ v)), v[1:])
+
+
 def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> RateResult:
     """Exact finite-modulation secret-key rate.
 
-    Builds the joint output moments, takes Shannon mutual information from
-    scalar variances and Holevo terms from symplectic spectra; the
-    equal-size blocks of the rate, [E, E|A], [E, E|B] or [B, B|A], share
-    one spectrum call. Conditioning on Alice's encoding is
-    `JointMoments.given_alice`; reverse reconciliation conditions Eve on
-    Bob's measured variables by a Schur complement. Divergent collective
-    RR combinations return the -inf sentinel. V must be in
-    (1, EXACT_V_MAX]; a larger V raises NumericalFailure, as does a
-    spectrum of the engine's own matrices that fails its checks (at
-    extreme T, W or V).
+    Works on the Q and P halves of the joint's square-root factor G = m @ L:
+    every input, output and row here acts on Q or on P alone. Conditioning
+    on Alice zeroes the columns of the inputs she reveals, Bob's Shannon
+    variances are squared norms of his rows on G, and RR conditions Eve on
+    them by `_given_row`. The symplectic eigenvalues of n modes with factor
+    halves F_Q, F_P are the top n singular values of F_Q^T F_P, one SVD for
+    all blocks (square-root filtering, Kaminski, Bryson & Schmidt, IEEE TAC
+    16, 727, 1971): no term of size V is subtracted. Divergent collective RR
+    pairs return the -inf sentinel. V above EXACT_V_MAX, W above EXACT_W_MAX
+    or an eigenvalue unresolved to EXACT_SPECTRUM_TOL raise NumericalFailure.
     """
     protocol = Protocol(protocol)
     recon = Reconciliation(reconciliation)
@@ -570,37 +575,39 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
     if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
         return RateResult(RATE_DIVERGENT, Method.EXACT_FINITE_V)
     joint = _joint_for(protocol, V, params)
-    ix = joint.ix
-    given = joint.given_alice(protocol)
+    if params.W > EXACT_W_MAX:
+        raise NumericalFailure(f"Eve's EPR variance W={params.W:g} is above the exact "
+                               f"engine's limit of {EXACT_W_MAX:g}")
+    G = joint.m @ joint.input_factor()
+    revealed = joint.revealed(protocol)
+    given = G.copy()
+    given[:, revealed] = 0.0
 
-    def block(sigma: np.ndarray, name: str) -> np.ndarray:
-        # the "B", "E" and "BE" blocks are contiguous index ranges
-        span = slice(ix[name][0], ix[name][-1] + 1)
-        return sigma[span, span]
-
-    def entropies(*cms: np.ndarray) -> list[float]:
-        return spectrum_entropies(symplectic_eigenvalues(np.stack(cms)))
+    def block(F: np.ndarray, name: str) -> list:
+        rows = F[joint.ix[name][0]:joint.ix[name][-1] + 1]   # whole modes, contiguous
+        return [rows[0::2, 0::2], rows[1::2, 1::2]]
 
     try:
-        if protocol.collective:
-            s_b, s_b_given = entropies(block(joint.sigma, "B"), block(given, "B"))
-            i_ab = s_b - s_b_given
-            if recon is Reconciliation.DR:
-                s_e, s_e_given = entropies(block(joint.sigma, "E"), block(given, "E"))
-                rate = i_ab - (s_e - s_e_given)
-            else:  # only COLL_HET reaches this branch
-                [s_e] = entropies(block(joint.sigma, "E"))
-                [s_be] = entropies(block(joint.sigma, "BE"))
-                rate = i_ab - (s_b + s_e - s_be)
-        else:
+        if protocol.collective:   # I(A:B) = S(B) - S(B|A); S(B) cancels in coll_het RR
+            i_ab, signed = 0.0, [(-1, block(given, "B")), (-1, block(G, "E"))]
+            signed += ([(1, block(G, "B")), (1, block(given, "E"))] if recon is Reconciliation.DR
+                       else [(1, block(G, "BE"))])
+        else:   # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
             rows, noise, labels = _bob_measurement(protocol, joint, params)
-            # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
-            e_given = (block(given, "E") if recon is Reconciliation.DR
-                       else conditional_cov(joint.sigma, ix["E"], rows, noise))
-            s_e, s_e_given = entropies(block(joint.sigma, "E"), e_given)
-            i_ab = mi_from_terms(_shannon_terms(joint, given, rows, noise, labels))
-            rate = i_ab - (s_e - s_e_given)
+            x = rows @ G
+            i_ab, e = mi_from_terms(_shannon_terms(x, noise, revealed, labels)), block(G, "E")
+            signed = [(-1, e), (1, block(given, "E") if recon is Reconciliation.DR else
+                                [_given_row(F, x[h, h::2], noise[h, h]) if h < len(x) else F
+                                 for h, F in enumerate(e)])]
+        nus = np.linalg.svd(np.array([q.T @ p for _, (q, p) in signed]), compute_uv=False)
+        k_eps = len(G) / 2 * sys.float_info.epsilon
+        rounding = [k_eps * math.sqrt(np.vdot(q, q) * np.vdot(p, p)) for _, (q, p) in signed]
+        if not (np.array(rounding) <= EXACT_SPECTRUM_TOL * nus[:, 0]).all():   # NaN fails too
+            raise ValueError(f"rounding of F_Q^T F_P (up to {max(rounding):.3g}) leaves a largest "
+                             f"symplectic eigenvalue unresolved to {EXACT_SPECTRUM_TOL:g}")
+        s = [spectrum_entropies(nus[k:k + 1, :len(q)])[0] for k, (_, (q, _)) in enumerate(signed)]
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"{protocol.value} {recon.value} spectrum at T={params.T}, "
                                f"W={params.W}, V={V}: {exc}") from exc
-    return RateResult(float(rate), Method.EXACT_FINITE_V)
+    return RateResult(i_ab + sum(sign * s_k for (sign, _), s_k in zip(signed, s)),
+                      Method.EXACT_FINITE_V)

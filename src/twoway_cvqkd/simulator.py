@@ -112,10 +112,10 @@ def _sampling_map(config: SimConfig) -> tuple[np.ndarray, list]:
     """
     joint = _joint_for(config.protocol, config.V, config.params)
     rows, noise, labels = _bob_measurement(config.protocol, joint, config.params)
-    terms = _shannon_terms(joint, joint.given_alice(config.protocol), rows, noise, labels)
     own = joint.revealed(config.protocol)
     out = joint.m @ joint.input_factor()
     x_b = rows @ out
+    terms = _shannon_terms(x_b, noise, own, labels)
     R = np.linalg.qr(np.hstack([np.delete(x_b, own, 1), np.sqrt(noise)]).T, mode="r")
     return np.block([[out[np.ix_(own, own)], np.zeros((len(own), len(R)))],
                      [x_b[:, own], R.T]]), terms

@@ -103,9 +103,9 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     errstate, at READ_AHEAD_ENDS ladder ends or the midpoints of
     READ_AHEAD_LEVELS bisection levels. A read that raised ValueError or is
     not finite takes `asymptotic_rate`'s rate or error. Raises
-    NumericalFailure if the rate rises with W during expansion or is still
-    positive at W_HI_MAX, and ValueError for T outside (0, 1) or a pair
-    whose rate diverges.
+    NumericalFailure if the rate rises with W during expansion, is still
+    positive at W_HI_MAX or is +inf where regula falsi reads it, and
+    ValueError for T outside (0, 1) or a pair whose rate diverges.
     """
     protocol, recon = finite_pair(protocol, reconciliation)
     _require_rate_params(AttackParams(T))
@@ -159,6 +159,9 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
         # a midpoint whenever the last three steps did not halve the bracket:
         # at most 4x bisection's steps
         if not batched and 2 * width <= w_3 and f_a - f_b > 0.0:
+            if f_a == math.inf:   # inf / inf: no regula-falsi point
+                raise NumericalFailure(f"{protocol.value} {recon.value} rate is inf at "
+                                       f"T={T}, W={lo + a * h}")
             k = min(max(round(a + f_a / (f_a - f_b) * width), a + 1), b - 1)
         else:
             k = (a + b) // 2

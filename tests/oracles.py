@@ -15,10 +15,11 @@ None of this is used by the package itself:
 - Eve's conditional entropy through the fixed large-modulation linear
   estimators, an independent check of general Gaussian conditioning;
 - Schur conditioning on the rows of Alice's revealed encoding, the
-  reference for the exact engine's conditioning by construction;
-- the exact rate with one spectrum call and one entropy sum per covariance
-  block, the reference for the engine's stacked spectra of equal-size
-  blocks;
+  reference for the exact engine's zeroed-column factor;
+- the covariance-form exact engine that the square-root factor engine
+  replaced: Schur complements and one eig(Omega V) per covariance block;
+- the exact engine of every finite pair in mpmath, at a precision that
+  grows with log10 V and log10 W;
 - the one-way exact chain at 50 digits in mpmath: joint moments, Schur
   conditioning on Alice, symplectic spectra, g and the four DR rates;
 - the closed-form asymptotic rates at 50 digits in mpmath, as written;
@@ -55,7 +56,7 @@ from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov,
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, RATE_DIVERGENT, JointMoments, Method,
                                     NumericalFailure, Protocol, RateResult,
                                     Reconciliation, _bob_measurement, _joint_for,
-                                    _require_rate_params, _shannon_terms,
+                                    _require_rate_params,
                                     asymptotic_rate, finite_pair, mi_from_terms)
 from twoway_cvqkd.rng import normal_chunks, normal_matrix
 from twoway_cvqkd.simulator import (MI_CAP_BITS, MIN_SAMPLES, MiEstimate,
@@ -313,15 +314,36 @@ def schur_shannon_variances(protocol: Protocol, joint: JointMoments,
 
 
 # ---------------------------------------------------------------------------
-# The exact rate block by block
+# The covariance-form exact engine, block by block
 # ---------------------------------------------------------------------------
+
+def covariance_given_alice(joint: JointMoments, protocol: Protocol) -> np.ndarray:
+    """A single joint's covariance given the inputs Alice reveals: they are
+    independent of all others, so their variance is set to 0."""
+    revealed = joint.revealed(protocol)
+    sigma_in = joint.sigma_in.copy()
+    sigma_in[revealed, revealed] = 0.0
+    return joint.m @ sigma_in @ joint.m.T
+
+
+def covariance_shannon_terms(joint: JointMoments, given: np.ndarray, rows: np.ndarray,
+                             noise: np.ndarray, labels: list) -> list:
+    """(label, total variance, conditional variance) of Bob's decoding rows
+    from the joint covariance and its `covariance_given_alice`."""
+    total = rows @ joint.sigma @ rows.T + noise
+    cond = rows @ given @ rows.T + noise
+    return [(lab, float(total[i, i]), float(cond[i, i])) for i, lab in enumerate(labels)]
+
 
 def per_block_exact_rate(protocol, reconciliation, V: float,
                          params: AttackParams) -> RateResult:
-    """`key_rates.exact_rate` with one `von_neumann_entropy`, so one spectrum
-    call, per covariance block: S(E), S(B), S(B|A), then S(E|A) or S(BE) for
-    the collective pairs; S(E), I(A:B), then S(E|A) or S(E|B) for the
-    individual ones."""
+    """The exact engine in covariance form, as the package computed it
+    before its square-root factor form, with one `von_neumann_entropy`,
+    so one eig(Omega V) call, per covariance block: S(E), S(B), S(B|A),
+    then S(E|A) or S(BE) for the collective pairs; S(E), I(A:B), then
+    S(E|A) or S(E|B), a Schur complement on Bob's rows, for the individual
+    ones. Terms of size V cancel in it, so it leaves its 1/V plateau above
+    V = 1e8."""
     protocol = Protocol(protocol)
     recon = Reconciliation(reconciliation)
     _require_rate_params(params)
@@ -329,7 +351,7 @@ def per_block_exact_rate(protocol, reconciliation, V: float,
         return RateResult(RATE_DIVERGENT, Method.EXACT_FINITE_V)
     joint = _joint_for(protocol, V, params)
     ix = joint.ix
-    given = joint.given_alice(protocol)
+    given = covariance_given_alice(joint, protocol)
 
     def entropy(sigma: np.ndarray, name: str) -> float:
         block = slice(ix[name][0], ix[name][-1] + 1)
@@ -346,7 +368,7 @@ def per_block_exact_rate(protocol, reconciliation, V: float,
                 rate = i_ab - (s_b + s_e - entropy(joint.sigma, "BE"))
         else:
             rows, noise, labels = _bob_measurement(protocol, joint, params)
-            i_ab = mi_from_terms(_shannon_terms(joint, given, rows, noise, labels))
+            i_ab = mi_from_terms(covariance_shannon_terms(joint, given, rows, noise, labels))
             if recon is Reconciliation.DR:
                 s_e_given = entropy(given, "E")
             else:
@@ -680,6 +702,57 @@ def mp_one_way_dr_rate(protocol, V: float, params: AttackParams) -> float:
             i_ab = mpmath.fsum(mpmath.log((sigma[q, q] + noise) / (cond[i, i] + noise), 2)
                                for i, q in enumerate(q_b)) / 2
         return float(i_ab - i_ae)
+
+
+def mp_exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> float:
+    """`key_rates.exact_rate` of any pair in mpmath, from the same float
+    inputs: the joint of `mp_one_way_joint` or `mp_two_way_joint`,
+    augmented by Bob's decoding rows and their vacuum noise as in
+    `key_rates._bob_measurement`, Schur conditioning (`mp_conditional`) on
+    Alice's revealed encoding or on those rows, and `mp_entropy`.
+
+    Terms of size V (and W) cancel in the Schur complements and the
+    spectra, so the working precision grows with log10 V and log10 W.
+    Divergent collective RR pairs give the -inf sentinel.
+    """
+    protocol, recon = Protocol(protocol), Reconciliation(reconciliation)
+    if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
+        return RATE_DIVERGENT
+    dps = MP_DPS + int(2 * (math.log10(V) + math.log10(params.W)))
+    with mpmath.workdps(dps):
+        T, V = mpmath.mpf(params.T), mpmath.mpf(V)
+        if protocol.two_way:
+            sigma, B, E = mp_two_way_joint(V, params), list(range(2, 6)), list(range(6, 14))
+            q_b, p_b, c_b, noise = (4, 2), (5, 3), (-T, T), (1 + T * T) / 2
+        else:
+            sigma, B, E = mp_one_way_joint(V, params), [2, 3], list(range(4, 8))
+            q_b, p_b, c_b, noise = (2,), (3,), (), mpmath.mpf(1) / 2
+        enc = [0, 1] if protocol.joint_decoding else [0]
+        n = sigma.rows
+        # Bob's decoding rows: Q_B (- T Q_B1), and for heterodyne P_B (+ T P_B1)
+        # over sqrt(2), with vacuum noise
+        rows = mpmath.zeros(len(enc), n)
+        for r, idx in enumerate((q_b, p_b)[:len(enc)]):
+            for i, c in zip(idx, (1,) + c_b[r:r + 1]):
+                rows[r, i] = c / mpmath.sqrt(2) if protocol.joint_decoding else c
+        obs = list(range(n, n + len(enc)))
+        cross = sigma * rows.T
+        aug = mpmath.zeros(n + len(enc), n + len(enc))
+        aug[:n, :n], aug[:n, n:], aug[n:, :n] = sigma, cross, cross.T
+        aug[n:, n:] = rows * cross + (noise * mpmath.eye(len(enc))
+                                      if protocol.joint_decoding else 0)
+        S = (lambda keep, on=None: mp_entropy(_mp_sub(aug, keep, keep) if on is None
+                                              else mp_conditional(aug, keep, on)))
+        if protocol.collective:
+            i_ab = S(B) - S(B, enc)
+            holevo = (S(E) - S(E, enc) if recon is Reconciliation.DR
+                      else S(B) + S(E) - S(B + E))
+        else:
+            cond = mp_conditional(aug, obs, enc)
+            i_ab = mpmath.fsum(mpmath.log(aug[o, o] / cond[i, i], 2)
+                               for i, o in enumerate(obs)) / 2
+            holevo = S(E) - S(E, enc if recon is Reconciliation.DR else obs)
+        return float(i_ab - holevo)
 
 
 def mp_closed_form_rates(T: float, W: float) -> dict:

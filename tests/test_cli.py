@@ -525,11 +525,19 @@ def test_rate_keeps_its_sign_at_huge_w(capsys):
       "--V", "1e200"], "exact engine's limit"),
     (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1.5",
       "--V", "1e13"], "exact engine's limit"),
-    # a spectrum of the exact engine's own matrices that fails its pairing check
-    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.9999999", "--W", "1e100",
-      "--V", "2"], "broken CM"),
-    (["rate", "--protocol", "coll_het2", "--recon", "dr", "--T", "0.99999999999",
-      "--W", "1.5", "--V", "1e12"], "broken CM"),
+    # these two ids keep the names the cases were reported under when a
+    # covariance spectrum failed its pairing check there: above EXACT_W_MAX
+    # the factor no longer holds the purity of Eve's EPR pair (mpmath:
+    # -0.579 bits, where the engine would print 0), and at T = 1 - 1e-11
+    # cancellation leaves coll_het2's largest B eigenvalue unresolved (it
+    # would print 71.0773074595, mpmath 71.0773086508)
+    pytest.param(["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.9999999",
+                  "--W", "1e100", "--V", "2"],
+                 "Eve's EPR variance W=1e+100 is above the exact engine's limit",
+                 id="argv11-broken CM"),
+    pytest.param(["rate", "--protocol", "coll_het2", "--recon", "dr", "--T",
+                  "0.99999999999", "--W", "1.5", "--V", "1e12"],
+                 "unresolved to 1e-06", id="argv12-broken CM"),
     # a closed form whose logarithm's argument underflows to 0 at a tiny T
     (["rate", "--protocol", "het", "--recon", "rr", "--T", "1e-300", "--W", "1e100"],
      "math domain error"),

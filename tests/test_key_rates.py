@@ -10,7 +10,7 @@ from twoway_cvqkd.cli import EXIT_OK, main
 from twoway_cvqkd.gaussian import (conditional_cov, g_entropy, symplectic_eigenvalues,
                                    von_neumann_entropy)
 from twoway_cvqkd import key_rates
-from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
+from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, EXACT_W_MAX, NumericalFailure,
                                     Protocol, RATE_DIVERGENT, Reconciliation, _RATES,
                                     _bob_measurement, _joint_for, _shannon_terms,
                                     asymptotic_rate, exact_rate, het2_rr_finite_eigenvalues,
@@ -18,7 +18,7 @@ from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, NumericalFailure,
                                     two_way_joint)
 
 from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
-                     het2_rr_closed_form, mp_het2_rr_finite_eigenvalues,
+                     het2_rr_closed_form, mp_exact_rate, mp_het2_rr_finite_eigenvalues,
                      mp_closed_form_rates, mp_one_way_dr_rate, one_way_cm,
                      per_block_exact_rate, rr_conditional_entropy_estimator, schur_given_alice,
                      schur_shannon_variances, spectrum_matches, two_way_cm)
@@ -407,21 +407,26 @@ def test_substitution_rule_equals_schur_conditioning():
 @pytest.mark.parametrize("V", [2.5, 1e3])
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 def test_given_alice_matches_schur_conditioning(protocol, V):
-    # conditioning by construction (the encoding input's variance set to 0)
-    # against a Schur complement on the rows of Alice's revealed encoding
+    # conditioning by construction (the square-root factor's columns of
+    # Alice's revealed inputs zeroed) against a Schur complement on the rows
+    # of her revealed encoding: the spectra of the zeroed factor's Gram
+    # blocks, and Bob's conditional Shannon variances
     worst = 0.0
     for T in (0.1, 0.5, 0.9):
         for W in (1.0, 1.5, 4.0):
             params = P(T, W)
             joint = _joint_for(protocol, V, params)
-            given = joint.given_alice(protocol)
-            pairs = [(symplectic_eigenvalues(given[np.ix_(joint.ix[k], joint.ix[k])]),
+            factor = joint.m @ joint.input_factor()
+            given = factor.copy()
+            given[:, joint.revealed(protocol)] = 0.0
+            gram = given @ given.T
+            pairs = [(symplectic_eigenvalues(gram[np.ix_(joint.ix[k], joint.ix[k])]),
                       symplectic_eigenvalues(schur_given_alice(protocol, joint, k)))
                      for k in ("B", "E")]
             if not protocol.collective:
-                measurement = _bob_measurement(protocol, joint, params)
-                pairs.append((np.array([c for _, _, c in
-                                        _shannon_terms(joint, given, *measurement)]),
+                rows, noise, labels = _bob_measurement(protocol, joint, params)
+                terms = _shannon_terms(rows @ factor, noise, joint.revealed(protocol), labels)
+                pairs.append((np.array([c for _, _, c in terms]),
                               schur_shannon_variances(protocol, joint, params)))
             for got, want in pairs:
                 worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
@@ -477,49 +482,100 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+# |factor - covariance engine| on the points of the test below, as measured
+# when the factor engine replaced the covariance one: the covariance
+# engine's cancellation of terms of size V grows with V
+COVARIANCE_ENGINE_DEV = ((1e4, 1.4e-11), (1e6, 1.3e-9))
+
+
 def test_stacked_spectra_match_per_block_rates():
-    # equal-size blocks share one spectrum call: the rates are those of one
-    # call per block, bit for bit
+    # the square-root factor engine against the covariance engine it
+    # replaced, one eig(Omega V) per block, where that engine holds its
+    # digits, and against the mpmath engine above
     rng = np.random.default_rng(21)
     points = [P.from_excess(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 0.3)))
               for _ in range(10)]
     modulations = [1.5, 2.5] + [10.0 ** e for e in range(2, 13)]
     for i, ((protocol, recon), V) in enumerate(itertools.product(FINITE_PAIRS, modulations)):
         for params in points[i % 5::5]:   # 13 V per pair cycle every pair through all points
-            assert (exact_rate(protocol, recon, V, params)
-                    == per_block_exact_rate(protocol, recon, V, params)), (protocol, recon, V)
+            got = exact_rate(protocol, recon, V, params).rate
+            bound = next((dev for v_max, dev in COVARIANCE_ENGINE_DEV if V <= v_max), None)
+            if bound is not None:
+                old = per_block_exact_rate(protocol, recon, V, params).rate
+                assert abs(got - old) <= bound, (protocol, recon, V)
+            elif params is points[i % 5]:
+                want = mp_exact_rate(protocol, recon, V, params)
+                assert abs(got - want) <= 1e-10 * abs(want), (protocol, recon, V)
+
+
+@pytest.mark.parametrize("V", [1.5, 1e2, 1e6, EXACT_V_MAX])
+def test_exact_rate_matches_mpmath(V):
+    # every finite pair against the engine in mpmath: Schur complements and
+    # eig(Omega V) of the covariance blocks at enough digits for V and W
+    for (protocol, recon), (T, N) in itertools.product(FINITE_PAIRS,
+                                                       ((0.2, 0.0), (0.6, 0.1), (0.95, 0.3))):
+        params = P.from_excess(T, N)
+        got = exact_rate(protocol, recon, V, params).rate
+        want = mp_exact_rate(protocol, recon, V, params)
+        assert abs(got - want) <= 1e-10 * abs(want), (protocol, recon, T, N)
+
+
+def test_exact_rate_holds_its_precision_up_to_exact_w_max():
+    # the factor holds the purity of Eve's EPR pairs to about eps W: at the
+    # bound every finite pair is within 1e-10 bits of mpmath (relative above
+    # 1 bit), and above it the engine fails rather than lose digits
+    for (protocol, recon), T in itertools.product(FINITE_PAIRS, (0.1, 0.5, 0.9)):
+        params = P(T, EXACT_W_MAX)
+        got = exact_rate(protocol, recon, 1e6, params).rate
+        want = mp_exact_rate(protocol, recon, 1e6, params)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (protocol, recon, T)
+    with pytest.raises(NumericalFailure, match="above the exact engine's limit of 1e\\+06"):
+        exact_rate("hom", "dr", 10.0, P(0.5, math.nextafter(EXACT_W_MAX, math.inf)))
 
 
 def test_stacked_spectra_fail_like_per_block_rates():
+    # at the edges of T and W each rate is mpmath's (within 1e-10 bits, or
+    # relative above 1 bit) or a NumericalFailure, never a wrong number:
+    # the covariance engine printed 0.0 for hom2 DR at W = 1e100 (mpmath:
+    # -166 bits) and -28.7 for hom2 RR (mpmath: -156)
     failures = 0
     for (protocol, recon), T, W, V in itertools.product(
             FINITE_PAIRS, (1e-300, 0.9999999), (1.0, 1e100), (2.0, 1e12)):
         got = _outcome(exact_rate, protocol, recon, V, P(T, W))
-        assert got == _outcome(per_block_exact_rate, protocol, recon, V, P(T, W)), \
-            (protocol, recon, T, W, V)
-        failures += isinstance(got, tuple)
-    assert failures >= 10   # spectrum pairing and cancelled Shannon variances
+        if not isinstance(got, key_rates.RateResult):
+            assert got[0] is NumericalFailure and "EPR variance W=1e+100" in got[1], \
+                (protocol, recon, T, W, V, got)
+            failures += 1
+        else:
+            want = mp_exact_rate(protocol, recon, V, P(T, W))
+            assert abs(got.rate - want) <= 1e-10 * max(1.0, abs(want)), (protocol, recon, T, W, V)
+    assert failures == 13 * 2 * 2   # every W = 1e100 point, above EXACT_W_MAX
 
 
 @pytest.mark.parametrize("protocol, recon", FINITE_PAIRS + [(p, Reconciliation.RR)
                                                             for p in sorted(DIVERGENT_RR)])
 def test_exact_rate_spectrum_calls(monkeypatch, protocol, recon):
+    # one SVD call per rate, on the stack of its blocks' F_Q^T F_P, and no
+    # eig(Omega V)
     calls = []
+    svd = np.linalg.svd
 
-    def counted(cm):
-        calls.append(np.shape(cm))
-        return symplectic_eigenvalues(cm)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(key_rates, "symplectic_eigenvalues", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(key_rates, "symplectic_eigenvalues", None)
     exact_rate(protocol, recon, 100.0, P(0.6, 1.3))
+    k = 7 if protocol.two_way else 4   # input normals per quadrature
     if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
         assert calls == []
     elif protocol is Protocol.COLL_HET and recon is Reconciliation.RR:
-        assert calls == [(2, 2, 2), (1, 4, 4), (1, 6, 6)]   # [B, B|A], [E], [BE]
+        assert calls == [(3, k, k)]   # [B|A, E, BE]: S(B) cancels
     elif protocol.collective:
-        assert len(calls) == 2   # [B, B|A] and [E, E|A]
+        assert calls == [(4, k, k)]   # [B|A, E, B, E|A]
     else:
-        assert len(calls) == 1 and calls[0][0] == 2   # [E, E|A] or [E, E|B]
+        assert calls == [(2, k, k)]   # [E, E|A] or [E, E|B]
 
 
 def test_estimator_conditioning_matches_general():

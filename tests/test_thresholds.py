@@ -374,6 +374,22 @@ def test_sweep_solves_again_every_point_with_an_infinite_rate(monkeypatch):
     assert solved == grid.points()[:6].tolist()
 
 
+def _inf_at_one(T, W, xp):
+    """+inf at W = 1 and a root at W = 1.5, inside the first bracket [1, 2]."""
+    r = np.where(W == 1.0, np.inf, 1.0 - W / 1.5)
+    return r if xp is np else float(r)
+
+
+def test_infinite_rate_at_the_bracket_end_is_a_numeric_failure(monkeypatch):
+    # the first regula-falsi step would divide inf by inf and round NaN
+    monkeypatch.setitem(_RATES, (Protocol.HOM, Reconciliation.DR), _inf_at_one)
+    message = "hom dr rate is inf at T=0.5, W=1.0"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        solve_threshold("hom", "dr", 0.5)
+    [curve] = sweep_curves([("hom", "dr")], Grid(0.5, 0.5, 1))
+    assert np.isnan(curve.N[0]) and curve.errors == {0: message}
+
+
 def test_het2_rr_steps_of_a_mixed_sweep_are_its_own_sweep(monkeypatch):
     # a sweep step hands each table only its own pair's points: het2 RR's
     # numeric sub-stacks hold the rows they hold when it is swept alone
