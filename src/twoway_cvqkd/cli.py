@@ -24,7 +24,7 @@ from .attacks import AttackParams, require_finite_excess_noise
 from .key_rates import (NumericalFailure, Protocol, Reconciliation, asymptotic_rate,
                         exact_rate, finite_pair, mi_from_terms, shannon_terms)
 from .simulator import SimConfig, simulate, trajectories
-from .thresholds import Grid, crossover, solve_threshold, sweep_curve, sweep_curves
+from .thresholds import Grid, crossover, solve_threshold, sweep_curves
 from .tomography import (CorrelatedAttackParams, check_reducibility,
                          correlated_two_mode_channels, estimate_channel,
                          require_tolerance, simulate_probe_dataset)
@@ -91,11 +91,11 @@ def _sweep_status(curves) -> int:
 def cmd_rate(args) -> tuple[str, int]:
     protocol, recon = finite_pair(args.protocol, args.recon)
     params = _params(args)
+    require_finite_excess_noise(params, "rate")
     if args.V is not None:
         result = exact_rate(protocol, recon, args.V, params)
     else:
         result = asymptotic_rate(protocol, recon, params)
-    require_finite_excess_noise(params, "rate")
     # the library computes in bits; nats are converted here, at the output
     rate, unit = result.rate, "bits"
     if args.log_base == "e":
@@ -117,14 +117,12 @@ def cmd_threshold(args) -> tuple[str, int]:
 
 def cmd_sweep(args) -> tuple[str, int]:
     protocol, recon = finite_pair(args.protocol, args.recon)
-    grid = _grid(args)
-    if protocol.two_way:
-        one_way = Protocol.HET if protocol.joint_decoding else Protocol.HOM
-        curve, base = sweep_curves([(protocol, recon), (one_way, recon)], grid)
-        lines = [f"# crossover with {one_way.value} {recon.value} at T={_fmt(t)}"
-                 for t in crossover(curve, base)]
-    else:
-        curve, lines = sweep_curve(protocol, recon, grid), []
+    pairs = [(protocol, recon)]
+    if protocol.two_way:   # and the one-way curve it is compared with
+        pairs.append((Protocol.HET if protocol.joint_decoding else Protocol.HOM, recon))
+    curve, *base = sweep_curves(pairs, _grid(args))
+    lines = [f"# crossover with {b.protocol.value} {recon.value} at T={_fmt(t)}"
+             for b in base for t in crossover(curve, b)]
     lines.append("T,N_threshold")
     lines += [f"{_fmt(t)},{_fmt(n)}" for t, n in zip(curve.T.tolist(), curve.N.tolist())]
     return _lines(lines), _sweep_status([curve])

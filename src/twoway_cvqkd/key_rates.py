@@ -344,7 +344,6 @@ class JointMoments:
     ix: dict
     m: np.ndarray
     sigma_in: np.ndarray
-    _EPR_FIRST = {8: np.array([4, 5]), 14: np.array([2, 3, 6, 7, 10, 11])}   # partners: + 2
 
     @staticmethod
     def revealed(protocol: Protocol) -> list[int]:
@@ -356,14 +355,14 @@ class JointMoments:
         """Lower-triangular L with L @ L.T = sigma_in, for a single joint.
 
         Every input is independent or one half of a pure EPR pair (x, c),
-        c^2 = x^2 - 1, whose later half has conditional standard deviation
-        exactly 1/sqrt(x). Written so, L stays exact at any x, including
-        where sigma_in has rounded c to x and a Cholesky factorization of
-        it breaks down."""
+        c^2 = x^2 - 1 (c = 0 at x = 1), whose later half has conditional
+        standard deviation exactly 1/sqrt(x). Written so, L stays exact at
+        any x, including where sigma_in has rounded c to x and a Cholesky
+        factorization of it breaks down."""
         root = np.sqrt(self.sigma_in.diagonal())
         L = np.diag(root)
-        i = self._EPR_FIRST[len(root)]
-        L[i + 2, i] = self.sigma_in[i, i + 2] / root[i] + 0.0   # +0.0: no -0.0 at W = 1
+        i = np.flatnonzero(self.sigma_in.diagonal(2))   # first halves; partners: + 2
+        L[i + 2, i] = self.sigma_in[i, i + 2] / root[i]
         L[i + 2, i + 2] = 1.0 / root[i + 2]
         return L
 
@@ -451,10 +450,13 @@ def two_way_joint(V, params) -> JointMoments:
 
 
 # Largest V and W the exact engine accepts. Its factors subtract no terms of
-# size V, which is bounded by the range checked against mpmath, and hold the
-# purity of Eve's EPR pairs to about eps W: a loss of ~0.3 eps W bits. Each
-# block's largest symplectic eigenvalue must stand 1/EXACT_SPECTRUM_TOL above
-# the rounding of F_Q^T F_P, k eps |F_Q| |F_P| (Weyl; k inputs, Frobenius).
+# size V. Lifting the bound, the finite pairs at (T, N) = (0.6, 0.1), (0.2, 0)
+# and (0.95, 0.3) match mpmath to 1.4e-12 up to V = 1e22, then fall off a
+# cliff: 1.5e-8 at 1e24, 21 at 1e40 (relative to max(1, |rate|)). The factors
+# hold the purity of Eve's EPR pairs to about eps W: a loss of ~0.3 eps W
+# bits. Each block's largest symplectic eigenvalue must stand
+# 1/EXACT_SPECTRUM_TOL above the rounding of F_Q^T F_P, k eps |F_Q| |F_P|
+# (Weyl; k inputs, Frobenius).
 EXACT_V_MAX, EXACT_W_MAX, EXACT_SPECTRUM_TOL = 1e12, 1e6, 1e-6
 
 

@@ -18,12 +18,12 @@ more than its rounding noise over one cell, the cell is unique and is
 bisection's final bracket, so N is bisection's to the bit. For the closed
 forms that holds below T = 0.9999; closer to 1, where W is large, two
 solves may stop in different cells of the noisy band and N differs in the
-14th digit. het2 RR takes bisection's own steps, its rates read ahead in
-array calls: its closed form decides the sign outside a band around 0,
-and inside it the rate is that of the numeric spectrum, too noisy for
-secant steps, so every walk reads the same signs. Every rate is a read of
-`key_rates._RATES`; a read that raised ValueError or is not finite takes
-`asymptotic_rate`'s rate or failure.
+14th digit. het2 RR takes bisection's own steps: its closed form decides
+the sign outside a band around 0, and inside it the rate is that of the
+numeric spectrum, too noisy for secant steps, so every walk reads the same
+signs. Every rate is the one-point read of `key_rates._RATES`, which for
+het2 RR has a cache of array reads in front of it; a read that raised
+ValueError or is not finite takes `asymptotic_rate`'s rate or failure.
 
 Curve sweeps are built on top: all grid points of all requested curves
 are solved at once, in one lockstep walk of the same steps, and each curve
@@ -56,14 +56,15 @@ MONOTONE_SLACK = 1e-9
 CROSSOVER_T_TOL = 1e-4
 # Both solvers give this pair bisection's own steps (see the module docstring).
 BISECTION_ONLY_PAIR = (Protocol.HET2, Reconciliation.RR)
-# solve_threshold reads this pair's rates at so many ladder ends, or bisection
-# levels, per array call; a call of 7 points costs under 2 one-point calls.
-READ_AHEAD_ENDS, READ_AHEAD_LEVELS = 4, 3
+# solve_threshold reads this pair's rates at all LADDER_ENDS in one array call,
+# then at the midpoints of so many bisection levels per call.
+READ_AHEAD_LEVELS = 3
 LADDER_ENDS = [1.0] + [hi for _, hi in BRACKETS]
 
 
 def default_threads() -> int:
-    """Number of workers a sweep uses: always 1, sweeps run serially."""
+    """Always 1: sweeps run serially. Kept only because the benchmark's
+    child process records it (ROADMAP item 5)."""
     return 1
 
 
@@ -99,43 +100,40 @@ def solve_threshold(protocol, reconciliation, T: float) -> float:
     point's rate can be exactly 0), and for het2 RR. So the cell is that of
     plain bisection, in at most 4x its steps. Each rate is a one-point read
     of `key_rates._RATES` on Python floats, and a closed-form solve calls
-    no numpy; only het2 RR reads ahead in array calls, under its own
-    errstate, at READ_AHEAD_ENDS ladder ends or the midpoints of
-    READ_AHEAD_LEVELS bisection levels. A read that raised ValueError or is
-    not finite takes `asymptotic_rate`'s rate or error. Raises
-    NumericalFailure if the rate rises with W during expansion, is still
-    positive at W_HI_MAX or is +inf where regula falsi reads it, and
-    ValueError for T outside (0, 1) or a pair whose rate diverges.
+    no numpy. For het2 RR a cache of array reads stands in front of it, one
+    at all LADDER_ENDS and one per READ_AHEAD_LEVELS bisection levels; a W
+    it misses is read at its one point, bitwise a one-row stack. A read
+    that raised ValueError or is not finite takes `asymptotic_rate`'s rate
+    or error. Raises NumericalFailure if the rate rises with W during
+    expansion, is still positive at W_HI_MAX or is +inf where regula falsi
+    reads it, and ValueError for T outside (0, 1) or a pair whose rate
+    diverges.
     """
     protocol, recon = finite_pair(protocol, reconciliation)
     _require_rate_params(AttackParams(T))
     T, table = float(T), _RATES[protocol, recon]
     batched = (protocol, recon) == BISECTION_ONLY_PAIR
-    ahead = {}   # het2 RR: W -> the rate read there in an array call
+    ahead = {}   # het2 RR's cache: W -> the rate an array call read there
 
     def read(ws: list) -> None:
-        with np.errstate(all="ignore"):
-            try:
-                rs = table(np.full(len(ws), T), np.array(ws), np).tolist()
-            except (ValueError, NumericalFailure):   # each point on its own then
-                rs = [math.nan] * len(ws)
-        ahead.update(zip(ws, rs))
+        try:
+            ahead.update(zip(ws, table(np.full(len(ws), T), np.array(ws), np).tolist()))
+        except (ValueError, NumericalFailure):   # its points miss the cache
+            pass
 
     def rate(w: float) -> float:
         try:
-            r = ahead.get(w, math.nan) if batched else table(T, w, math)
+            r = ahead[w] if w in ahead else table(T, w, math)
         except ValueError:
             r = math.nan
         return r if math.isfinite(r) else asymptotic_rate(protocol, recon, AttackParams(T, w)).rate
 
     if batched:
-        read(LADDER_ENDS[:READ_AHEAD_ENDS])
+        read(LADDER_ENDS)
     r_prev = rate(1.0)
     if r_prev <= 0.0:
         return 0.0
     for lo, hi in BRACKETS:
-        if batched and hi not in ahead:
-            read(LADDER_ENDS[LADDER_ENDS.index(hi):][:READ_AHEAD_ENDS])
         r = rate(hi)
         if r > r_prev + MONOTONE_SLACK:
             raise NumericalFailure(

@@ -435,6 +435,19 @@ def test_importing_the_cli_builds_no_parser():
     # N = (W - 1)(1 - T)/T overflows at a subnormal T, though the rate is finite
     (["rate", "--protocol", "coll_het", "--recon", "dr", "--T", "1e-320", "--W", "1e6"],
      "excess noise (W - 1)(1 - T)/T it reports is finite"),
+    # N overflows here too; the check comes before the rate, whose own
+    # failures (math domain error, het2 RR's pairing and overflow) the
+    # numeric-edge and asymptotic_rate tests pin at a finite N
+    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "1e-320", "--W", "1e6"],
+     "excess noise (W - 1)(1 - T)/T it reports is finite"),
+    (["rate", "--protocol", "het", "--recon", "rr", "--T", "1e-300", "--W", "1e100"],
+     "excess noise (W - 1)(1 - T)/T it reports is finite"),
+    (["rate", "--protocol", "het", "--recon", "dr", "--T", "1e-200", "--W", "1e200"],
+     "excess noise (W - 1)(1 - T)/T it reports is finite"),
+    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "1e-300", "--W", "1e100"],
+     "excess noise (W - 1)(1 - T)/T it reports is finite"),
+    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "1e-300", "--W", "1e300"],
+     "excess noise (W - 1)(1 - T)/T it reports is finite"),
 ])
 def test_non_finite_inputs_are_flag_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -508,23 +521,19 @@ def test_rate_keeps_its_sign_at_huge_w(capsys):
     pytest.param(["simulate", "--protocol", "hom", "--T", "0.7", "--V", "1e300",
                   "--n", "1000", "--seed", "1"], "exact engine's limit",
                  id="argv3-conditional variance"),
-    # het2 RR's closed form overflows at T = 1e-300, so these rates take the
-    # numeric spectrum, which fails
-    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "1e-300", "--W", "1e100"],
-     "pairing"),
-    (["rate", "--protocol", "het2", "--recon", "rr", "--T", "1e-300", "--W", "1e300"],
-     "overflows"),
-    (["rate", "--protocol", "coll_hom2", "--recon", "dr", "--T", "0.7", "--W", "1.5",
-      "--V", "1e200"], "overflows"),
-    (["rate", "--protocol", "coll_het2", "--recon", "dr", "--T", "0.7", "--W", "1.5",
-      "--V", "1e200"], "overflows"),
-    (["rate", "--protocol", "coll_het", "--recon", "rr", "--T", "0.7", "--W", "1e200",
-      "--V", "10"], "overflows"),
+    # the ids below keep their names from when two het2 RR cases, now flag
+    # errors (their N overflows), stood before them
+    pytest.param(["rate", "--protocol", "coll_hom2", "--recon", "dr", "--T", "0.7",
+                  "--W", "1.5", "--V", "1e200"], "overflows", id="argv6-overflows"),
+    pytest.param(["rate", "--protocol", "coll_het2", "--recon", "dr", "--T", "0.7",
+                  "--W", "1.5", "--V", "1e200"], "overflows", id="argv7-overflows"),
+    pytest.param(["rate", "--protocol", "coll_het", "--recon", "rr", "--T", "0.7",
+                  "--W", "1e200", "--V", "10"], "overflows", id="argv8-overflows"),
     # the one-way joint never squares V, so only the bound stops these
-    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1.5",
-      "--V", "1e200"], "exact engine's limit"),
-    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1.5",
-      "--V", "1e13"], "exact engine's limit"),
+    pytest.param(["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1.5",
+                  "--V", "1e200"], "exact engine's limit", id="argv9-exact engine's limit"),
+    pytest.param(["rate", "--protocol", "hom", "--recon", "dr", "--T", "0.7", "--W", "1.5",
+                  "--V", "1e13"], "exact engine's limit", id="argv10-exact engine's limit"),
     # these two ids keep the names the cases were reported under when a
     # covariance spectrum failed its pairing check there: above EXACT_W_MAX
     # the factor no longer holds the purity of Eve's EPR pair (mpmath:
@@ -538,13 +547,10 @@ def test_rate_keeps_its_sign_at_huge_w(capsys):
     pytest.param(["rate", "--protocol", "coll_het2", "--recon", "dr", "--T",
                   "0.99999999999", "--W", "1.5", "--V", "1e12"],
                  "unresolved to 1e-06", id="argv12-broken CM"),
-    # a closed form whose logarithm's argument underflows to 0 at a tiny T
-    (["rate", "--protocol", "het", "--recon", "rr", "--T", "1e-300", "--W", "1e100"],
-     "math domain error"),
-    (["rate", "--protocol", "het", "--recon", "dr", "--T", "1e-200", "--W", "1e200"],
-     "math domain error"),
-    (["rate", "--protocol", "hom", "--recon", "dr", "--T", "1e-320", "--W", "1e6"],
-     "math domain error"),
+    # a closed form whose logarithm's argument underflows to 0 at a tiny T,
+    # where N is still finite (at T = 1e-300, W = 1e100 it is a flag error)
+    pytest.param(["rate", "--protocol", "het", "--recon", "rr", "--T", "5e-324"],
+                 "math domain error", id="argv13-math domain error"),
 ])
 def test_numeric_edges_exit_numeric(capsys, argv, message):
     # a numpy RuntimeWarning on the way fails the test: pytest makes it an error

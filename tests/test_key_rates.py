@@ -171,6 +171,14 @@ def test_het2_broken_spectrum_raises_on_a_point_and_is_nan_in_a_stack():
     assert np.isnan(stacked).all()
 
 
+@pytest.mark.parametrize("W, message", [(1e100, "pairing"), (1e300, "overflows")])
+def test_het2_rr_rate_at_tiny_t_takes_the_failing_spectrum(W, message):
+    # het2 RR's closed form overflows at T = 1e-300, so the rate takes the
+    # numeric spectrum, which fails with its own message
+    with pytest.raises(NumericalFailure, match=message):
+        asymptotic_rate("het2", "rr", P(1e-300, W))
+
+
 def test_het2_overflowing_joint_raises_for_a_whole_stack():
     with pytest.raises(NumericalFailure, match="overflows"):
         het2_rr_finite_eigenvalues(np.array([0.5, 0.5]), np.array([1e300, 1.5]))
@@ -518,6 +526,18 @@ def test_exact_rate_matches_mpmath(V):
         got = exact_rate(protocol, recon, V, params).rate
         want = mp_exact_rate(protocol, recon, V, params)
         assert abs(got - want) <= 1e-10 * abs(want), (protocol, recon, T, N)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+@pytest.mark.parametrize("protocol, T, W, V", [("het", 1.14e-7, 2.77, 7.0e8),
+                                               ("het2", 3e-12, 5.5, 9.5e6)])
+def test_exact_rate_at_extreme_t_matches_mpmath(protocol, T, W, V):
+    # no check flags these RR rates, which lose digits to rounding: 2.3e-9
+    # and 1.9e-9 relative off mpmath, while neighbours in V or W hold 1e-15
+    params = P(T, W)
+    got = exact_rate(protocol, "rr", V, params).rate
+    want = mp_exact_rate(protocol, "rr", V, params)
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_exact_rate_holds_its_precision_up_to_exact_w_max():

@@ -506,8 +506,9 @@ def test_het2_rr_keeps_the_bisection_steps(monkeypatch):
     expected = oracle_points(*HET2_RR, T)
     assert np.array_equal([solve_threshold(*HET2_RR, t) for t in T.tolist()], expected)
     assert np.array_equal(sweep_curve(*HET2_RR, grid).N, expected[:grid.steps])
-    # the solve reads four ladder ends, or three bisection levels, per spectrum
-    # call: 15 calls at T = 0.97, where one call per rate evaluation made 44
+    # the solve reads all ladder ends in one array call, then three bisection
+    # levels per call: 9 spectrum calls at T = 0.97, where one call per rate
+    # evaluation made 44
     spectrum, calls = key_rates.het2_rr_finite_eigenvalues, [0]
 
     def counted(T, W):
