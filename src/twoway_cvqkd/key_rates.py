@@ -4,18 +4,24 @@ Eight protocol variants are covered: homodyne and heterodyne decoding, each
 in individual (incoherent detection) and collective (quantum-memory) form,
 over one or two uses of the channel per run. For every variant this module
 provides the closed-form asymptotic rate (large modulation) and an exact
-finite-modulation engine that rebuilds the full output covariance matrices
-from the channel model and computes the same rate from Shannon and Holevo
-terms, with no asymptotic shortcuts.
+finite-modulation engine that rebuilds the joint second moments of all
+outputs from the channel model and computes the same rate from Shannon and
+Holevo terms, with no asymptotic shortcuts.
 
 The closed forms are one table, (protocol, reconciliation) -> f(T, W, xp),
 read by `asymptotic_rate` and threshold solves (xp = math), by sweeps (numpy).
 
-The exact engine works on a square-root factor G of the joint second
-moments over Alice's classical encoding and all output quadratures: G maps
-independent unit normals to them. Conditioning on Alice's encoding zeroes
-its inputs' columns, on Bob's measurement takes one Householder reflection,
-and spectra are singular values, so no terms of size V are subtracted.
+Each protocol's channel is described once, per quadrature: a map m_h from
+the inputs of one quadrature (Alice's encoding, vacua, the EPR pairs of Bob
+and Eve) to the outputs, shared by Q and P; the input variances with the
+EPR correlations, +c in Q and -c in P; and Bob's measurement rows on the
+outputs. The exact engine works on the square-root factor this gives, in
+two halves G[h] = m_h L_h (`JointMoments`), L_h the inputs' exact factor:
+conditioning on Alice's encoding zeroes a column, on Bob's measurement
+takes one Householder reflection, and spectra are singular values, so no
+terms of size V are subtracted. The numeric het2 RR extraction places the
+same description on the 14 interleaved (Q, P) quadratures and diagonalises
+the covariance m sigma_in m^T.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -269,15 +274,16 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     product check. k points give a (k, 3) array with a NaN row for each
     point that fails a check, and NaN in every row if any matrix of the
     stack is broken; a W whose EPR correlation overflows raises for the
-    whole stack, as in `two_way_joint`.
+    whole stack, as in `two_way_joint`. The joint covariances are
+    m sigma_in m^T of `_het2_placement`.
     """
     point = np.ndim(T) == 0
     T, W = np.atleast_1d(np.asarray(T, dtype=float), np.asarray(W, dtype=float))
     modulations = np.array([[HET2_RR_V / 10.0], [HET2_RR_V]])   # [coarse, fine]
-    stack = SimpleNamespace(T=np.tile(T, 2), W=np.tile(W, 2))
-    joint = two_way_joint(np.repeat(modulations, T.size), stack)
-    rows, noise, _ = _bob_measurement(Protocol.HET2, joint, stack)
-    cond = conditional_cov(joint.sigma, joint.ix["E"], rows, noise)
+    m, sigma_in, rows, noise = _het2_placement(np.repeat(modulations, T.size),
+                                               np.tile(T, 2), np.tile(W, 2))
+    cond = conditional_cov(m @ sigma_in @ np.swapaxes(m, -1, -2), list(range(6, 14)),
+                           rows, noise)
     try:
         nus = symplectic_eigenvalues(cond).reshape(2, T.size, 4)   # Eve's 4 modes
     except ValueError as exc:
@@ -309,6 +315,27 @@ def het2_rr_finite_eigenvalues(T, W) -> np.ndarray:
     return finite[0]
 
 
+def _het2_placement(V, T, W):
+    """The two-way channel and Bob's het2 rows (`_two_way_channel`,
+    `_bob_measurement`) on 1-D stacks of k values of V, T and W, placed on
+    the 14 joint quadratures [A, B1, B2, E1', E1'', E2', E2''], (Q, P) per
+    mode: the input map m and input covariance sigma_in (k, 14, 14), the
+    rows (k, 2, 14) and the noise covariance (k, 2, 2)."""
+    m_h, x, (first, partner, c) = _two_way_channel(V, T, W)
+    m = np.zeros(np.shape(V) + (14, 14))
+    m[..., 0::2, 0::2] = m[..., 1::2, 1::2] = m_h.transpose(2, 0, 1)
+    sigma_in = np.zeros_like(m)
+    diag = np.arange(14)
+    sigma_in[..., diag, diag] = np.repeat(x.T, 2, axis=-1)
+    for i, j, c_ij in zip(first, partner, c):
+        for h, corr in ((0, c_ij), (1, -c_ij)):
+            sigma_in[..., 2 * i + h, 2 * j + h] = sigma_in[..., 2 * j + h, 2 * i + h] = corr
+    rows_h, noise, _ = _bob_measurement(Protocol.HET2, T)
+    rows = np.zeros(np.shape(V) + (2, 14))
+    rows[..., 0, 0::2], rows[..., 1, 1::2] = rows_h[0].T, rows_h[1].T
+    return m, sigma_in, rows, np.multiply.outer(noise[0], np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # Exact finite-modulation engine
 # ---------------------------------------------------------------------------
@@ -328,125 +355,93 @@ def _epr_correlation(x):
     return np.sqrt(x * x - 1.0)
 
 
+def _one_way_channel(V, T, W):
+    """The one-way channel per quadrature: the map from the inputs [encoding,
+    signal vacuum, E, E''] to the outputs [A, B, E', E''], shared by Q and P;
+    the input variances; and the EPR pairs (first, partner, correlation),
+    +c in Q and -c in P. Alice's encoding and the vacuum pass Eve's cloner
+    beam splitter against one half E of her EPR(W) pair; she keeps E''."""
+    t, r = math.sqrt(T), math.sqrt(1.0 - T)
+    m = np.array([[1.0, 0.0, 0.0, 0.0],
+                  [t, t, r, 0.0],
+                  [-r, -r, t, 0.0],
+                  [0.0, 0.0, 0.0, 1.0]])
+    return m, np.array([V - 1.0, 1.0, W, W]), ([2], [3], np.array([_epr_correlation(W)]))
+
+
+def _two_way_channel(V, T, W):
+    """The two-way channel per quadrature, as `_one_way_channel`: inputs
+    [encoding, B1, C1, E1, E1'', E2, E2''], outputs [A, B1, B2, E1', E1'',
+    E2', E2'']. Bob keeps B1 of his EPR(V) pair and sends C1 through a
+    cloner (E1, E1''); Alice adds her encoding, and the mode B2 returns
+    through a second cloner (E2, E2''). V, T and W are floats, or
+    equal-length 1-D arrays for a stack of channels along a last axis. A V
+    or W whose EPR correlation overflows raises NumericalFailure, V first."""
+    t, r = np.sqrt(T), np.sqrt(1.0 - T)
+    v, w = _epr_correlation(V), _epr_correlation(W)
+    o, z = 1.0 + 0.0 * T, 0.0 * T
+    # B2 = sqrt(T) (A1 + encoding) + sqrt(1-T) E2, A1 = sqrt(T) C1 + sqrt(1-T) E1
+    m = np.array([[o, z, z, z, z, z, z],                    # A
+                  [z, o, z, z, z, z, z],                    # B1, kept
+                  [t, z, T, t * r, z, r, z],                # B2
+                  [z, z, -r, t, z, z, z],                   # E1'
+                  [z, z, z, z, o, z, z],                    # E1''
+                  [-r, z, -r * t, -r * r, z, t, z],         # E2'
+                  [z, z, z, z, z, z, o]])                   # E2''
+    return m, np.array([V - 1.0, V, V, W, W, W, W]), ([1, 3, 5], [2, 4, 6], np.array([v, w, w]))
+
+
 @dataclass(frozen=True)
 class JointMoments:
-    """Second moments over Alice's classical encoding and all quadratures.
+    """Square-root factor of the joint second moments over Alice's
+    classical encoding and all output quadratures, by quadrature.
 
-    `sigma` is the full joint covariance, m @ sigma_in @ m.T: `m` maps the
-    independent inputs, whose covariance is `sigma_in`, to the outputs.
-    Inputs 0 and 1 are Alice's encoding (Q_A, P_A), of variance V - 1
-    each. `ix` maps block names to index lists: "cl" for the classical
-    encoding (Q_A, P_A), "B" for Bob's output mode(s), "E" for all of Eve's
-    output modes, plus named scalar quadrature indices ("qa", "qB1", ...).
+    Every input, channel map and measurement row acts on Q alone or on P
+    alone, so the factor is two halves: G[0] maps the Q inputs' independent
+    unit normals to the Q outputs, G[1] the P ones, and G[h] @ G[h].T is
+    the covariance of the half-h outputs (Q and P are uncorrelated). Each
+    half is m_h @ L_h: the channel's per-quadrature map times the inputs'
+    factor, sqrt(x) on the diagonal and, for each EPR pair (x, c),
+    c^2 = x^2 - 1, c/sqrt(x) and 1/sqrt(x) in the partner's row, exact at
+    any x. Row and column 0 are Alice's encoding, of variance V - 1; `ix`
+    maps "B" (Bob's modes), "E" (all of Eve's) and "BE" to row slices.
     """
 
-    sigma: np.ndarray
+    G: np.ndarray
     ix: dict
-    m: np.ndarray
-    sigma_in: np.ndarray
 
     @staticmethod
-    def revealed(protocol: Protocol) -> list[int]:
-        """Inputs, and their "cl" outputs, that `protocol` reveals of Alice's
-        encoding: Q_A for homodyne decoding, Q_A and P_A for heterodyne."""
-        return [0, 1] if protocol.joint_decoding else [0]
+    def revealed(protocol: Protocol) -> slice:
+        """Halves in which `protocol` reveals Alice's encoding, the normal of
+        column 0: Q for homodyne decoding, Q and P for heterodyne."""
+        return slice(0, 2 if protocol.joint_decoding else 1)
 
-    def input_factor(self) -> np.ndarray:
-        """Lower-triangular L with L @ L.T = sigma_in, for a single joint.
-
-        Every input is independent or one half of a pure EPR pair (x, c),
-        c^2 = x^2 - 1 (c = 0 at x = 1), whose later half has conditional
-        standard deviation exactly 1/sqrt(x). Written so, L stays exact at
-        any x, including where sigma_in has rounded c to x and a Cholesky
-        factorization of it breaks down."""
-        root = np.sqrt(self.sigma_in.diagonal())
-        L = np.diag(root)
-        i = np.flatnonzero(self.sigma_in.diagonal(2))   # first halves; partners: + 2
-        L[i + 2, i] = self.sigma_in[i, i + 2] / root[i]
-        L[i + 2, i + 2] = 1.0 / root[i + 2]
-        return L
+    @classmethod
+    def from_channel(cls, channel, ix: dict) -> JointMoments:
+        """The factor halves of a (map, input variances, EPR pairs) channel."""
+        m, x, (first, partner, c) = channel
+        k = len(x)
+        diag = np.sqrt(x)
+        corr = c / diag[first]
+        diag[partner] = 1.0 / diag[partner]
+        L = np.zeros((2, k, k))
+        L.reshape(2, -1)[:, ::k + 1] = diag
+        L[0, partner, first], L[1, partner, first] = corr, -corr
+        return cls(m @ L, ix)
 
 
 def one_way_joint(V: float, params: AttackParams) -> JointMoments:
-    """Joint moments of the one-way protocol outputs.
-
-    Variable order: [Q_A, P_A, Q_B, P_B, Q_E', P_E', Q_E'', P_E''], built by
-    propagating (encoding + signal vacuum) and Eve's EPR(W) pair through the
-    cloner beam splitter. A W whose EPR correlation overflows raises
-    NumericalFailure.
-    """
-    T, W = params.T, params.W
-    vbar = V - 1.0
-    t, r = math.sqrt(T), math.sqrt(1.0 - T)
-    w = _epr_correlation(W)
-    # inputs: qa, pa, q0, p0 (signal vacuum), qE, pE, qE'', pE''
-    sigma_in = np.diag([vbar, vbar, 1.0, 1.0, W, W, W, W])
-    sigma_in[4, 6] = sigma_in[6, 4] = w
-    sigma_in[5, 7] = sigma_in[7, 5] = -w
-    m = np.zeros((8, 8))
-    m[0, 0] = m[1, 1] = 1.0                      # classical encoding
-    for k in range(2):                           # k=0: Q rows, k=1: P rows
-        m[2 + k, [0 + k, 2 + k, 4 + k]] = [t, t, r]       # Bob
-        m[4 + k, [0 + k, 2 + k, 4 + k]] = [-r, -r, t]     # E'
-        m[6 + k, 6 + k] = 1.0                             # E'' spectator
-    sigma = m @ sigma_in @ m.T
-    ix = {
-        "cl": [0, 1], "qa": 0, "pa": 1,
-        "B": [2, 3], "qB": 2, "pB": 3,
-        "E": [4, 5, 6, 7],
-        "BE": [2, 3, 4, 5, 6, 7],
-    }
-    return JointMoments(sigma, ix, m, sigma_in)
+    """Factor halves of the one-way protocol (`_one_way_channel`). A W whose
+    EPR correlation overflows raises NumericalFailure."""
+    return JointMoments.from_channel(_one_way_channel(V, params.T, params.W),
+                                     {"B": slice(1, 2), "E": slice(2, 4), "BE": slice(1, 4)})
 
 
-def two_way_joint(V, params) -> JointMoments:
-    """Joint moments of the two-way protocol outputs.
-
-    Bob's EPR(V) pair (B1 kept, C1 sent) passes through a cloner, Alice adds
-    her encoding displacement (classical variance V - 1 per quadrature),
-    and the mode returns through a second identical cloner. Variable order:
-    [Q_A, P_A, B1, B2, E1', E1'', E2', E2''] with (Q, P) per mode.
-
-    V, params.T and params.W are floats, or equal-length 1-D arrays for a
-    stack of joints (sigma of shape (k, 14, 14)). A V or W whose EPR
-    correlation overflows raises NumericalFailure, for a whole stack.
-    """
-    T, W = params.T, params.W
-    vbar = V - 1.0
-    t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    v = _epr_correlation(V)
-    w = _epr_correlation(W)
-    # inputs: qa, pa, B1(2), C1(2), E1(2), E1''(2), E2(2), E2''(2)
-    sigma_in = np.zeros(np.shape(V) + (14, 14))
-    diag = np.arange(14)
-    sigma_in[..., diag, diag] = np.array([vbar, vbar, V, V, V, V, W, W, W, W, W, W, W, W]).T
-    for base, corr in ((2, v), (6, w), (10, w)):
-        sigma_in[..., base, base + 2] = sigma_in[..., base + 2, base] = corr
-        sigma_in[..., base + 1, base + 3] = sigma_in[..., base + 3, base + 1] = -corr
-    m = np.zeros(np.shape(V) + (14, 14))
-
-    def put(i, cols, coeffs):
-        for j, c in zip(cols, coeffs):
-            m[..., i, j] = c
-
-    m[..., 0, 0] = m[..., 1, 1] = 1.0
-    for k in range(2):
-        qa, qC1, qE1, qE2 = 0 + k, 4 + k, 6 + k, 10 + k
-        m[..., 2 + k, 2 + k] = 1.0                                # B1 kept
-        # B2 = sqrt(T) (A1 + encoding) + sqrt(1-T) E2, A1 = sqrt(T) C1 + sqrt(1-T) E1
-        put(4 + k, [qa, qC1, qE1, qE2], [t, T, t * r, r])
-        put(6 + k, [qC1, qE1], [-r, t])                           # E1'
-        m[..., 8 + k, 8 + k] = 1.0                                # E1''
-        put(10 + k, [qa, qC1, qE1, qE2], [-r, -r * t, -r * r, t])  # E2'
-        m[..., 12 + k, 12 + k] = 1.0                              # E2''
-    sigma = m @ sigma_in @ np.swapaxes(m, -1, -2)
-    ix = {
-        "cl": [0, 1], "qa": 0, "pa": 1,
-        "B": [2, 3, 4, 5], "qB1": 2, "pB1": 3, "qB2": 4, "pB2": 5,
-        "E": [6, 7, 8, 9, 10, 11, 12, 13],
-        "BE": list(range(2, 14)),
-    }
-    return JointMoments(sigma, ix, m, sigma_in)
+def two_way_joint(V: float, params: AttackParams) -> JointMoments:
+    """Factor halves of the two-way protocol (`_two_way_channel`). A V or W
+    whose EPR correlation overflows raises NumericalFailure."""
+    return JointMoments.from_channel(_two_way_channel(V, params.T, params.W),
+                                     {"B": slice(1, 3), "E": slice(3, 7), "BE": slice(1, 7)})
 
 
 # Largest V and W the exact engine accepts. Its factors subtract no terms of
@@ -461,9 +456,9 @@ EXACT_V_MAX, EXACT_W_MAX, EXACT_SPECTRUM_TOL = 1e12, 1e6, 1e-6
 
 
 def _joint_for(protocol: Protocol, V: float, params: AttackParams) -> JointMoments:
-    """The protocol's joint moments. A V outside (1, inf) raises ValueError.
-    A V above EXACT_V_MAX raises NumericalFailure, checked after the build
-    so that a V whose EPR correlation overflows keeps that error."""
+    """The protocol's joint factor halves. A V outside (1, inf) raises
+    ValueError. A V above EXACT_V_MAX raises NumericalFailure, checked after
+    the build so that a V whose EPR correlation overflows keeps that error."""
     if not 1.0 < V < math.inf:
         raise ValueError(f"modulation variance must be finite and exceed 1, got V={V}")
     joint = two_way_joint(V, params) if protocol.two_way else one_way_joint(V, params)
@@ -474,37 +469,33 @@ def _joint_for(protocol: Protocol, V: float, params: AttackParams) -> JointMomen
     return joint
 
 
-def _bob_measurement(protocol: Protocol, joint: JointMoments,
-                     params: AttackParams):
-    """Rows, ancilla-noise covariance and labels of Bob's decoding variables.
-
-    The rows act on the joint variable vector; heterodyne vacuum ancillas
-    enter as independent observation noise. Normalizations follow the
-    protocol definitions (2^{-1/2} combining for heterodyne outputs,
-    Q_B2 - T Q_B1 for the two-way homodyne estimator). With params.T an
-    array (a stack of joints), the rows and the noise stack alike.
-    """
-    n = joint.sigma.shape[-1]
-    T = params.T
+def _bob_measurement(protocol: Protocol, T):
+    """Bob's decoding rows on the half outputs, one per decoded quadrature:
+    row h reads half h (Q, then P for heterodyne). Returns the rows, the
+    variance of each row's ancilla noise and the labels. Heterodyne vacuum
+    ancillas enter as independent observation noise; normalizations follow
+    the protocol definitions (2^{-1/2} combining for heterodyne outputs,
+    Q_B2 - T Q_B1 for the two-way homodyne estimator). For het2, T may be
+    a 1-D array: the rows and noise then stack along a last axis."""
     s2 = math.sqrt(2.0)
-
-    def rows(*coeffs: dict) -> np.ndarray:
-        out = np.zeros(np.shape(T) + (len(coeffs), n))
-        for i, row in enumerate(coeffs):
-            for name, c in row.items():
-                out[..., i, joint.ix[name]] = c
-        return out
-
     if protocol in (Protocol.HOM, Protocol.COLL_HOM):
-        return rows({"qB": 1.0}), np.zeros((1, 1)), ["Q"]
+        return np.array([[0.0, 1.0, 0.0, 0.0]]), np.zeros(1), ["Q"]
     if protocol in (Protocol.HET, Protocol.COLL_HET):
-        return rows({"qB": 1 / s2}, {"pB": 1 / s2}), 0.5 * np.eye(2), ["Q", "P"]
+        return np.array([[0.0, 1 / s2, 0.0, 0.0]] * 2), np.full(2, 0.5), ["Q", "P"]
     if protocol in (Protocol.HOM2, Protocol.COLL_HOM2):
-        return rows({"qB2": 1.0, "qB1": -T}), np.zeros((1, 1)), ["Q"]
+        return np.array([[0.0, -T, 1.0, 0.0, 0.0, 0.0, 0.0]]), np.zeros(1), ["Q"]
     if protocol in (Protocol.HET2, Protocol.COLL_HET2):
-        return (rows({"qB2": 1 / s2, "qB1": -T / s2}, {"pB2": 1 / s2, "pB1": T / s2}),
-                np.multiply.outer((1 + T * T) / 2, np.eye(2)), ["Q", "P"])
+        z, h = 0.0 * T, 1 / s2 + 0.0 * T
+        return (np.array([[z, -T / s2, h, z, z, z, z], [z, T / s2, h, z, z, z, z]]),
+                np.array([(1 + T * T) / 2] * 2), ["Q", "P"])
     raise ValueError(f"no measurement model for protocol {protocol}")
+
+
+def _decoding(protocol: Protocol, joint: JointMoments, T: float):
+    """Bob's decoding rows on the input normals of their halves, x[h] =
+    row_h @ G[h], with their noise variances and labels."""
+    rows, noise, labels = _bob_measurement(protocol, T)
+    return (rows[:, None] @ joint.G[:len(rows)])[:, 0], noise, labels
 
 
 def shannon_terms(protocol, V: float,
@@ -514,19 +505,17 @@ def shannon_terms(protocol, V: float,
     protocol = Protocol(protocol)
     if protocol.collective:
         raise ValueError("Shannon terms are defined for individual protocols only")
-    joint = _joint_for(protocol, V, params)
-    rows, noise, labels = _bob_measurement(protocol, joint, params)
-    return _shannon_terms(rows @ (joint.m @ joint.input_factor()), noise,
-                          joint.revealed(protocol), labels)
+    return _shannon_terms(*_decoding(protocol, _joint_for(protocol, V, params), params.T))
 
 
-def _shannon_terms(x: np.ndarray, noise: np.ndarray, revealed: list,
+def _shannon_terms(x: np.ndarray, noise: np.ndarray,
                    labels: list) -> list[tuple[str, float, float]]:
-    """Bob's rows on the input normals, x = rows @ G: squared row norms plus
-    the noise, with and without the columns of the inputs Alice reveals."""
+    """Bob's rows on the input normals of their halves (`_decoding`):
+    squared row norms plus the noise, with and without column 0, the normal
+    of Alice's encoding, which she reveals in every half Bob decodes."""
     given = x.copy()
-    given[:, revealed] = 0.0
-    total, cond = ((y * y).sum(axis=1) + noise.diagonal() for y in (x, given))
+    given[:, 0] = 0.0
+    total, cond = ((y * y).sum(axis=1) + noise for y in (x, given))
     return [(lab, float(total[i]), float(cond[i])) for i, lab in enumerate(labels)]
 
 
@@ -546,25 +535,34 @@ def mi_from_terms(terms) -> float:
     return bits
 
 
-def _given_row(F: np.ndarray, x: np.ndarray, noise: float) -> np.ndarray:
-    """Factor half F (n x k) of a block given one row x on the k input
-    normals, with noise: the first Householder reflection of the QR of
-    [[x, sqrt(noise)], [F, 0]]^T takes x to R's first row, and the other
-    rows, transposed, are the conditional factor; the rest only rotates them."""
-    v = np.append(x, math.sqrt(noise))
-    v[0] += math.copysign(math.sqrt(v @ v), v[0])   # no cancellation in v v^T
-    return np.append(F[:, 1:], np.zeros((len(F), 1)), axis=1) - np.outer(
-        F @ v[:-1] * (2.0 / (v @ v)), v[1:])
+def _dots(v: np.ndarray) -> np.ndarray:
+    """v[h] @ v[h] for each row h of v."""
+    return (v[:, None] @ v[:, :, None])[:, 0, 0]
+
+
+def _given_rows(F: np.ndarray, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Factor halves F (d, n, k) of a block given Bob's rows x (d, k) on the
+    k input normals of their halves, with noise: in each half, the first
+    Householder reflection of the QR of [[x, sqrt(noise)], [F, 0]]^T takes
+    x to R's first row, and the other rows, transposed, are the conditional
+    factor; the rest only rotates them."""
+    v = np.concatenate([x, np.sqrt(noise)[:, None]], axis=1)
+    v[:, 0] += np.copysign(np.sqrt(_dots(v)), v[:, 0])   # no cancellation in v v^T
+    out = ((F * v[:, None, :-1]).sum(axis=-1) * (-2.0 / _dots(v))[:, None])[..., None] \
+        * v[:, None, 1:]
+    out[..., :-1] += F[..., 1:]
+    return out
 
 
 def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> RateResult:
     """Exact finite-modulation secret-key rate.
 
-    Works on the Q and P halves of the joint's square-root factor G = m @ L:
-    every input, output and row here acts on Q or on P alone. Conditioning
-    on Alice zeroes the columns of the inputs she reveals, Bob's Shannon
-    variances are squared norms of his rows on G, and RR conditions Eve on
-    them by `_given_row`. The symplectic eigenvalues of n modes with factor
+    Works on the joint's factor halves G[0] (Q) and G[1] (P), `JointMoments`:
+    every input, channel map and measurement row acts on Q or on P alone.
+    Alice's reveal zeroes column 0 of one or both halves; Bob's rows are one
+    row per half (`_decoding`), his Shannon variances their squared norms,
+    and RR conditions Eve on them by `_given_rows`; a block is a row slice
+    of both halves. The symplectic eigenvalues of n modes with factor
     halves F_Q, F_P are the top n singular values of F_Q^T F_P, one SVD for
     all blocks (square-root filtering, Kaminski, Bryson & Schmidt, IEEE TAC
     16, 727, 1971): no term of size V is subtracted. Divergent collective RR
@@ -580,36 +578,30 @@ def exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> Rate
     if params.W > EXACT_W_MAX:
         raise NumericalFailure(f"Eve's EPR variance W={params.W:g} is above the exact "
                                f"engine's limit of {EXACT_W_MAX:g}")
-    G = joint.m @ joint.input_factor()
-    revealed = joint.revealed(protocol)
+    G, ix = joint.G, joint.ix
     given = G.copy()
-    given[:, revealed] = 0.0
-
-    def block(F: np.ndarray, name: str) -> list:
-        rows = F[joint.ix[name][0]:joint.ix[name][-1] + 1]   # whole modes, contiguous
-        return [rows[0::2, 0::2], rows[1::2, 1::2]]
-
+    given[joint.revealed(protocol), :, 0] = 0.0
     try:
         if protocol.collective:   # I(A:B) = S(B) - S(B|A); S(B) cancels in coll_het RR
-            i_ab, signed = 0.0, [(-1, block(given, "B")), (-1, block(G, "E"))]
-            signed += ([(1, block(G, "B")), (1, block(given, "E"))] if recon is Reconciliation.DR
-                       else [(1, block(G, "BE"))])
+            i_ab, signed = 0.0, [(-1, given[:, ix["B"]]), (-1, G[:, ix["E"]])]
+            signed += ([(1, G[:, ix["B"]]), (1, given[:, ix["E"]])]
+                       if recon is Reconciliation.DR else [(1, G[:, ix["BE"]])])
         else:   # Eve's Holevo information on Alice's encoding (DR) or Bob's decoding (RR)
-            rows, noise, labels = _bob_measurement(protocol, joint, params)
-            x = rows @ G
-            i_ab, e = mi_from_terms(_shannon_terms(x, noise, revealed, labels)), block(G, "E")
-            signed = [(-1, e), (1, block(given, "E") if recon is Reconciliation.DR else
-                                [_given_row(F, x[h, h::2], noise[h, h]) if h < len(x) else F
-                                 for h, F in enumerate(e)])]
-        nus = np.linalg.svd(np.array([q.T @ p for _, (q, p) in signed]), compute_uv=False)
-        k_eps = len(G) / 2 * sys.float_info.epsilon
-        rounding = [k_eps * math.sqrt(np.vdot(q, q) * np.vdot(p, p)) for _, (q, p) in signed]
+            x, noise, labels = _decoding(protocol, joint, params.T)
+            i_ab, e = mi_from_terms(_shannon_terms(x, noise, labels)), G[:, ix["E"]]
+            signed = [(-1, e), (1, given[:, ix["E"]] if recon is Reconciliation.DR else
+                                np.concatenate([_given_rows(e[:len(x)], x, noise),
+                                                e[len(x):]]))]
+        nus = np.linalg.svd(np.array([F[0].T @ F[1] for _, F in signed]), compute_uv=False)
+        k_eps = G.shape[-1] * sys.float_info.epsilon
+        rounding = [k_eps * math.sqrt(np.vdot(F[0], F[0]) * np.vdot(F[1], F[1]))
+                    for _, F in signed]
         if not (np.array(rounding) <= EXACT_SPECTRUM_TOL * nus[:, 0]).all():   # NaN fails too
             raise ValueError(f"rounding of F_Q^T F_P (up to {max(rounding):.3g}) leaves a largest "
                              f"symplectic eigenvalue unresolved to {EXACT_SPECTRUM_TOL:g}")
-        s = [spectrum_entropies(nus[k:k + 1, :len(q)])[0] for k, (_, (q, _)) in enumerate(signed)]
+        s = [spectrum_entropies(nus[i:i + 1, :F.shape[1]])[0] for i, (_, F) in enumerate(signed)]
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"{protocol.value} {recon.value} spectrum at T={params.T}, "
                                f"W={params.W}, V={V}: {exc}") from exc
-    return RateResult(i_ab + sum(sign * s_k for (sign, _), s_k in zip(signed, s)),
+    return RateResult(i_ab + sum(sign * s_i for (sign, _), s_i in zip(signed, s)),
                       Method.EXACT_FINITE_V)

@@ -3,10 +3,11 @@
 Because every state, channel and measurement involved is Gaussian, the
 prepare-and-measure runs can be simulated exactly as classical Gaussian
 phase-space trajectories, with no Hilbert-space machinery. The trajectories
-sample the exact engine's joint: standard normals pass through its input
-factor (Alice's modulation, the vacuum and EPR inputs and Eve's ancillas),
-its input map and Bob's measurement rows, plus the heterodyne vacuum
-noise. The channel and the measurements are written once, in `key_rates`.
+sample the exact engine's joint: standard normals pass through its factor
+halves (`key_rates.JointMoments`, the Q and P halves of Alice's modulation,
+the vacuum and EPR inputs and Eve's ancillas through the channel) and Bob's
+measurement rows, one per half, plus the heterodyne vacuum noise. The
+channel and the measurements are written once, in `key_rates`.
 The normals that only Bob's variables read are folded into one triangular
 factor per run, so a sample of d encoding and d decoding variables costs
 2d normals, whatever the number of modes behind it.
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackParams, require_finite_excess_noise
-from .key_rates import (Protocol, _bob_measurement, _joint_for, _shannon_terms,
-                        mi_from_terms)
+from .key_rates import Protocol, _decoding, _joint_for, _shannon_terms, mi_from_terms
 from .rng import normal_chunks, normal_moments
 
 MIN_SAMPLES = 1000
@@ -99,26 +99,28 @@ def _sampling_map(config: SimConfig) -> tuple[np.ndarray, list]:
     X_A that Alice reveals and Bob's d decoding variables X_B, and Bob's
     Shannon terms (`key_rates.shannon_terms`), both from one joint.
 
-    The channel model is the joint's input map times its input factor,
-    read at Alice's revealed encoding (`JointMoments.revealed`) and through
-    Bob's measurement rows, next to the square root of Bob's (diagonal)
-    measurement noise. Each row of X_A reads the normal of its own input;
-    the block B of X_B's rows on the other normals, noise included, is
-    replaced by R^T, R the triangular factor of B^T. Since B B^T = R^T R,
-    the output has the same Gaussian distribution from 2d normals, and the
-    own columns, which carry the modulation, are kept as they are: no
-    covariance is formed and nothing is subtracted, so X_A and X_B given
-    X_A stay exact at any V.
+    The channel model is the joint's factor halves G (`JointMoments`): row
+    h of X_B is Bob's row on half h (`key_rates._decoding`), next to the
+    square root of its measurement noise, and row h of X_A is Alice's
+    encoding in half h, row and column 0 of G[h]. Each row of X_A reads
+    the normal of its own column 0; the block B of X_B's rows on the other
+    normals, noise included, is replaced by R^T, R the triangular factor of
+    B^T. Since B B^T = R^T R, the output has the same Gaussian distribution
+    from 2d normals, and the own columns, which carry the modulation, are
+    kept as they are: no covariance is formed and nothing is subtracted, so
+    X_A and X_B given X_A stay exact at any V.
     """
     joint = _joint_for(config.protocol, config.V, config.params)
-    rows, noise, labels = _bob_measurement(config.protocol, joint, config.params)
-    own = joint.revealed(config.protocol)
-    out = joint.m @ joint.input_factor()
-    x_b = rows @ out
-    terms = _shannon_terms(x_b, noise, own, labels)
-    R = np.linalg.qr(np.hstack([np.delete(x_b, own, 1), np.sqrt(noise)]).T, mode="r")
-    return np.block([[out[np.ix_(own, own)], np.zeros((len(own), len(R)))],
-                     [x_b[:, own], R.T]]), terms
+    x, noise, labels = _decoding(config.protocol, joint, config.params.T)
+    d, k = x.shape
+    # B's columns: the normals (Q, P) per input, then the noise; the order
+    # fixes the signs of R, and so the samples of a seed
+    hidden = np.zeros((d, k, 2))
+    hidden[range(d), :, range(d)] = x
+    B = np.hstack([hidden.reshape(d, 2 * k)[:, d:], np.diag(np.sqrt(noise))])
+    R = np.linalg.qr(B.T, mode="r")
+    return np.block([[np.diag(joint.G[:d, 0, 0]), np.zeros((d, d))],
+                     [np.diag(x[:, 0]), R.T]]), _shannon_terms(x, noise, labels)
 
 
 def trajectories(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:

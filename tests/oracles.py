@@ -14,6 +14,10 @@ None of this is used by the package itself:
   eigenvalues that the package extracts numerically;
 - Eve's conditional entropy through the fixed large-modulation linear
   estimators, an independent check of general Gaussian conditioning;
+- the joint covariances sigma = m sigma_in m^T on the (Q, P) interleaved
+  quadratures, with Bob's rows on them, the reference for the exact
+  engine's factor halves and the placement the numeric het2 RR
+  extraction must reproduce;
 - Schur conditioning on the rows of Alice's revealed encoding, the
   reference for the exact engine's zeroed-column factor;
 - the covariance-form exact engine that the square-root factor engine
@@ -53,9 +57,9 @@ from twoway_cvqkd import thresholds
 from twoway_cvqkd.attacks import AttackParams, excess_noise
 from twoway_cvqkd.gaussian import (I2, SYMMETRY_TOL, Z2, conditional_cov,
                                    symplectic_eigenvalues, von_neumann_entropy)
-from twoway_cvqkd.key_rates import (DIVERGENT_RR, RATE_DIVERGENT, JointMoments, Method,
+from twoway_cvqkd.key_rates import (DIVERGENT_RR, RATE_DIVERGENT, Method,
                                     NumericalFailure, Protocol, RateResult,
-                                    Reconciliation, _bob_measurement, _joint_for,
+                                    Reconciliation, _joint_for,
                                     _require_rate_params,
                                     asymptotic_rate, finite_pair, mi_from_terms)
 from twoway_cvqkd.rng import normal_chunks, normal_matrix
@@ -261,8 +265,8 @@ def rr_conditional_entropy_estimator(protocol, V: float, params: AttackParams) -
     if protocol.collective:
         raise ValueError("estimator conditioning applies to individual protocols")
     T = params.T
-    joint = _joint_for(protocol, V, params)
-    rows, noise, _ = _bob_measurement(protocol, joint, params)
+    joint = covariance_joint(protocol, V, params)
+    rows, noise, _ = bob_rows(protocol, joint, params)
     e_idx = joint.ix["E"]
     k = np.zeros((len(e_idx), rows.shape[0]))
     if protocol is Protocol.HOM:
@@ -281,10 +285,141 @@ def rr_conditional_entropy_estimator(protocol, V: float, params: AttackParams) -
 
 
 # ---------------------------------------------------------------------------
+# The joint covariances, sigma = m sigma_in m^T
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CovarianceJoint:
+    """A joint's second moments in covariance form, over Alice's classical
+    encoding and all output quadratures, (Q, P) per mode.
+
+    `sigma` is m @ sigma_in @ m.T: `m` maps the independent inputs, (Q, P)
+    per input mode, whose covariance is `sigma_in`, to the outputs. Inputs
+    0 and 1 are Alice's encoding (Q_A, P_A), of variance V - 1 each. `ix`
+    maps block names to index lists: "cl" for the classical encoding, "B"
+    for Bob's output mode(s), "E" for all of Eve's output modes, "BE", plus
+    named scalar quadrature indices ("qa", "qB1", ...).
+    """
+
+    sigma: np.ndarray
+    m: np.ndarray
+    sigma_in: np.ndarray
+    ix: dict
+
+
+def one_way_covariance(V: float, params: AttackParams) -> CovarianceJoint:
+    """Covariance form of `key_rates.one_way_joint`, over [Q_A, P_A, Q_B,
+    P_B, Q_E', P_E', Q_E'', P_E'']: the encoding and the signal vacuum pass
+    the cloner beam splitter against E of Eve's EPR(W) pair (E, E'')."""
+    T, W = params.T, params.W
+    vbar = V - 1.0
+    t, r = math.sqrt(T), math.sqrt(1.0 - T)
+    w = np.sqrt(W * W - 1.0)
+    # inputs: qa, pa, q0, p0 (signal vacuum), qE, pE, qE'', pE''
+    sigma_in = np.diag([vbar, vbar, 1.0, 1.0, W, W, W, W])
+    sigma_in[4, 6] = sigma_in[6, 4] = w
+    sigma_in[5, 7] = sigma_in[7, 5] = -w
+    m = np.zeros((8, 8))
+    m[0, 0] = m[1, 1] = 1.0                      # classical encoding
+    for k in range(2):                           # k=0: Q rows, k=1: P rows
+        m[2 + k, [0 + k, 2 + k, 4 + k]] = [t, t, r]       # Bob
+        m[4 + k, [0 + k, 2 + k, 4 + k]] = [-r, -r, t]     # E'
+        m[6 + k, 6 + k] = 1.0                             # E'' spectator
+    ix = {"cl": [0, 1], "qa": 0, "pa": 1, "B": [2, 3], "qB": 2, "pB": 3,
+          "E": [4, 5, 6, 7], "BE": [2, 3, 4, 5, 6, 7]}
+    return CovarianceJoint(m @ sigma_in @ m.T, m, sigma_in, ix)
+
+
+def two_way_covariance(V, params) -> CovarianceJoint:
+    """Covariance form of `key_rates.two_way_joint`, over [Q_A, P_A, B1, B2,
+    E1', E1'', E2', E2''], (Q, P) per mode: Bob's EPR(V) pair (B1 kept, C1
+    sent) passes a cloner (E1, E1''), Alice adds her encoding, and the mode
+    returns through a second cloner (E2, E2''). V, params.T and params.W
+    are floats, or equal-length 1-D arrays for a stack of joints: this is
+    the placement `key_rates._het2_placement` must reproduce entry for
+    entry."""
+    T, W = params.T, params.W
+    vbar = V - 1.0
+    t, r = np.sqrt(T), np.sqrt(1.0 - T)
+    v, w = np.sqrt(V * V - 1.0), np.sqrt(W * W - 1.0)
+    # inputs: qa, pa, B1(2), C1(2), E1(2), E1''(2), E2(2), E2''(2)
+    sigma_in = np.zeros(np.shape(V) + (14, 14))
+    diag = np.arange(14)
+    sigma_in[..., diag, diag] = np.array([vbar, vbar, V, V, V, V, W, W, W, W, W, W, W, W]).T
+    for base, corr in ((2, v), (6, w), (10, w)):
+        sigma_in[..., base, base + 2] = sigma_in[..., base + 2, base] = corr
+        sigma_in[..., base + 1, base + 3] = sigma_in[..., base + 3, base + 1] = -corr
+    m = np.zeros(np.shape(V) + (14, 14))
+
+    def put(i, cols, coeffs):
+        for j, c in zip(cols, coeffs):
+            m[..., i, j] = c
+
+    m[..., 0, 0] = m[..., 1, 1] = 1.0
+    for k in range(2):
+        qa, qC1, qE1, qE2 = 0 + k, 4 + k, 6 + k, 10 + k
+        m[..., 2 + k, 2 + k] = 1.0                                # B1 kept
+        # B2 = sqrt(T) (A1 + encoding) + sqrt(1-T) E2, A1 = sqrt(T) C1 + sqrt(1-T) E1
+        put(4 + k, [qa, qC1, qE1, qE2], [t, T, t * r, r])
+        put(6 + k, [qC1, qE1], [-r, t])                           # E1'
+        m[..., 8 + k, 8 + k] = 1.0                                # E1''
+        put(10 + k, [qa, qC1, qE1, qE2], [-r, -r * t, -r * r, t])  # E2'
+        m[..., 12 + k, 12 + k] = 1.0                              # E2''
+    ix = {"cl": [0, 1], "qa": 0, "pa": 1,
+          "B": [2, 3, 4, 5], "qB1": 2, "pB1": 3, "qB2": 4, "pB2": 5,
+          "E": [6, 7, 8, 9, 10, 11, 12, 13], "BE": list(range(2, 14))}
+    return CovarianceJoint(m @ sigma_in @ np.swapaxes(m, -1, -2), m, sigma_in, ix)
+
+
+def covariance_joint(protocol, V: float, params: AttackParams) -> CovarianceJoint:
+    """The covariance form of the protocol's joint, built after the checks
+    of `key_rates._joint_for` (V range, EPR overflow, EXACT_V_MAX)."""
+    protocol = Protocol(protocol)
+    _joint_for(protocol, V, params)
+    return (two_way_covariance if protocol.two_way else one_way_covariance)(V, params)
+
+
+def bob_rows(protocol: Protocol, joint: CovarianceJoint, params: AttackParams):
+    """Rows on the covariance joint's variables, ancilla-noise covariance and
+    labels of Bob's decoding variables (`key_rates._bob_measurement`, whose
+    rows act on one half each). With params.T an array (a stack of joints),
+    the rows and the noise stack alike."""
+    n = joint.sigma.shape[-1]
+    T = params.T
+    s2 = math.sqrt(2.0)
+
+    def rows(*coeffs: dict) -> np.ndarray:
+        out = np.zeros(np.shape(T) + (len(coeffs), n))
+        for i, row in enumerate(coeffs):
+            for name, c in row.items():
+                out[..., i, joint.ix[name]] = c
+        return out
+
+    if protocol in (Protocol.HOM, Protocol.COLL_HOM):
+        return rows({"qB": 1.0}), np.zeros((1, 1)), ["Q"]
+    if protocol in (Protocol.HET, Protocol.COLL_HET):
+        return rows({"qB": 1 / s2}, {"pB": 1 / s2}), 0.5 * np.eye(2), ["Q", "P"]
+    if protocol in (Protocol.HOM2, Protocol.COLL_HOM2):
+        return rows({"qB2": 1.0, "qB1": -T}), np.zeros((1, 1)), ["Q"]
+    return (rows({"qB2": 1 / s2, "qB1": -T / s2}, {"pB2": 1 / s2, "pB1": T / s2}),
+            np.multiply.outer((1 + T * T) / 2, np.eye(2)), ["Q", "P"])
+
+
+def halves_covariance(F: np.ndarray) -> np.ndarray:
+    """The covariance, (Q, P) per mode, of factor halves F (2, n, k): F[0]
+    F[0]^T on the Q quadratures, F[1] F[1]^T on the P ones, and no Q/P
+    correlation."""
+    n = F.shape[1]
+    out = np.zeros((2 * n, 2 * n))
+    out[0::2, 0::2], out[1::2, 1::2] = F[0] @ F[0].T, F[1] @ F[1].T
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Schur conditioning on Alice's encoding
 # ---------------------------------------------------------------------------
 
-def encoding_rows(protocol: Protocol, joint: JointMoments) -> np.ndarray:
+def encoding_rows(protocol: Protocol, joint: CovarianceJoint) -> np.ndarray:
     """Rows selecting the classical variables revealed by Alice's encoding:
     Q_A for homodyne decoding, Q_A and P_A for heterodyne."""
     n = joint.sigma.shape[0]
@@ -295,17 +430,17 @@ def encoding_rows(protocol: Protocol, joint: JointMoments) -> np.ndarray:
     return rows
 
 
-def schur_given_alice(protocol: Protocol, joint: JointMoments, name: str) -> np.ndarray:
+def schur_given_alice(protocol: Protocol, joint: CovarianceJoint, name: str) -> np.ndarray:
     """Block `name` of the joint conditioned on Alice's revealed encoding,
     as a Schur complement on `encoding_rows`."""
     return conditional_cov(joint.sigma, joint.ix[name], encoding_rows(protocol, joint))
 
 
-def schur_shannon_variances(protocol: Protocol, joint: JointMoments,
+def schur_shannon_variances(protocol: Protocol, joint: CovarianceJoint,
                             params: AttackParams) -> np.ndarray:
     """Conditional variances of Bob's decoding variables given Alice's
     revealed encoding, by explicit inversion of her classical block."""
-    rows, noise, _ = _bob_measurement(protocol, joint, params)
+    rows, noise, _ = bob_rows(protocol, joint, params)
     enc = encoding_rows(protocol, joint)
     cross = rows @ joint.sigma @ enc.T
     s_cl = enc @ joint.sigma @ enc.T
@@ -317,16 +452,17 @@ def schur_shannon_variances(protocol: Protocol, joint: JointMoments,
 # The covariance-form exact engine, block by block
 # ---------------------------------------------------------------------------
 
-def covariance_given_alice(joint: JointMoments, protocol: Protocol) -> np.ndarray:
-    """A single joint's covariance given the inputs Alice reveals: they are
-    independent of all others, so their variance is set to 0."""
-    revealed = joint.revealed(protocol)
+def covariance_given_alice(joint: CovarianceJoint, protocol: Protocol) -> np.ndarray:
+    """A single joint's covariance given the inputs Alice reveals (Q_A, and
+    P_A for heterodyne decoding): they are independent of all others, so
+    their variance is set to 0."""
+    revealed = joint.ix["cl"] if protocol.joint_decoding else [joint.ix["qa"]]
     sigma_in = joint.sigma_in.copy()
     sigma_in[revealed, revealed] = 0.0
     return joint.m @ sigma_in @ joint.m.T
 
 
-def covariance_shannon_terms(joint: JointMoments, given: np.ndarray, rows: np.ndarray,
+def covariance_shannon_terms(joint: CovarianceJoint, given: np.ndarray, rows: np.ndarray,
                              noise: np.ndarray, labels: list) -> list:
     """(label, total variance, conditional variance) of Bob's decoding rows
     from the joint covariance and its `covariance_given_alice`."""
@@ -349,7 +485,7 @@ def per_block_exact_rate(protocol, reconciliation, V: float,
     _require_rate_params(params)
     if recon is Reconciliation.RR and protocol in DIVERGENT_RR:
         return RateResult(RATE_DIVERGENT, Method.EXACT_FINITE_V)
-    joint = _joint_for(protocol, V, params)
+    joint = covariance_joint(protocol, V, params)
     ix = joint.ix
     given = covariance_given_alice(joint, protocol)
 
@@ -367,7 +503,7 @@ def per_block_exact_rate(protocol, reconciliation, V: float,
             else:
                 rate = i_ab - (s_b + s_e - entropy(joint.sigma, "BE"))
         else:
-            rows, noise, labels = _bob_measurement(protocol, joint, params)
+            rows, noise, labels = bob_rows(protocol, joint, params)
             i_ab = mi_from_terms(covariance_shannon_terms(joint, given, rows, noise, labels))
             if recon is Reconciliation.DR:
                 s_e_given = entropy(given, "E")
@@ -535,7 +671,7 @@ def exact_spectrum(way: int, target: str, conditioning: str,
     """Numeric symplectic spectrum of the same CM the oracle predicts."""
     protocol_hom = Protocol.HOM if way == 1 else Protocol.HOM2
     protocol_het = Protocol.HET if way == 1 else Protocol.HET2
-    joint = _joint_for(protocol_hom, V, params)
+    joint = covariance_joint(protocol_hom, V, params)
     idx = joint.ix[target]
     if conditioning == "none":
         block = joint.sigma[np.ix_(idx, idx)]
@@ -546,7 +682,7 @@ def exact_spectrum(way: int, target: str, conditioning: str,
         return symplectic_eigenvalues(conditional_cov(joint.sigma, idx, rows))
     if conditioning in ("hom_b", "het_b"):
         proto = protocol_hom if conditioning == "hom_b" else protocol_het
-        rows, noise, _ = _bob_measurement(proto, joint, params)
+        rows, noise, _ = bob_rows(proto, joint, params)
         return symplectic_eigenvalues(conditional_cov(joint.sigma, idx, rows, noise))
     raise ValueError(f"unknown conditioning {conditioning!r}")
 
@@ -587,7 +723,7 @@ def _mp_sub(mat, rows, cols):
 
 
 def mp_one_way_joint(V, params: AttackParams):
-    """`key_rates.one_way_joint` in mpmath, from the same float inputs:
+    """`one_way_covariance` in mpmath, from the same float inputs:
     the 8x8 joint over [Q_A, P_A, Q_B, P_B, Q_E', P_E', Q_E'', P_E'']."""
     T, W = mpmath.mpf(params.T), mpmath.mpf(params.W)
     t, r, w = mpmath.sqrt(T), mpmath.sqrt(1 - T), mpmath.sqrt(W * W - 1)
@@ -604,7 +740,7 @@ def mp_one_way_joint(V, params: AttackParams):
 
 
 def mp_two_way_joint(V, params: AttackParams):
-    """`key_rates.two_way_joint` in mpmath, from the same float inputs: the
+    """`two_way_covariance` in mpmath, from the same float inputs: the
     14x14 joint over [Q_A, P_A, B1, B2, E1', E1'', E2', E2''], (Q, P) per mode."""
     T, W = mpmath.mpf(params.T), mpmath.mpf(params.W)
     t, r = mpmath.sqrt(T), mpmath.sqrt(1 - T)
@@ -708,7 +844,7 @@ def mp_exact_rate(protocol, reconciliation, V: float, params: AttackParams) -> f
     """`key_rates.exact_rate` of any pair in mpmath, from the same float
     inputs: the joint of `mp_one_way_joint` or `mp_two_way_joint`,
     augmented by Bob's decoding rows and their vacuum noise as in
-    `key_rates._bob_measurement`, Schur conditioning (`mp_conditional`) on
+    `bob_rows`, Schur conditioning (`mp_conditional`) on
     Alice's revealed encoding or on those rows, and `mp_entropy`.
 
     Terms of size V (and W) cancel in the Schur complements and the

@@ -9,7 +9,7 @@ from twoway_cvqkd.tomography import (CorrelatedAttackParams, GaussianChannel,
                                      correlated_two_mode_channels)
 
 from oracles import (OneWayCoefficients, cloner_output_cm, cloner_transform,
-                     is_symplectic, mp_ancilla_nu_min)
+                     halves_covariance, is_symplectic, mp_ancilla_nu_min)
 
 
 def test_excess_noise_values():
@@ -63,8 +63,7 @@ def test_cloner_reproduces_all_four_variances():
     V = 5.0
     c = OneWayCoefficients.evaluate(V, params)
     c1 = OneWayCoefficients.evaluate(1.0, params)
-    joint = one_way_joint(V, params)
-    sigma = joint.sigma
+    sigma = halves_covariance(one_way_joint(V, params).G)
     assert abs(sigma[2, 2] - c.b_V) < 1e-10
     assert abs(sigma[4, 4] - c.e_V) < 1e-10
     enc = np.zeros((2, 8))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -12,16 +13,17 @@ from twoway_cvqkd.gaussian import (conditional_cov, g_entropy, symplectic_eigenv
 from twoway_cvqkd import key_rates
 from twoway_cvqkd.key_rates import (DIVERGENT_RR, EXACT_V_MAX, EXACT_W_MAX, NumericalFailure,
                                     Protocol, RATE_DIVERGENT, Reconciliation, _RATES,
-                                    _bob_measurement, _joint_for, _shannon_terms,
+                                    _decoding, _het2_placement, _joint_for, _shannon_terms,
                                     asymptotic_rate, exact_rate, het2_rr_finite_eigenvalues,
                                     mi_from_terms, one_way_joint, shannon_terms,
                                     two_way_joint)
 
-from oracles import (TwoWayCoefficients, asymptotic_spectra, exact_spectrum,
-                     het2_rr_closed_form, mp_exact_rate, mp_het2_rr_finite_eigenvalues,
-                     mp_closed_form_rates, mp_one_way_dr_rate, one_way_cm,
-                     per_block_exact_rate, rr_conditional_entropy_estimator, schur_given_alice,
-                     schur_shannon_variances, spectrum_matches, two_way_cm)
+from oracles import (TwoWayCoefficients, asymptotic_spectra, bob_rows, covariance_joint,
+                     exact_spectrum, halves_covariance, het2_rr_closed_form, mp_exact_rate,
+                     mp_het2_rr_finite_eigenvalues, mp_closed_form_rates, mp_one_way_dr_rate,
+                     one_way_cm, one_way_covariance, per_block_exact_rate,
+                     rr_conditional_entropy_estimator, schur_given_alice,
+                     schur_shannon_variances, spectrum_matches, two_way_cm, two_way_covariance)
 
 P = AttackParams
 
@@ -158,6 +160,23 @@ def test_het2_rr_point_rate_is_its_row_in_a_stack():
     assert valid.sum() >= 1000
     points = [rate("het2", "rr", P(t, w)) for t, w in zip(T[valid].tolist(), W[valid].tolist())]
     assert np.array_equal(points, stacked[valid])
+
+
+def test_het2_placement_is_the_covariance_joints():
+    # the numeric het2 RR spectrum diagonalises m sigma_in m^T of
+    # _het2_placement, whose rounding the RR reference CSVs pin: its m,
+    # sigma_in, rows and noise must be the covariance oracle's placement
+    # entry for entry, signed zeros included (at W = 1, -c is -0.0)
+    rng = np.random.default_rng(33)
+    T = rng.uniform(1e-3, 0.999, 8)
+    W = np.concatenate([[1.0, 1.0], 1.0 + 10.0 ** rng.uniform(-6.0, 6.0, 6)])
+    V = np.repeat([1e7, 1e8], 4)
+    cov = two_way_covariance(V, SimpleNamespace(T=T, W=W))
+    want = (cov.m, cov.sigma_in) + bob_rows(Protocol.HET2, cov, SimpleNamespace(T=T))[:2]
+    for got, ref in zip(_het2_placement(V, T, W), want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_het2_broken_spectrum_raises_on_a_point_and_is_nan_in_a_stack():
@@ -332,58 +351,74 @@ def test_rates_decrease_in_w():
 def test_one_way_joint_matches_closed_form_blocks():
     params = P(0.7, 1.5)
     V = 8.0
-    joint = one_way_joint(V, params)
-    assert np.allclose(joint.sigma[np.ix_([2, 3], [2, 3])],
+    sigma = one_way_covariance(V, params).sigma
+    assert np.allclose(sigma[np.ix_([2, 3], [2, 3])],
                        one_way_cm("B", V, V, params), atol=1e-12)
-    assert np.allclose(joint.sigma[np.ix_(joint.ix["E"], joint.ix["E"])],
+    assert np.allclose(sigma[np.ix_([4, 5, 6, 7], [4, 5, 6, 7])],
                        one_way_cm("E", V, V, params), atol=1e-12)
     # full Eve+Bob block, ordered (E', E'', B)
     idx = [4, 5, 6, 7, 2, 3]
-    assert np.allclose(joint.sigma[np.ix_(idx, idx)],
+    assert np.allclose(sigma[np.ix_(idx, idx)],
                        one_way_cm("EB", V, V, params), atol=1e-12)
+    # the package's factor halves carry the same moments
+    assert np.allclose(halves_covariance(one_way_joint(V, params).G), sigma, atol=1e-12)
 
 
 def test_two_way_joint_matches_closed_form_blocks():
     params = P(0.6, 1.4)
     V = 6.0
     vbar = V - 1.0
-    joint = two_way_joint(V, params)
-    assert np.allclose(joint.sigma[np.ix_(joint.ix["B"], joint.ix["B"])],
+    cov = two_way_covariance(V, params)
+    assert np.allclose(cov.sigma[np.ix_(cov.ix["B"], cov.ix["B"])],
                        two_way_cm("B", vbar, vbar, V, params), atol=1e-12)
-    assert np.allclose(joint.sigma[np.ix_(joint.ix["E"], joint.ix["E"])],
+    assert np.allclose(cov.sigma[np.ix_(cov.ix["E"], cov.ix["E"])],
                        two_way_cm("E", vbar, vbar, V, params), atol=1e-12)
+    assert np.allclose(halves_covariance(two_way_joint(V, params).G), cov.sigma, atol=1e-12)
+
+
+_COVARIANCE = {one_way_joint: one_way_covariance, two_way_joint: two_way_covariance}
 
 
 @pytest.mark.parametrize("build", [one_way_joint, two_way_joint])
 def test_entropy_blocks_are_contiguous_ranges(build):
-    # exact_rate reads these blocks as slices, so a reordered joint must
-    # fail here rather than have it read the wrong block
-    ix = build(6.0, P(0.6, 1.4)).ix
+    # exact_rate reads these blocks as row slices of the factor halves, so
+    # a reordered joint must fail here rather than have it read the wrong
+    # block: each slice carries the modes its name has in the covariance
+    params = P(0.6, 1.4)
+    joint, cov = build(6.0, params), _COVARIANCE[build](6.0, params)
     for name in ("B", "E", "BE"):
-        assert ix[name] == list(range(ix[name][0], ix[name][-1] + 1)), name
+        idx = cov.ix[name]
+        np.testing.assert_allclose(halves_covariance(joint.G[:, joint.ix[name]]),
+                                   cov.sigma[np.ix_(idx, idx)], rtol=1e-15, atol=0.0)
 
 
-# (first, second) input halves of each EPR pair, W pairs last
-_EPR_PAIRS = {one_way_joint: [(4, 6), (5, 7)],
-              two_way_joint: [(2, 4), (3, 5), (6, 8), (7, 9), (10, 12), (11, 13)]}
+# (row of G, input) of each EPR partner the joint keeps unmixed: one-way E'';
+# two-way E1'' and E2''; first halves stay on the diagonal (two-way B1)
+_EPR_PARTNERS = {one_way_joint: [(3, 2)], two_way_joint: [(4, 3), (6, 5)]}
 
 
-@pytest.mark.parametrize("W", [1.0, 1.5, 1e4])
+@pytest.mark.parametrize("W", [1.0, 1.5, 1e4, EXACT_W_MAX])
 @pytest.mark.parametrize("V", [2.5, 1e3, 95754019.12279658])
 @pytest.mark.parametrize("build", [one_way_joint, two_way_joint])
 def test_input_factor(build, V, W):
-    joint = build(V, P(0.7, W))
-    L = joint.input_factor()
-    x = np.diag(joint.sigma_in)
-    np.testing.assert_allclose(L @ L.T, joint.sigma_in, rtol=1e-15, atol=0.0)
-    # at W = 1 Eve's inputs are vacua, not pairs; the two-way V pair stays
-    pairs = [(i, j) for i, j in _EPR_PAIRS[build] if W > 1.0 or x[i] == V]
-    partners = {j for _, j in pairs}
-    assert np.array_equal(np.diag(L), [1 / np.sqrt(x[k]) if k in partners
-                                       else np.sqrt(x[k]) for k in range(len(x))])
-    # lower-triangular, and off the diagonal only where a pair couples
-    off = np.argwhere(L - np.diag(np.diag(L)))
-    assert sorted(map(tuple, off.tolist())) == sorted((j, i) for i, j in pairs)
+    # G = m_h L_h per half: its Gram is the covariance oracle's Q/Q and P/P
+    # block, and an unmixed row of G is its input's factor row, exact at
+    # any x: sqrt(x) for a first half or an independent input, and for an
+    # EPR partner +-c/sqrt(x) (Q, P) and 1/sqrt(x), c^2 = x^2 - 1 (at W = 1
+    # Eve's inputs are vacua: c = 0)
+    params = P(0.7, W)
+    G, cov = build(V, params).G, _COVARIANCE[build](V, params)
+    k = G.shape[-1]
+    for h, sign in ((0, 1.0), (1, -1.0)):
+        np.testing.assert_allclose(G[h] @ G[h].T, cov.sigma[h::2, h::2], rtol=1e-15, atol=0.0)
+        assert np.array_equal(G[h, 0], np.sqrt(V - 1.0) * np.eye(k)[0])   # Alice's encoding
+        if build is two_way_joint:
+            assert np.array_equal(G[h, 1], np.sqrt(V) * np.eye(k)[1])     # B1, kept
+        for row, first in _EPR_PARTNERS[build]:
+            want = np.zeros(k)
+            want[first] = sign * np.sqrt(W * W - 1.0) / np.sqrt(W)
+            want[first + 1] = 1.0 / np.sqrt(W)
+            assert np.array_equal(G[h, row], want), (h, row)
 
 
 def test_substitution_rule_equals_schur_conditioning():
@@ -391,23 +426,23 @@ def test_substitution_rule_equals_schur_conditioning():
     # Gaussian conditioning on the classical encoding variables
     params = P(0.7, 1.5)
     V = 8.0
-    joint = one_way_joint(V, params)
+    sigma = one_way_covariance(V, params).sigma
     q_row = np.zeros((1, 8)); q_row[0, 0] = 1.0
     qp_rows = np.zeros((2, 8)); qp_rows[0, 0] = qp_rows[1, 1] = 1.0
     for kind, idx in (("B", [2, 3]), ("E", [4, 5, 6, 7])):
-        on_q = conditional_cov(joint.sigma, idx, q_row)
-        on_qp = conditional_cov(joint.sigma, idx, qp_rows)
+        on_q = conditional_cov(sigma, idx, q_row)
+        on_qp = conditional_cov(sigma, idx, qp_rows)
         assert np.allclose(on_q, one_way_cm(kind, 1.0, V, params), atol=1e-10)
         assert np.allclose(on_qp, one_way_cm(kind, 1.0, 1.0, params), atol=1e-10)
 
-    joint = two_way_joint(V, params)
+    cov = two_way_covariance(V, params)
     vbar = V - 1.0
     q_row = np.zeros((1, 14)); q_row[0, 0] = 1.0
     qp_rows = np.zeros((2, 14)); qp_rows[0, 0] = qp_rows[1, 1] = 1.0
     for kind in ("B", "E"):
-        idx = joint.ix[kind]
-        on_q = conditional_cov(joint.sigma, idx, q_row)
-        on_qp = conditional_cov(joint.sigma, idx, qp_rows)
+        idx = cov.ix[kind]
+        on_q = conditional_cov(cov.sigma, idx, q_row)
+        on_qp = conditional_cov(cov.sigma, idx, qp_rows)
         assert np.allclose(on_q, two_way_cm(kind, 0.0, vbar, V, params), atol=1e-10)
         assert np.allclose(on_qp, two_way_cm(kind, 0.0, 0.0, V, params), atol=1e-10)
 
@@ -423,19 +458,16 @@ def test_given_alice_matches_schur_conditioning(protocol, V):
     for T in (0.1, 0.5, 0.9):
         for W in (1.0, 1.5, 4.0):
             params = P(T, W)
-            joint = _joint_for(protocol, V, params)
-            factor = joint.m @ joint.input_factor()
-            given = factor.copy()
-            given[:, joint.revealed(protocol)] = 0.0
-            gram = given @ given.T
-            pairs = [(symplectic_eigenvalues(gram[np.ix_(joint.ix[k], joint.ix[k])]),
-                      symplectic_eigenvalues(schur_given_alice(protocol, joint, k)))
+            joint, cov = _joint_for(protocol, V, params), covariance_joint(protocol, V, params)
+            given = joint.G.copy()
+            given[joint.revealed(protocol), :, 0] = 0.0
+            pairs = [(symplectic_eigenvalues(halves_covariance(given[:, joint.ix[k]])),
+                      symplectic_eigenvalues(schur_given_alice(protocol, cov, k)))
                      for k in ("B", "E")]
             if not protocol.collective:
-                rows, noise, labels = _bob_measurement(protocol, joint, params)
-                terms = _shannon_terms(rows @ factor, noise, joint.revealed(protocol), labels)
+                terms = _shannon_terms(*_decoding(protocol, joint, T))
                 pairs.append((np.array([c for _, _, c in terms]),
-                              schur_shannon_variances(protocol, joint, params)))
+                              schur_shannon_variances(protocol, cov, params)))
             for got, want in pairs:
                 worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     assert worst <= 1e-11
@@ -602,13 +634,12 @@ def test_estimator_conditioning_matches_general():
     # Eve's conditional entropy via the fixed optimal linear estimators
     # agrees with general Gaussian conditioning at large modulation
     params = P(0.7, 1.5)
-    from twoway_cvqkd.key_rates import _bob_measurement, _joint_for
     for proto in (Protocol.HOM, Protocol.HET, Protocol.HOM2, Protocol.HET2):
         V = 1e6
-        joint = _joint_for(proto, V, params)
-        rows, noise, _ = _bob_measurement(proto, joint, params)
+        cov = covariance_joint(proto, V, params)
+        rows, noise, _ = bob_rows(proto, cov, params)
         general = von_neumann_entropy(
-            conditional_cov(joint.sigma, joint.ix["E"], rows, noise))
+            conditional_cov(cov.sigma, cov.ix["E"], rows, noise))
         est = rr_conditional_entropy_estimator(proto, V, params)
         assert est >= general - 1e-12  # the estimator can only lose information
         assert abs(est - general) < 1e-4, proto
